@@ -22,6 +22,7 @@ import numpy as np
 from .estimation import EstimatorConfig, solve_cvqt, solve_git, solve_maxlik
 from .harness import export, observable_count_sweep, run_sweep, sweep_config_from_dict
 from .measurement import (
+    check_setting,
     extract_frequencies,
     full_observables,
     full_settings,
@@ -34,7 +35,14 @@ from .measurement import (
     select_settings,
 )
 from .metrics import metric_report
-from .operators import load_matrix, matrix_from_json, matrix_to_json, save_matrix
+from .operators import (
+    assert_density_matrix,
+    load_matrix,
+    matrix_from_json,
+    matrix_to_json,
+    num_qubits,
+    save_matrix,
+)
 from .statesim import (
     NoiseModel,
     build_ghz_phase,
@@ -175,9 +183,35 @@ def _cmd_prepare(args) -> int:
     return 0
 
 
+def _load_state(path) -> tuple[np.ndarray, int]:
+    """A qubit density matrix and its qubit count; exits naming the file if it is not one."""
+    try:
+        rho = assert_density_matrix(load_matrix(path), name="state")
+        return rho, num_qubits(rho.shape[0])
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
+
+
+def _load_settings(path, n: int) -> list[str]:
+    """A JSON list of n-letter X/Y/Z settings; exits naming the file and entry at fault."""
+    try:
+        settings = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise SystemExit(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(settings, list) or not settings:
+        raise SystemExit(f"{path}: expected a non-empty JSON list of {n}-letter X/Y/Z strings")
+    for i, setting in enumerate(settings):
+        if not isinstance(setting, str):
+            raise SystemExit(f"{path}: entry {i} is {setting!r}, not a string")
+        try:
+            check_setting(setting, n)
+        except ValueError as exc:
+            raise SystemExit(f"{path}: entry {i}: {exc}") from None
+    return settings
+
+
 def _cmd_sample(args) -> int:
-    rho = load_matrix(args.state)
-    n = rho.shape[0].bit_length() - 1
+    rho, n = _load_state(args.state)
     if args.settings == "pi":
         settings = pi_settings(n)
     elif args.settings == "werner":
@@ -185,7 +219,7 @@ def _cmd_sample(args) -> int:
         count = args.count or min(len(full_settings(n)), 2 * basis.size)
         settings = select_settings(basis, full_settings(n), count)
     else:
-        settings = json.loads(Path(args.settings).read_text())
+        settings = _load_settings(args.settings, n)
     hists = sample_state(rho, settings, args.shots, args.seed)
     save_histograms(args.out, hists, n_qubits=n)
     print(f"wrote {len(hists)} histograms ({args.shots} shots each) to {args.out}")

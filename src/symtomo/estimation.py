@@ -15,7 +15,16 @@ spaces are supported:
   iteration is spectral projected gradient descent over the real coefficient
   vector, with the exact projection onto {trace one, PSD} (eigenvalue
   clipping against the probability simplex -- a spectral operation, so it
-  never leaves the symmetry algebra).
+  never leaves the symmetry algebra).  The projection never forms the d x d
+  state: both built-in algebras are block diagonal in the total-spin
+  decomposition, so rho is held as one copy of each block (an s x s matrix,
+  s = 12 instead of d = 32 at five qubits) plus the blocks' multiplicities
+  (``symmetry.spin_blocks``).  One ``eigh`` of that matrix gives the
+  spectrum, each eigenvalue counted with multiplicity sum_a mult_a |U_ak|^2,
+  and the eigenvalues go onto the simplex weighted by those counts, so the
+  projection equals the dense one.  The log-det barrier and its gradient use
+  the same pieces.  Custom symmetries get the identity as a single block of
+  multiplicity one, i.e. the dense projection, through the same code.
 * full space: rho = A A^dag / tr(A A^dag) over an unconstrained complex
   factor A, optimized by the same line-searched descent with the gradient in
   the factor.
@@ -38,11 +47,12 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .operators import num_qubits, pauli_string
-from .symmetry import SymmetricBasis
+from .symmetry import SymmetricBasis, spin_blocks
 
 HUBER_DELTA = 1e-6          # final smoothing width for |x| in the data term
 BARRIER_EIG_FLOOR = 1e-12   # eigenvalue floor applied by projections when gamma > 0
@@ -125,17 +135,6 @@ def _descend_stages(x0, value_at, gradient_at, advance, config):
     return x, total_iters, converged
 
 
-def _project_simplex(vals: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    srt = np.sort(vals)[::-1]
-    cumsum = np.cumsum(srt) - 1.0
-    ks = np.arange(1, vals.size + 1)
-    mask = srt - cumsum / ks > 0
-    k = ks[mask][-1]
-    tau = cumsum[k - 1] / k
-    return np.clip(vals - tau, 0.0, None)
-
-
 @lru_cache(maxsize=8)
 def _hermitian_basis(n_qubits: int) -> np.ndarray:
     """Orthonormal Hermitian basis of the full operator space (scaled Pauli strings)."""
@@ -144,11 +143,12 @@ def _hermitian_basis(n_qubits: int) -> np.ndarray:
             "full-space estimation keeps 4^n dense basis matrices; practical up to 6 qubits"
         )
     scale = np.sqrt(2.0**n_qubits)
-    mats = [
+    mats = np.array([
         pauli_string("".join(s)) / scale
         for s in itertools.product("IXYZ", repeat=n_qubits)
-    ]
-    return np.array(mats)
+    ])
+    mats.setflags(write=False)  # cached: every caller shares this array
+    return mats
 
 
 def _split_records(records):
@@ -351,6 +351,81 @@ def _finalize(rho, proj, freq, weight, unmeasured_sum, config, iters, converged,
     )
 
 
+class _BlockMaps(NamedTuple):
+    """Coefficient maps through the block compression of a basis's algebra.
+
+    With V the isometry of ``spin_blocks``, ``forward`` sends c to the s x s
+    matrix V^dag (sum_i c_i S_i) V, masked to its diagonal blocks, and
+    ``back`` sends such a matrix X to the coefficients tr(S_i rho) of the
+    full-space operator rho it stands for, sum_b mult_b tr(S_i,b X_b).  Both
+    are stored as real views of the complex maps, so each application is one
+    real matrix-vector product.  ``column_mult`` is the multiplicity of each
+    of the s columns.
+    """
+
+    forward: np.ndarray
+    back: np.ndarray
+    column_mult: np.ndarray
+
+    @classmethod
+    def of(cls, basis: SymmetricBasis) -> "_BlockMaps":
+        isometry, sizes, mults = spin_blocks(basis.n_qubits, basis.kind)
+        blocks = np.repeat(np.arange(len(sizes)), sizes)
+        mask = blocks[:, None] == blocks[None, :]
+        column_mult = np.asarray(mults, dtype=float)[blocks]
+        compressed = isometry.conj().T @ (basis.elements @ isometry) * mask
+        # Re tr(B^dag X) = B.real . X.real + B.imag . X.imag
+        back = compressed * column_mult[:, None]
+        return cls(
+            compressed.view(float).reshape(basis.size, -1),
+            back.view(float).reshape(basis.size, -1),
+            column_mult,
+        )
+
+    def spectrum(self, c):
+        """Eigenvalues (ascending), eigenvectors and multiplicities of the state of c.
+
+        Multiplicities are per eigenvector, sum_a mult_a |U_ak|^2, so they stay
+        right when eigh mixes degenerate eigenvectors of different blocks.
+        """
+        s = self.column_mult.size
+        vals, vecs = np.linalg.eigh((c @ self.forward).view(complex).reshape(s, s))
+        return vals, vecs, self.column_mult @ (vecs * vecs.conj()).real
+
+    def coefficients(self, vals, vecs):
+        """Coefficients of the operator with eigenpairs (vals, vecs)."""
+        return self.back @ ((vecs * vals) @ vecs.conj().T).view(float).reshape(-1)
+
+    def project(self, c, eig_floor):
+        """Coefficients of the closest density matrix to the state of c.
+
+        The Hilbert-Schmidt projection onto {trace one, PSD}: eigenvalues go
+        onto the multiplicity-weighted simplex, then, when ``eig_floor`` is
+        positive, are floored and renormalized.
+        """
+        vals, vecs, mult = self.spectrum(c)
+        vals = _project_weighted_simplex(vals, mult)
+        if eig_floor > 0.0:
+            vals = np.maximum(vals, eig_floor)
+            vals = vals / (mult @ vals)
+        return self.coefficients(vals, vecs)
+
+
+def _project_weighted_simplex(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Project ascending eigenvalues of multiplicity ``weights`` onto the simplex.
+
+    Returns x = max(vals - tau, 0) with weights . x = 1: the spectrum of the
+    Euclidean projection of a state onto the density matrices when each
+    eigenvalue occurs weights[k] times.  Unit weights give the plain simplex
+    projection.  ``vals`` must be sorted ascending, as ``eigh`` returns them.
+    """
+    srt = vals[::-1]
+    cumsum = (weights * vals)[::-1].cumsum() - 1.0
+    counts = weights[::-1].cumsum()
+    k = np.flatnonzero(srt - cumsum / counts > 0)[-1]
+    return np.maximum(vals - cumsum[k] / counts[k], 0.0)
+
+
 def _solve_restricted(problem: EstimationProblem, config: EstimatorConfig) -> EstimationResult:
     basis = problem.basis
     elements = basis.elements
@@ -361,38 +436,26 @@ def _solve_restricted(problem: EstimationProblem, config: EstimatorConfig) -> Es
         np.einsum("ab,iab->i", unmeasured_sum.conj(), elements)
     )
     floor = BARRIER_EIG_FLOOR if config.gamma > 0.0 else 0.0
-
-    def rho_of(c):
-        return np.einsum("i,iab->ab", c, elements)
-
-    def project(c, eig_floor):
-        vals, vecs = np.linalg.eigh(rho_of(c))
-        vals = _project_simplex(vals)
-        if eig_floor > 0.0:
-            vals = np.clip(vals, eig_floor, None)
-            vals = vals / vals.sum()
-        rho = (vecs * vals) @ vecs.conj().T
-        return np.real(np.einsum("iab,ab->i", elements.conj(), rho))
+    maps = _BlockMaps.of(basis)
+    project = maps.project
 
     def smooth_value(c, delta):
         resid = design @ c - freq
         value = config.alpha * float((weight * _huber(resid, delta)).sum())
         value += float(unmeasured_row @ c)
         if config.gamma > 0.0:
-            eigs = np.linalg.eigvalsh(rho_of(c))
-            if eigs[0] <= 0.0:
+            vals, _, mult = maps.spectrum(c)
+            if vals[0] <= 0.0:
                 return np.inf
-            value -= config.gamma * float(np.log(eigs).sum())
+            value -= config.gamma * float(mult @ np.log(vals))
         return value
 
     def smooth_gradient(c, delta):
         resid = design @ c - freq
         g = config.alpha * (design.T @ (weight * _huber_grad(resid, delta))) + unmeasured_row
         if config.gamma > 0.0:
-            vals, vecs = np.linalg.eigh(rho_of(c))
-            vals = np.clip(vals, BARRIER_EIG_FLOOR, None)
-            rho_inv = (vecs / vals) @ vecs.conj().T
-            g = g - config.gamma * np.real(np.einsum("iab,ab->i", elements.conj(), rho_inv))
+            vals, vecs, _ = maps.spectrum(c)
+            g = g - config.gamma * maps.coefficients(1.0 / np.clip(vals, BARRIER_EIG_FLOOR, None), vecs)
         return g
 
     def advance(c, g, step):
@@ -410,7 +473,8 @@ def _solve_restricted(problem: EstimationProblem, config: EstimatorConfig) -> Es
     best = None
     for c0 in starts:
         c_fin, iters, conv = _descend_stages(c0, smooth_value, smooth_gradient, advance, config)
-        result = _finalize(rho_of(c_fin), proj, freq, weight, unmeasured_sum, config, iters, conv, "git")
+        rho = np.einsum("i,iab->ab", c_fin, elements)
+        result = _finalize(rho, proj, freq, weight, unmeasured_sum, config, iters, conv, "git")
         if best is None or result.objective < best.objective - 1e-15:
             best = result
         if config.gamma == 0.0 and best.objective <= 1e-12:

@@ -21,11 +21,20 @@ Two construction routes are used:
 
 Both routes yield deterministic, orthonormal output and are cross-checked
 against each other in the test suite.
+
+``spin_blocks`` gives the solver a compressed view of the two built-in
+algebras.  Both are block diagonal in the total-spin decomposition of the
+register: the permutation algebra is the direct sum of M_{2J+1} (x) 1_{m_J},
+the collective algebra that of 1_{2J+1} (x) M_{m_J}, where m_J counts the
+spin-J irreps.  One isometry holding a single copy of every block, plus the
+number of copies, therefore represents any member of the algebra exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -332,6 +341,91 @@ def compute_commutant_basis(spec: SymmetrySpec) -> SymmetricBasis:
     else:
         elements = _null_space_basis(spec)
     return SymmetricBasis(spec.n_qubits, spec.kind, np.array(elements))
+
+
+class SpinBlocks(NamedTuple):
+    """Block compression of a symmetry algebra.
+
+    ``isometry`` (d x s, orthonormal columns) holds one copy of each diagonal
+    block, consecutive blocks of ``sizes`` columns; block b occurs
+    ``multiplicities[b]`` times in the full space, so a member X of the
+    algebra satisfies tr f(X) = sum_b multiplicities[b] tr f(V_b^dag X V_b).
+    """
+
+    isometry: np.ndarray
+    sizes: tuple
+    multiplicities: tuple
+
+
+def _lowering_operator(n: int) -> np.ndarray:
+    """Collective J_- = sum_q sigma_-^(q) as a dense real d x d matrix.
+
+    sigma_- maps |0> (spin up, qubit 0 most significant) to |1>.
+    """
+    d = 2**n
+    idx = np.arange(d)
+    out = np.zeros((d, d))
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        src = idx[(idx & bit) == 0]
+        out[src | bit, src] = 1.0
+    return out
+
+
+def _highest_weights(n: int, lowering: np.ndarray, j2: int) -> np.ndarray:
+    """Orthonormal basis (d x m_J) of the spin-J highest-weight space, J = j2 / 2.
+
+    It is the kernel of J_+ = J_-^T on the computational states carrying
+    (n - j2) / 2 ones, found by an SVD of that column slice of J_+.
+    """
+    d = 2**n
+    ones = (n - j2) // 2
+    idx = np.arange(d)
+    cols = idx[np.array([bin(i).count("1") for i in idx]) == ones]
+    raising = lowering.T[:, cols]
+    _, svals, vh = np.linalg.svd(raising)
+    rank = int((svals > SINGULAR_VALUE_TOL).sum())
+    kernel = vh[rank:].T
+    out = np.zeros((d, kernel.shape[1]))
+    out[cols] = kernel
+    return out
+
+
+@lru_cache(maxsize=16)
+def spin_blocks(n_qubits: int, kind: str) -> SpinBlocks:
+    """Isometry onto one copy of each total-spin block of a symmetry algebra.
+
+    Permutation kind: each spin-J block is 2J+1 columns, one irrep lowered by
+    J_- from a highest-weight vector, and occurs m_J times.  Collective kind:
+    each block is the m_J-dimensional highest-weight space and occurs 2J+1
+    times.  Custom kinds get the identity as a single block, so the
+    compressed view equals the dense one.  Cached per (n_qubits, kind); the
+    returned arrays are read-only.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"unknown symmetry kind {kind!r}")
+    if kind not in (KIND_PERMUTATION, KIND_COLLECTIVE):
+        blocks = [(np.eye(2**n_qubits), 1)]
+    else:
+        lowering = _lowering_operator(n_qubits)
+        blocks = []
+        for j2 in range(n_qubits, -1, -2):
+            top = _highest_weights(n_qubits, lowering, j2)
+            if kind == KIND_COLLECTIVE:
+                blocks.append((top, j2 + 1))
+                continue
+            cols = [top[:, 0]]
+            for _ in range(j2):
+                vec = lowering @ cols[-1]
+                cols.append(vec / np.linalg.norm(vec))
+            blocks.append((np.stack(cols, axis=1), top.shape[1]))
+    isometry = np.hstack([cols for cols, _ in blocks])
+    isometry.setflags(write=False)
+    return SpinBlocks(
+        isometry,
+        tuple(cols.shape[1] for cols, _ in blocks),
+        tuple(mult for _, mult in blocks),
+    )
 
 
 def project_onto_basis(rho, basis: SymmetricBasis) -> SymmetricCoefficients:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from symtomo.cli import main
-from symtomo.operators import load_matrix, matrix_from_json, projector
+from symtomo.operators import load_matrix, matrix_from_json, projector, save_matrix
 from symtomo.statesim import ghz_state, werner_exact
 from symtomo.metrics import fidelity
 
@@ -118,6 +118,37 @@ def test_sample_settings_from_file(tmp_path, ghz_file):
                "--shots", 100, "--out", out) == 0
     payload = json.loads(out.read_text())
     assert [r["setting"] for r in payload["records"]] == ["XX", "ZZ"]
+
+
+def test_sample_rejects_a_state_that_is_not_a_density_matrix(tmp_path):
+    state = tmp_path / "bad.json"
+    save_matrix(state, np.diag([1.5, -0.5, 0.0, 0.0]))
+    out = tmp_path / "hists.json"
+    with pytest.raises(SystemExit) as exc:
+        run("sample", "--state", state, "--settings", "pi", "--shots", 10, "--out", out)
+    assert exc.value.code != 0
+    assert str(state) in str(exc.value.code) and "negative eigenvalue" in str(exc.value.code)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, fault",
+    [
+        ({"a": 1}, "JSON list"),
+        (["XX", "XQ"], "entry 1: invalid measurement setting 'XQ'"),
+        (["XX", "XYZ"], "entry 1: setting 'XYZ' does not address 2 qubits"),
+        ([7], "entry 0 is 7"),
+    ],
+)
+def test_sample_rejects_bad_settings_file(tmp_path, ghz_file, content, fault):
+    listing = tmp_path / "settings.json"
+    listing.write_text(json.dumps(content))
+    out = tmp_path / "hists.json"
+    with pytest.raises(SystemExit) as exc:
+        run("sample", "--state", ghz_file, "--settings", listing, "--shots", 10, "--out", out)
+    assert exc.value.code != 0
+    assert str(listing) in str(exc.value.code) and fault in str(exc.value.code)
+    assert not out.exists()
 
 
 def test_sample_werner_selection(tmp_path):

@@ -5,12 +5,16 @@ trace-constrained least-squares fit), so solver output can be checked to tight
 tolerances.  Sampled cases pin fidelity floors measured from the seeds used.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtomo.operators import projector
 from symtomo.statesim import apply_channel, ghz_state, werner_exact
-from symtomo.symmetry import SymmetrySpec, compute_commutant_basis
+from symtomo.symmetry import SymmetrySpec, compute_commutant_basis, symmetrize
 from symtomo.measurement import (
     ObservableRecord,
     extract_frequencies,
@@ -25,6 +29,9 @@ from symtomo.measurement import (
 from symtomo.estimation import (
     EstimationProblem,
     EstimatorConfig,
+    _BlockMaps,
+    _hermitian_basis,
+    _project_weighted_simplex,
     linear_inversion,
     solve_cvqt,
     solve_git,
@@ -132,6 +139,107 @@ def test_restarts_agree_on_convex_instance():
     a = solve_git(recs, basis, EstimatorConfig(gamma=0.0, seed=0))
     b = solve_git(recs, basis, EstimatorConfig(gamma=0.0, seed=99))
     assert fidelity(a.rho_hat, b.rho_hat) > 1.0 - 1e-5
+
+
+@pytest.mark.parametrize(
+    "rho, spec, pi_mode",
+    [
+        (depolarize_all(projector(ghz_state(5)), 0.05), SymmetrySpec.permutation(5), True),
+        (depolarize_all(projector(ghz_state(3)), 0.05), SymmetrySpec.collective(3), False),
+        (depolarize_all(projector(ghz_state(4, theta=0.7)), 0.05), SymmetrySpec.collective(4), False),
+    ],
+    ids=["permutation-5", "collective-3", "collective-4"],
+)
+def test_git_exact_data_recovery_beyond_acceptance_grid(rho, spec, pi_mode):
+    basis = compute_commutant_basis(spec)
+    rho = symmetrize(rho, basis)  # the twirl onto the algebra; a no-op for permutations
+    recs = analytic_records(rho, spec.n_qubits, pi_mode=pi_mode)
+    result = solve_git(recs, basis, ANALYTIC)
+    assert fidelity(result.rho_hat, rho) >= 1.0 - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# block-compressed projection against the dense one
+# ---------------------------------------------------------------------------
+
+def dense_simplex(vals):
+    """Euclidean projection onto the probability simplex, by sorting."""
+    srt = np.sort(vals)[::-1]
+    cumsum = np.cumsum(srt) - 1.0
+    ks = np.arange(1, vals.size + 1)
+    k = ks[srt - cumsum / ks > 0][-1]
+    return np.clip(vals - cumsum[k - 1] / k, 0.0, None)
+
+
+def dense_project(c, elements, eig_floor):
+    """Projection of sum_i c_i S_i onto the density matrices, done on d x d matrices."""
+    vals, vecs = np.linalg.eigh(np.einsum("i,iab->ab", c, elements))
+    vals = dense_simplex(vals)
+    if eig_floor > 0.0:
+        vals = np.clip(vals, eig_floor, None)
+        vals = vals / vals.sum()
+    rho = (vecs * vals) @ vecs.conj().T
+    return np.real(np.einsum("iab,ab->i", elements.conj(), rho))
+
+
+@lru_cache(maxsize=None)
+def cached_basis(n, kind):
+    return compute_commutant_basis(SymmetrySpec(n, kind))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    kind=st.sampled_from(["permutation", "collective"]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.01, 0.3, 3.0]),
+    eig_floor=st.sampled_from([0.0, 1e-7]),
+)
+def test_block_projection_matches_dense(n, kind, seed, scale, eig_floor):
+    basis = cached_basis(n, kind)
+    maps = _BlockMaps.of(basis)
+    c = scale * np.random.default_rng(seed).standard_normal(basis.size)
+    assert np.allclose(maps.project(c, eig_floor), dense_project(c, basis.elements, eig_floor),
+                       rtol=0.0, atol=1e-10)
+    # multiplicity-weighted spectral sums are the full-space ones
+    vals, _, mult = maps.spectrum(c)
+    dense = np.linalg.eigvalsh(np.einsum("i,iab->ab", c, basis.elements))
+    assert np.isclose(mult @ vals, dense.sum(), atol=1e-10)
+    assert np.isclose(mult @ vals**2, (dense**2).sum(), atol=1e-10)
+
+
+def test_block_projection_custom_kind_matches_dense():
+    basis = compute_commutant_basis(SymmetrySpec.custom_unitaries([np.eye(4)[[0, 2, 1, 3]]]))
+    maps = _BlockMaps.of(basis)
+    c = np.random.default_rng(3).standard_normal(basis.size)
+    assert np.allclose(maps.project(c, 0.0), dense_project(c, basis.elements, 0.0), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
+def test_weighted_simplex_with_unit_weights_is_plain_simplex(vals):
+    vals = np.sort(np.array(vals))
+    got = _project_weighted_simplex(vals, np.ones_like(vals))
+    assert np.allclose(got, dense_simplex(vals), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.integers(1, 5)), min_size=1, max_size=12)
+)
+def test_weighted_simplex_equals_simplex_of_repeated_values(pairs):
+    pairs.sort()
+    vals = np.array([v for v, _ in pairs])
+    weights = np.array([w for _, w in pairs], dtype=float)
+    got = _project_weighted_simplex(vals, weights)
+    want = dense_simplex(np.repeat(vals, weights.astype(int)))
+    assert np.allclose(np.repeat(got, weights.astype(int)), np.sort(want), atol=1e-12)
+    assert np.isclose(weights @ got, 1.0)
+
+
+def test_pauli_basis_cache_is_read_only():
+    with pytest.raises(ValueError):
+        _hermitian_basis(2)[0, 0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

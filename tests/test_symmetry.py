@@ -18,6 +18,7 @@ from symtomo.symmetry import (
     permutation_basis_size,
     project_onto_basis,
     reconstruct,
+    spin_blocks,
     symmetrize,
     transposition_permutation,
 )
@@ -172,3 +173,52 @@ def test_coefficients_are_real_for_hermitian_input():
         h = h + h.conj().T
         coeffs = project_onto_basis(h, basis)
         assert np.all(np.isreal(coeffs.alpha))
+
+
+# ---------------------------------------------------------------------------
+# total-spin block compression
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["permutation", "collective"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_spin_blocks_sizes_and_isometry(n, kind):
+    isometry, sizes, mults = spin_blocks(n, kind)
+    assert isometry.shape == (2**n, sum(sizes))
+    assert np.allclose(isometry.conj().T @ isometry, np.eye(sum(sizes)), atol=1e-12)
+    assert sum(b * m for b, m in zip(sizes, mults)) == 2**n
+    algebra_dim = sum(b * b for b in sizes)
+    if kind == "permutation":
+        assert algebra_dim == permutation_basis_size(n)
+    else:
+        assert algebra_dim == {2: 2, 3: 5, 4: 14, 5: 42}[n] == collective_commutant_dim(n)
+
+
+@pytest.mark.parametrize(
+    "spec", [SymmetrySpec.permutation(3), SymmetrySpec.permutation(4), SymmetrySpec.collective(4)]
+)
+def test_spin_blocks_reproduce_the_spectrum_of_algebra_members(spec):
+    # every eigenvalue of a member is an eigenvalue of one compressed block,
+    # repeated as often as that block's multiplicity
+    basis = compute_commutant_basis(spec)
+    member = random_member(basis, seed=5)
+    isometry, sizes, mults = spin_blocks(spec.n_qubits, spec.kind)
+    want = []
+    start = 0
+    for size, mult in zip(sizes, mults):
+        cols = isometry[:, start:start + size]
+        want += list(np.linalg.eigvalsh(cols.conj().T @ member @ cols)) * mult
+        start += size
+    assert np.allclose(np.sort(want), np.linalg.eigvalsh(member), atol=1e-10)
+
+
+def test_spin_blocks_custom_kind_is_one_identity_block():
+    isometry, sizes, mults = spin_blocks(2, "custom_unitaries")
+    assert np.array_equal(isometry, np.eye(4))
+    assert (sizes, mults) == ((4,), (1,))
+
+
+def test_spin_blocks_are_cached_and_read_only():
+    blocks = spin_blocks(3, "permutation")
+    assert spin_blocks(3, "permutation") is blocks
+    with pytest.raises(ValueError):
+        blocks.isometry[0, 0] = 2.0
