@@ -111,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--alpha", type=float, default=1.0)
     p_est.add_argument("--beta", type=float, default=1.0)
     p_est.add_argument("--gamma", type=float, default=1e-3)
-    p_est.add_argument("--seed", type=int, default=0)
+    p_est.add_argument("--seed", type=int, default=0,
+                       help="accepted and ignored: the solve is deterministic")
     p_est.add_argument("--out", required=True)
 
     p_met = sub.add_parser("metrics", help="compare two stored states")
@@ -229,7 +230,7 @@ def _cmd_sample(args) -> int:
 def _cmd_estimate(args) -> int:
     hists = ingest_histograms(args.data)
     n = hists[0].n_qubits
-    config = EstimatorConfig(alpha=args.alpha, beta=args.beta, gamma=args.gamma, seed=args.seed)
+    config = EstimatorConfig(alpha=args.alpha, beta=args.beta, gamma=args.gamma)
     settings = [h.setting for h in hists]
     if args.mode == "git":
         spec = (
@@ -273,8 +274,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    rho = load_matrix(args.a)
-    sigma = load_matrix(args.b)
+    rho, _ = _load_state(args.a)
+    sigma, _ = _load_state(args.b)
     report = metric_report(rho, sigma, fidelity_convention=args.fidelity_convention)
     text = json.dumps(report.to_dict(), indent=1, sort_keys=True)
     if args.out:

@@ -8,37 +8,36 @@ The central estimator minimizes, over density matrices,
 
 i.e. a relative-error data term (slack variables eliminated in closed form),
 a penalty on probability mass assigned to observables nobody measured, and an
-optional log-det barrier pulling the estimate toward full rank.  Two search
-spaces are supported:
-
-* symmetry-restricted: rho = sum_i c_i S_i over a ``SymmetricBasis``; the
-  iteration is spectral projected gradient descent over the real coefficient
-  vector, with the exact projection onto {trace one, PSD} (eigenvalue
-  clipping against the probability simplex -- a spectral operation, so it
-  never leaves the symmetry algebra).  The projection never forms the d x d
-  state: both built-in algebras are block diagonal in the total-spin
-  decomposition, so rho is held as one copy of each block (an s x s matrix,
-  s = 12 instead of d = 32 at five qubits) plus the blocks' multiplicities
-  (``symmetry.spin_blocks``).  One ``eigh`` of that matrix gives the
-  spectrum, each eigenvalue counted with multiplicity sum_a mult_a |U_ak|^2,
-  and the eigenvalues go onto the simplex weighted by those counts, so the
-  projection equals the dense one.  The log-det barrier and its gradient use
-  the same pieces.  Custom symmetries get the identity as a single block of
-  multiplicity one, i.e. the dense projection, through the same code.
-* full space: rho = A A^dag / tr(A A^dag) over an unconstrained complex
-  factor A, optimized by the same line-searched descent with the gradient in
-  the factor.
+optional log-det barrier pulling the estimate toward full rank.  The program
+is solved over a Hermitian operator basis, rho = sum_i c_i S_i: a
+``SymmetricBasis`` ("git" mode) or the full Pauli basis ("cvqt" mode, the
+same program with no symmetry restriction, practical up to six qubits).  The
+iteration is spectral projected gradient descent over the real coefficient
+vector, with the exact projection onto {trace one, PSD} (eigenvalue clipping
+against the probability simplex -- a spectral operation, so it never leaves
+the algebra spanned by the basis).  The projection never forms the d x d
+state: both built-in symmetry algebras are block diagonal in the total-spin
+decomposition, so rho is held as one copy of each block (an s x s matrix,
+s = 12 instead of d = 32 at five qubits) plus the blocks' multiplicities
+(``symmetry.spin_blocks``).  One ``eigh`` of that matrix gives the spectrum,
+each eigenvalue counted with multiplicity sum_a mult_a |U_ak|^2, and the
+eigenvalues go onto the simplex weighted by those counts, so the projection
+equals the dense one.  The log-det barrier and its gradient use the same
+pieces.  The full Pauli basis and custom symmetries get the identity as a
+single block of multiplicity one, i.e. the dense projection, through the same
+code.
 
 The absolute values are Huber-smoothed so gradients exist everywhere, with
 the width driven through a coarse-to-fine continuation (1e-3 down to 1e-6,
 warm-starting each stage) because the sharp kinks otherwise stall the step
 size near the optimum; reported objectives always use the exact (unsmoothed)
-formula.  Both modes run several deterministic restarts (random starts plus
-one seeded from linear inversion) and keep the best result.
+formula.  The program is convex in the coefficients, so the descent starts
+once, from the projected trace-one least-squares fit.
 
 ``solve_maxlik`` provides the classical iterative maximum-likelihood baseline
 and ``linear_inversion`` the plain least-squares fit (no positivity
-guarantee), used both as a seed and as an independent reference in tests.
+guarantee): the same fit seeds the variational solver, and tests use it as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -46,17 +45,17 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .operators import num_qubits, pauli_string
-from .symmetry import SymmetricBasis, spin_blocks
+from .symmetry import SpinBlocks, SymmetricBasis, spin_blocks
 
 HUBER_DELTA = 1e-6          # final smoothing width for |x| in the data term
 BARRIER_EIG_FLOOR = 1e-12   # eigenvalue floor applied by projections when gamma > 0
-SEED_EIG_FLOOR = 1e-7       # kinder floor for restart seeds, keeps barrier gradients sane
+SEED_EIG_FLOOR = 1e-7       # kinder floor for the start, keeps barrier gradients sane
 _HUBER_STAGES = (1e-3, 3e-5, HUBER_DELTA)
 _LINESEARCH_SHRINK = 0.5
 _LINESEARCH_MAX_TRIALS = 60
@@ -71,7 +70,10 @@ class EstimatorConfig:
     alpha/beta/gamma weight the data term, the unmeasured-mass term and the
     barrier; alpha = beta = 1 with gamma = 0 is the plain relative-error
     program, and the default gamma = 1e-3 adds a weak full-rank pull.
-    ``frequency_floor`` is the eps in the relative weights.
+    ``frequency_floor`` is the eps in the relative weights.  ``restarts`` and
+    ``seed`` are accepted, so that saved sweep configs still load, and
+    ignored: the program is convex and every solve starts once, from the
+    least-squares fit.
     """
 
     alpha: float = 1.0
@@ -118,23 +120,6 @@ def _huber_grad(x: np.ndarray, delta: float = HUBER_DELTA) -> np.ndarray:
     return np.clip(x / delta, -1.0, 1.0)
 
 
-def _descend_stages(x0, value_at, gradient_at, advance, config):
-    """Run ``_descend`` through the Huber continuation schedule, warm-started."""
-    x = x0
-    total_iters = 0
-    converged = False
-    for delta in _HUBER_STAGES:
-        x, _, iters, converged = _descend(
-            x,
-            lambda c, d=delta: value_at(c, d),
-            lambda c, d=delta: gradient_at(c, d),
-            advance,
-            config,
-        )
-        total_iters += iters
-    return x, total_iters, converged
-
-
 @lru_cache(maxsize=8)
 def _hermitian_basis(n_qubits: int) -> np.ndarray:
     """Orthonormal Hermitian basis of the full operator space (scaled Pauli strings)."""
@@ -179,22 +164,28 @@ def _record_arrays(records, dim, config):
 # linear inversion
 # ---------------------------------------------------------------------------
 
-def _trace_constrained_lstsq(design: np.ndarray, target: np.ndarray, traces: np.ndarray):
-    """Least squares min ||D c - f|| subject to traces . c = 1.
+def _trace_one_lstsq(design: np.ndarray, target: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Least squares min ||D c - f|| subject to tr(sum_i c_i S_i) = 1.
 
-    Returns the (minimum-norm) solution and the rank of the stacked
-    [design; traces] map, which callers compare against the unknown count.
+    Returns the minimum-norm solution.  Warns when the stacked [design;
+    traces] map has lower rank than the number of unknowns, since the data
+    then do not pin the fit down.
     """
-    traces = np.asarray(traces, dtype=float)
+    traces = np.real(np.einsum("iaa->i", elements))
     base = traces / (traces @ traces)
     _, _, vh = np.linalg.svd(traces.reshape(1, -1))
     perp = vh[1:]  # orthonormal rows spanning the trace-constraint tangent
     reduced = design @ perp.T
     z, *_ = np.linalg.lstsq(reduced, target - design @ base, rcond=None)
-    solution = base + perp.T @ z
     sv = np.linalg.svd(np.vstack([design, traces.reshape(1, -1)]), compute_uv=False)
     rank = int((sv > 1e-9 * max(1.0, float(sv[0]))).sum())
-    return solution, rank
+    if rank < traces.size:
+        warnings.warn(
+            f"measurement map is rank deficient ({rank} < {traces.size}); "
+            "returning the minimum-norm solution",
+            stacklevel=3,
+        )
+    return base + perp.T @ z
 
 
 def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | None = None) -> np.ndarray:
@@ -202,9 +193,9 @@ def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | No
 
     The fit enforces unit trace but *not* positivity; the result can have
     negative eigenvalues, which is intentional (it serves as an unbiased
-    reference and as a seed for the variational solvers).  Rank deficiency of
-    the measurement map triggers a warning and yields the minimum-norm
-    solution.
+    reference, and the same fit seeds the variational solver).  Rank
+    deficiency of the measurement map triggers a warning and yields the
+    minimum-norm solution.
     """
     measured, _ = _split_records(records)
     if dim is None:
@@ -218,20 +209,13 @@ def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | No
     proj = np.stack([r.projector for r in measured])
     freq = np.array([r.frequency for r in measured], dtype=float)
     design = np.real(np.einsum("mab,iab->mi", proj.conj(), elements))
-    traces = np.real(np.einsum("iaa->i", elements))
-    coeff, rank = _trace_constrained_lstsq(design, freq, traces)
-    if rank < elements.shape[0]:
-        warnings.warn(
-            f"measurement map is rank deficient ({rank} < {elements.shape[0]}); "
-            "returning the minimum-norm solution",
-            stacklevel=2,
-        )
+    coeff = _trace_one_lstsq(design, freq, elements)
     rho = np.einsum("i,iab->ab", coeff, elements)
     return 0.5 * (rho + rho.conj().T)
 
 
 # ---------------------------------------------------------------------------
-# spectral projected / factored descent shared loop
+# spectral projected descent
 # ---------------------------------------------------------------------------
 
 def _descend(x0, value, gradient, advance, config):
@@ -302,14 +286,18 @@ def solve_vqt(problem: EstimationProblem, config: EstimatorConfig = EstimatorCon
     """Minimize the relative-error objective over the problem's search space.
 
     With a basis attached the search runs over real symmetry-algebra
-    coefficients ("git" mode); without one it runs over an unconstrained
-    full-space factor ("cvqt" mode).  Deterministic for fixed problem and
-    config; ``config.restarts`` random starts plus a linear-inversion seed
-    guard against flat or parametrization-induced stationary points.
+    coefficients ("git" mode); without one the same descent runs over the
+    coefficients of the full Pauli basis ("cvqt" mode, up to six qubits).
+    Deterministic for fixed problem and config: one descent, started from the
+    projected least-squares fit.
     """
-    if problem.basis is not None:
-        return _solve_restricted(problem, config)
-    return _solve_factored(problem, config)
+    basis = problem.basis
+    if basis is None:
+        elements = _hermitian_basis(num_qubits(problem.dim))
+        blocks = SpinBlocks(np.eye(problem.dim), (problem.dim,), (1,))
+        return _solve(problem.records, elements, blocks, config, "cvqt")
+    blocks = spin_blocks(basis.n_qubits, basis.kind)
+    return _solve(problem.records, basis.elements, blocks, config, "git")
 
 
 def solve_git(records, basis: SymmetricBasis, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
@@ -368,17 +356,17 @@ class _BlockMaps(NamedTuple):
     column_mult: np.ndarray
 
     @classmethod
-    def of(cls, basis: SymmetricBasis) -> "_BlockMaps":
-        isometry, sizes, mults = spin_blocks(basis.n_qubits, basis.kind)
-        blocks = np.repeat(np.arange(len(sizes)), sizes)
-        mask = blocks[:, None] == blocks[None, :]
-        column_mult = np.asarray(mults, dtype=float)[blocks]
-        compressed = isometry.conj().T @ (basis.elements @ isometry) * mask
+    def of(cls, elements: np.ndarray, blocks: SpinBlocks) -> "_BlockMaps":
+        isometry, sizes, mults = blocks
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        mask = block_of[:, None] == block_of[None, :]
+        column_mult = np.asarray(mults, dtype=float)[block_of]
+        compressed = isometry.conj().T @ (elements @ isometry) * mask
         # Re tr(B^dag X) = B.real . X.real + B.imag . X.imag
         back = compressed * column_mult[:, None]
         return cls(
-            compressed.view(float).reshape(basis.size, -1),
-            back.view(float).reshape(basis.size, -1),
+            compressed.view(float).reshape(len(elements), -1),
+            back.view(float).reshape(len(elements), -1),
             column_mult,
         )
 
@@ -426,17 +414,20 @@ def _project_weighted_simplex(vals: np.ndarray, weights: np.ndarray) -> np.ndarr
     return np.maximum(vals - cumsum[k] / counts[k], 0.0)
 
 
-def _solve_restricted(problem: EstimationProblem, config: EstimatorConfig) -> EstimationResult:
-    basis = problem.basis
-    elements = basis.elements
-    r = basis.size
-    proj, freq, weight, unmeasured_sum = _record_arrays(problem.records, basis.dim, config)
+def _solve(records, elements: np.ndarray, blocks: SpinBlocks, config: EstimatorConfig,
+           mode: str) -> EstimationResult:
+    """One descent over the real coefficients of the Hermitian basis ``elements``.
+
+    ``blocks`` is a block decomposition of the algebra the elements span, for
+    the projection; a single identity block stands for no decomposition.
+    """
+    proj, freq, weight, unmeasured_sum = _record_arrays(records, elements.shape[1], config)
     design = np.real(np.einsum("mab,iab->mi", proj.conj(), elements))
     unmeasured_row = config.beta * np.real(
         np.einsum("ab,iab->i", unmeasured_sum.conj(), elements)
     )
     floor = BARRIER_EIG_FLOOR if config.gamma > 0.0 else 0.0
-    maps = _BlockMaps.of(basis)
+    maps = _BlockMaps.of(elements, blocks)
     project = maps.project
 
     def smooth_value(c, delta):
@@ -461,103 +452,17 @@ def _solve_restricted(problem: EstimationProblem, config: EstimatorConfig) -> Es
     def advance(c, g, step):
         return project(c - step * g, floor)
 
-    traces = np.real(np.einsum("iaa->i", elements))
-    seed_coeff, _ = _trace_constrained_lstsq(design, freq, traces)
-    rng = np.random.default_rng(config.seed)
-    starts = [project(seed_coeff, SEED_EIG_FLOOR if config.gamma > 0.0 else 0.0)]
-    starts += [
-        project(rng.standard_normal(r), SEED_EIG_FLOOR if config.gamma > 0.0 else 0.0)
-        for _ in range(config.restarts)
-    ]
-
-    best = None
-    for c0 in starts:
-        c_fin, iters, conv = _descend_stages(c0, smooth_value, smooth_gradient, advance, config)
-        rho = np.einsum("i,iab->ab", c_fin, elements)
-        result = _finalize(rho, proj, freq, weight, unmeasured_sum, config, iters, conv, "git")
-        if best is None or result.objective < best.objective - 1e-15:
-            best = result
-        if config.gamma == 0.0 and best.objective <= 1e-12:
-            break  # data term and unmeasured mass are both nonnegative: global optimum
-    return best
-
-
-def _solve_factored(problem: EstimationProblem, config: EstimatorConfig) -> EstimationResult:
-    dim = problem.dim
-    proj, freq, weight, unmeasured_sum = _record_arrays(problem.records, dim, config)
-
-    def unpack(x):
-        half = dim * dim
-        return (x[:half] + 1.0j * x[half:]).reshape(dim, dim)
-
-    def pack(a):
-        flat = a.reshape(-1)
-        return np.concatenate([flat.real, flat.imag])
-
-    def rho_of(a):
-        gram = a @ a.conj().T
-        return gram / np.trace(gram).real
-
-    def smooth_value(x, delta):
-        rho = rho_of(unpack(x))
-        resid = np.real(np.einsum("mab,ab->m", proj.conj(), rho)) - freq
-        value = config.alpha * float((weight * _huber(resid, delta)).sum())
-        value += config.beta * float(np.vdot(unmeasured_sum, rho).real)
-        if config.gamma > 0.0:
-            eigs = np.linalg.eigvalsh(rho)
-            if eigs[0] <= 0.0:
-                return np.inf
-            value -= config.gamma * float(np.log(eigs).sum())
-        return value
-
-    def smooth_gradient(x, delta):
-        a = unpack(x)
-        norm_sq = float(np.vdot(a, a).real)
-        rho = (a @ a.conj().T) / norm_sq
-        resid = np.real(np.einsum("mab,ab->m", proj.conj(), rho)) - freq
-        front = config.alpha * np.einsum(
-            "m,mab->ab", weight * _huber_grad(resid, delta), proj
-        ) + config.beta * unmeasured_sum
-        if config.gamma > 0.0:
-            vals, vecs = np.linalg.eigh(rho)
-            vals = np.clip(vals, BARRIER_EIG_FLOOR, None)
-            front = front - config.gamma * (vecs / vals) @ vecs.conj().T
-        mean = float(np.vdot(front, rho).real)
-        grad_a = (2.0 / norm_sq) * (front @ a - mean * a)
-        return pack(grad_a)
-
-    def advance(x, g, step):
-        a = unpack(x - step * g)
-        norm = np.linalg.norm(a)
-        if norm < 1e-150:
-            a = np.eye(dim, dtype=complex)
-            norm = np.linalg.norm(a)
-        return pack(a / norm)
-
-    def factor_from_state(rho):
-        vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-        vals = np.clip(vals, SEED_EIG_FLOOR if config.gamma > 0.0 else 0.0, None)
-        vals = vals / vals.sum()
-        return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-    seed_rho = linear_inversion(problem.records, dim=dim)
-    rng = np.random.default_rng(config.seed)
-    starts = [pack(factor_from_state(seed_rho))]
-    for _ in range(config.restarts):
-        raw = rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
-        starts.append(pack(raw / np.linalg.norm(raw)))
-
-    best = None
-    for x0 in starts:
-        x_fin, iters, conv = _descend_stages(x0, smooth_value, smooth_gradient, advance, config)
-        result = _finalize(
-            rho_of(unpack(x_fin)), proj, freq, weight, unmeasured_sum, config, iters, conv, "cvqt"
+    c = project(_trace_one_lstsq(design, freq, elements),
+                SEED_EIG_FLOOR if config.gamma > 0.0 else 0.0)
+    iterations = 0
+    for delta in _HUBER_STAGES:  # coarse-to-fine, each stage warm-started
+        c, _, iters, converged = _descend(
+            c, partial(smooth_value, delta=delta), partial(smooth_gradient, delta=delta),
+            advance, config,
         )
-        if best is None or result.objective < best.objective - 1e-15:
-            best = result
-        if config.gamma == 0.0 and best.objective <= 1e-12:
-            break
-    return best
+        iterations += iters
+    rho = np.einsum("i,iab->ab", c, elements)
+    return _finalize(rho, proj, freq, weight, unmeasured_sum, config, iterations, converged, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -242,25 +242,22 @@ def _git_records(plan: _Plan, histograms, measured=None):
     return extract_frequencies(histograms, targets, pi_mode=plan.pi_mode)
 
 
-def _cell_estimates(config: SweepConfig, plan: _Plan, histograms, seed: int):
+def _cell_estimates(config: SweepConfig, plan: _Plan, histograms):
     """Run every requested estimator on one sampled data set."""
     results = {}
     errors = {}
     for mode in config.modes:
-        est_config = dataclasses.replace(
-            config.estimator, seed=mix_seed(seed, _MODES.index(mode))
-        )
         try:
             if mode == "git":
                 records = _git_records(plan, histograms)
-                results[mode] = solve_git(records, plan.basis, est_config)
+                results[mode] = solve_git(records, plan.basis, config.estimator)
             elif mode == "cvqt":
                 records = extract_frequencies(histograms, plan.full_measured)
                 records += unmeasured_records(plan.full_unmeasured)
-                results[mode] = solve_cvqt(records, 2**config.n_qubits, est_config)
+                results[mode] = solve_cvqt(records, 2**config.n_qubits, config.estimator)
             else:
                 records = extract_frequencies(histograms, plan.full_measured)
-                results[mode] = solve_maxlik(records, est_config)
+                results[mode] = solve_maxlik(records, config.estimator)
         except Exception as exc:  # noqa: BLE001 -- sweep must survive solver failures
             errors[mode] = f"{type(exc).__name__}: {exc}"
     return results, errors
@@ -282,7 +279,7 @@ def _run_cell(args) -> list[SweepRecord]:
     rho_target, rho_real = _prepared_states(config, channel, float(level))
     seed = mix_seed(config.base_seed, ci, li, si, rep)
     histograms = sample_state(rho_real, plan.settings, shots, seed)
-    results, errors = _cell_estimates(config, plan, histograms, seed)
+    results, errors = _cell_estimates(config, plan, histograms)
 
     cross = None
     if "git" in results and "cvqt" in results:
@@ -363,9 +360,8 @@ def observable_count_sweep(config: SweepConfig) -> list[SweepRecord]:
                     rho_target, rho_real = _prepared_states(config, channel, float(level))
                     seed = mix_seed(config.base_seed, ci, li, si, rep)
                     hists = sample_state(rho_real, plan.settings, shots, seed)
-                    est_config = dataclasses.replace(config.estimator, seed=mix_seed(seed, 99))
                     reference = solve_git(
-                        _git_records(plan, hists, ordered), plan.basis, est_config
+                        _git_records(plan, hists, ordered), plan.basis, config.estimator
                     )
                     for k in counts:
                         common = dict(
@@ -382,7 +378,7 @@ def observable_count_sweep(config: SweepConfig) -> list[SweepRecord]:
                         try:
                             records = _git_records(plan, hists, ordered[:k])
                             records += unmeasured_records(ordered[k:])
-                            res = solve_git(records, plan.basis, est_config)
+                            res = solve_git(records, plan.basis, config.estimator)
                         except Exception as exc:  # noqa: BLE001
                             rows.append(
                                 SweepRecord(**common, error=f"{type(exc).__name__}: {exc}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from symtomo.cli import main
-from symtomo.operators import load_matrix, matrix_from_json, projector, save_matrix
+from symtomo.operators import load_matrix, matrix_from_json, matrix_to_json, projector, save_matrix
 from symtomo.statesim import ghz_state, werner_exact
 from symtomo.metrics import fidelity
 
@@ -186,6 +186,26 @@ def test_estimate_and_metrics_round_trip(tmp_path, ghz_file, capsys):
     out = tmp_path / "report.json"
     assert run("metrics", "--a", ghz_file, "--b", ghz_file, "--out", out) == 0
     assert json.loads(out.read_text())["fidelity"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("side", ["--a", "--b"])
+@pytest.mark.parametrize(
+    "content, fault",
+    [
+        ("{not json", "Expecting property name"),
+        ('{"dim": 2}', "matrix JSON must be an object with 'dim' and 'entries'"),
+        (json.dumps(matrix_to_json(np.diag([1.5, -0.5, 0.0, 0.0]))), "negative eigenvalue"),
+    ],
+    ids=["malformed", "not-a-matrix", "not-a-density-matrix"],
+)
+def test_metrics_rejects_a_file_that_is_not_a_state(tmp_path, ghz_file, side, content, fault):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    files = {"--a": ghz_file, "--b": ghz_file, side: bad}
+    with pytest.raises(SystemExit) as exc:
+        run("metrics", "--a", files["--a"], "--b", files["--b"])
+    assert exc.value.code != 0
+    assert str(bad) in str(exc.value.code) and fault in str(exc.value.code)
 
 
 def est_state_path(tmp_path, rho):

@@ -5,6 +5,7 @@ trace-constrained least-squares fit), so solver output can be checked to tight
 tolerances.  Sampled cases pin fidelity floors measured from the seeds used.
 """
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from symtomo.operators import projector
 from symtomo.statesim import apply_channel, ghz_state, werner_exact
-from symtomo.symmetry import SymmetrySpec, compute_commutant_basis, symmetrize
+from symtomo.symmetry import SymmetrySpec, compute_commutant_basis, spin_blocks, symmetrize
 from symtomo.measurement import (
     ObservableRecord,
     extract_frequencies,
@@ -80,13 +81,32 @@ def test_linear_inversion_matches_symmetric_route():
     assert np.allclose(full, rho, atol=1e-9)
 
 
-def test_linear_inversion_warns_when_rank_deficient():
+# ZZ-only data pin 3 of the 10 permutation-basis unknowns (the 2-element
+# collective basis is fully pinned by them, so it cannot show the warning)
+RANK_DEFICIENT_FITS = {
+    "linear_inversion": lambda recs: linear_inversion(recs),
+    "solve_cvqt": lambda recs: solve_cvqt(recs, 4, ANALYTIC).rho_hat,
+    "solve_git": lambda recs: solve_git(recs, cached_basis(2, "permutation"), ANALYTIC).rho_hat,
+}
+
+
+@pytest.mark.parametrize("fit", sorted(RANK_DEFICIENT_FITS))
+def test_linear_inversion_warns_when_rank_deficient(fit):
     rho = werner_exact(0.51)
     hists = sample_state(rho, ["ZZ"], None)
     recs = extract_frequencies(hists, ["ZZ", "ZI", "IZ", "II"])
     with pytest.warns(UserWarning, match="rank deficient"):
-        est = linear_inversion(recs)
+        est = RANK_DEFICIENT_FITS[fit](recs)
     assert np.isclose(np.trace(est).real, 1.0)
+
+
+def test_full_rank_pooled_data_do_not_warn():
+    basis = cached_basis(2, "permutation")
+    recs = analytic_records(projector(ghz_state(2, theta=0.4)), 2, pi_mode=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        linear_inversion(recs, basis=basis)
+        solve_git(recs, basis, ANALYTIC)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +152,26 @@ def test_gamma_barrier_keeps_full_rank():
     assert fidelity(result.rho_hat, rho) > 0.99
 
 
-def test_restarts_agree_on_convex_instance():
-    rho = projector(ghz_state(2, theta=0.4))
-    basis = compute_commutant_basis(SymmetrySpec.permutation(2))
-    recs = analytic_records(rho, 2, pi_mode=True)
-    a = solve_git(recs, basis, EstimatorConfig(gamma=0.0, seed=0))
-    b = solve_git(recs, basis, EstimatorConfig(gamma=0.0, seed=99))
-    assert fidelity(a.rho_hat, b.rho_hat) > 1.0 - 1e-5
+@pytest.mark.parametrize("mode", ["git", "cvqt"])
+def test_seed_and_restarts_leave_the_solve_unchanged(mode):
+    # the program is convex: every solve is one descent from the least-squares
+    # fit, so the accepted-but-ignored seed and restarts fields change nothing
+    rho = depolarize_all(projector(ghz_state(2, theta=0.4)), 0.1)
+    if mode == "git":
+        basis = cached_basis(2, "permutation")
+        hists = sample_state(rho, pi_settings(2), 512, seed=5)
+        recs = extract_frequencies(hists, pi_observables(2), pi_mode=True)
+        solve = lambda cfg: solve_git(recs, basis, cfg)  # noqa: E731
+    else:
+        hists = sample_state(rho, full_settings(2), 512, seed=5)
+        recs = extract_frequencies(hists, full_observables(2))
+        solve = lambda cfg: solve_cvqt(recs, 4, cfg)  # noqa: E731
+    first, *others = [solve(EstimatorConfig(seed=seed, restarts=restarts))
+                      for seed in (0, 99) for restarts in (0, 3)]
+    for other in others:
+        assert np.array_equal(other.rho_hat, first.rho_hat)
+        assert other.objective == first.objective
+        assert other.iterations == first.iterations
 
 
 @pytest.mark.parametrize(
@@ -187,6 +220,10 @@ def cached_basis(n, kind):
     return compute_commutant_basis(SymmetrySpec(n, kind))
 
 
+def block_maps(basis):
+    return _BlockMaps.of(basis.elements, spin_blocks(basis.n_qubits, basis.kind))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 5),
@@ -197,7 +234,7 @@ def cached_basis(n, kind):
 )
 def test_block_projection_matches_dense(n, kind, seed, scale, eig_floor):
     basis = cached_basis(n, kind)
-    maps = _BlockMaps.of(basis)
+    maps = block_maps(basis)
     c = scale * np.random.default_rng(seed).standard_normal(basis.size)
     assert np.allclose(maps.project(c, eig_floor), dense_project(c, basis.elements, eig_floor),
                        rtol=0.0, atol=1e-10)
@@ -210,7 +247,7 @@ def test_block_projection_matches_dense(n, kind, seed, scale, eig_floor):
 
 def test_block_projection_custom_kind_matches_dense():
     basis = compute_commutant_basis(SymmetrySpec.custom_unitaries([np.eye(4)[[0, 2, 1, 3]]]))
-    maps = _BlockMaps.of(basis)
+    maps = block_maps(basis)
     c = np.random.default_rng(3).standard_normal(basis.size)
     assert np.allclose(maps.project(c, 0.0), dense_project(c, basis.elements, 0.0), atol=1e-12)
 
