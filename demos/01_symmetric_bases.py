@@ -19,7 +19,7 @@ def main():
 
     print()
     print("collective rotation symmetry (invariant under U x U x ... x U)")
-    for n in (2, 3, 4):
+    for n in range(2, 7):
         basis = compute_commutant_basis(SymmetrySpec.collective(n))
         print(f"  {n} qubits: {basis.size} parameters instead of {4**n}")
 

@@ -160,6 +160,11 @@ def _record_arrays(records, dim, config):
     return proj, freq, weight, unmeasured_sum
 
 
+def _design_matrix(proj: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Rows Re tr(E_m^dag S_i): one matmul of the flattened (m, d^2) and (r, d^2) arrays."""
+    return np.real(proj.reshape(len(proj), -1).conj() @ elements.reshape(len(elements), -1).T)
+
+
 # ---------------------------------------------------------------------------
 # linear inversion
 # ---------------------------------------------------------------------------
@@ -208,7 +213,7 @@ def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | No
         elements = _hermitian_basis(num_qubits(dim))
     proj = np.stack([r.projector for r in measured])
     freq = np.array([r.frequency for r in measured], dtype=float)
-    design = np.real(np.einsum("mab,iab->mi", proj.conj(), elements))
+    design = _design_matrix(proj, elements)
     coeff = _trace_one_lstsq(design, freq, elements)
     rho = np.einsum("i,iab->ab", coeff, elements)
     return 0.5 * (rho + rho.conj().T)
@@ -422,7 +427,7 @@ def _solve(records, elements: np.ndarray, blocks: SpinBlocks, config: EstimatorC
     the projection; a single identity block stands for no decomposition.
     """
     proj, freq, weight, unmeasured_sum = _record_arrays(records, elements.shape[1], config)
-    design = np.real(np.einsum("mab,iab->mi", proj.conj(), elements))
+    design = _design_matrix(proj, elements)
     unmeasured_row = config.beta * np.real(
         np.einsum("ab,iab->i", unmeasured_sum.conj(), elements)
     )

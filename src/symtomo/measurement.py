@@ -27,6 +27,7 @@ from .operators import HADAMARD, PAULI_I, as_matrix, num_qubits, tensor
 from .symmetry import SymmetricBasis
 
 RANK_TOL = 1e-9  # singular values below this do not count toward map rank
+COND_TIE_RTOL = 1e-9  # condition numbers this close (relative) are tied
 
 _AXES = "XYZ"
 _OBS_LETTERS = "IXYZ"
@@ -328,6 +329,9 @@ def select_settings(basis: SymmetricBasis, candidates, k: int) -> list[str]:
     At each step the candidate maximizing the rank of the stacked
     coefficients-to-probabilities map is chosen; ties fall to the candidate
     minimizing the map's condition number, then to lexicographic order.
+    Condition numbers within a relative ``COND_TIE_RTOL`` count as tied, so
+    roundoff cannot break a tie and the choice depends only on the span of
+    the basis, not on which orthonormal elements represent it.
     """
     candidates = sorted({check_setting(s, basis.n_qubits) for s in candidates})
     if not 0 < k <= len(candidates):
@@ -336,17 +340,19 @@ def select_settings(basis: SymmetricBasis, candidates, k: int) -> list[str]:
     chosen: list[str] = []
     rows = np.zeros((0, basis.size))
     for _ in range(k):
-        best = None
-        best_key = None
+        scores = {}
         for s in candidates:
             if s in chosen:
                 continue
             sv = np.linalg.svd(np.vstack([rows, responses[s]]), compute_uv=False)
             rank = int((sv > RANK_TOL).sum())
-            cond = float(sv[0] / sv[rank - 1]) if rank else np.inf
-            key = (-rank, cond)
-            if best_key is None or key < best_key:
-                best, best_key = s, key
+            scores[s] = (rank, float(sv[0] / sv[rank - 1]) if rank else np.inf)
+        top_rank = max(rank for rank, _ in scores.values())
+        least = min(cond for rank, cond in scores.values() if rank == top_rank)
+        best = next(
+            s for s, (rank, cond) in scores.items()
+            if rank == top_rank and cond <= least * (1.0 + COND_TIE_RTOL)
+        )
         chosen.append(best)
         rows = np.vstack([rows, responses[best]])
     return chosen

@@ -5,29 +5,26 @@ simultaneous single-qubit rotations, or user-supplied generators -- the
 operators commuting with every group element form an algebra.  Restricting
 state reconstruction to the Hermitian part of that algebra shrinks the number
 of unknowns from 4^n to the algebra's (often tiny) dimension.  This module
-computes an orthonormal Hermitian basis of the algebra numerically.
+computes an orthonormal Hermitian basis of the algebra.
 
 Two construction routes are used:
 
-* generic route: stack the vectorized commutation constraints for every
-  generator and extract the joint null space by singular value decomposition;
-  each null vector is split into Hermitian components and the candidates are
-  orthonormalized by Gram-Schmidt under the Hilbert-Schmidt inner product.
-* permutation route: for qubit-permutation generators the constraint operator
-  permutes matrix entries, so the null space is spanned exactly by indicator
-  matrices of the orbits of index pairs.  This is the same space the SVD
-  route finds, computed combinatorially; it stays fast at sizes (6-7 qubits)
-  where a dense d^2 x d^2 decomposition is not practical.
+* Schur route, for the two built-in kinds: both algebras are block diagonal
+  in the total-spin basis |J, M, alpha> of the register.  The permutation
+  algebra is the direct sum of M_{2J+1} (x) 1_{m_J}, the collective algebra
+  that of 1_{2J+1} (x) M_{m_J}, where m_J counts the spin-J irreps.  One
+  cached change of basis, built by lowering highest-weight vectors with J_-,
+  yields the matrix units of every block and so an orthonormal basis of
+  either algebra, with no cost that grows as d^4.
+* SVD route, for custom kinds: stack the vectorized commutation constraints
+  for every generator and extract the joint null space by singular value
+  decomposition; each null vector is split into Hermitian components and the
+  candidates are orthonormalized by Gram-Schmidt under the Hilbert-Schmidt
+  inner product.  The test suite uses it as the reference for the Schur route.
 
-Both routes yield deterministic, orthonormal output and are cross-checked
-against each other in the test suite.
-
-``spin_blocks`` gives the solver a compressed view of the two built-in
-algebras.  Both are block diagonal in the total-spin decomposition of the
-register: the permutation algebra is the direct sum of M_{2J+1} (x) 1_{m_J},
-the collective algebra that of 1_{2J+1} (x) M_{m_J}, where m_J counts the
-spin-J irreps.  One isometry holding a single copy of every block, plus the
-number of copies, therefore represents any member of the algebra exactly.
+``spin_blocks`` gives the solver the compressed view of the same transform:
+one copy of every block, plus the number of copies, represents any member of
+the algebra exactly.
 """
 
 from __future__ import annotations
@@ -251,96 +248,20 @@ def _null_space_basis(spec: SymmetrySpec) -> list[np.ndarray]:
     return basis
 
 
-def _pair_orbits(n: int) -> list[list[int]]:
-    """Orbits of matrix index pairs under all adjacent qubit transpositions.
-
-    Pairs (i, j) are flattened to i*d + j.  Orbits are returned sorted by
-    their smallest member, members sorted ascending, so the construction is
-    deterministic.
-    """
-    d = 2**n
-    perms = [transposition_permutation(n, k) for k in range(n - 1)]
-    parent = np.arange(d * d)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    cols = np.arange(d)
-    for perm in perms:
-        flat_src = (cols[:, None] * d + cols[None, :]).ravel()
-        flat_dst = (perm[:, None] * d + perm[None, :]).ravel()
-        for a, b in zip(flat_src, flat_dst):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    groups: dict[int, list[int]] = {}
-    for x in range(d * d):
-        groups.setdefault(find(x), []).append(x)
-    return [groups[root] for root in sorted(groups)]
-
-
-def _permutation_orbit_basis(n: int) -> list[np.ndarray]:
-    """Exact orthonormal basis for the permutation symmetry algebra.
-
-    A matrix commutes with every qubit-permutation operator iff its entries
-    are constant on the orbits of index pairs, so normalized orbit indicators
-    (Hermitian-combined with their transposes) form an orthonormal basis of
-    the same null space the generic SVD route computes.
-    """
-    d = 2**n
-    orbits = _pair_orbits(n)
-    min_rep = {orbit[0]: orbit for orbit in orbits}
-    # the transpose of an orbit is itself an orbit; map each to its partner
-    member_to_rep = {x: orbit[0] for orbit in orbits for x in orbit}
-    transpose_of = {
-        orbit[0]: member_to_rep[(orbit[0] % d) * d + orbit[0] // d] for orbit in orbits
-    }
-    basis: list[np.ndarray] = []
-    consumed: set[int] = set()
-    for orbit in orbits:
-        rep = orbit[0]
-        if rep in consumed:
-            continue
-        t_rep = transpose_of[rep]
-        rows, cols_ = np.divmod(np.array(orbit), d)
-        if t_rep == rep:
-            mat = np.zeros((d, d), dtype=complex)
-            mat[rows, cols_] = 1.0 / np.sqrt(len(orbit))
-            basis.append(mat)
-            consumed.add(rep)
-        else:
-            t_orbit = min_rep[t_rep]
-            t_rows, t_cols = np.divmod(np.array(t_orbit), d)
-            norm = np.sqrt(2.0 * len(orbit))
-            sym = np.zeros((d, d), dtype=complex)
-            sym[rows, cols_] += 1.0 / norm
-            sym[t_rows, t_cols] += 1.0 / norm
-            anti = np.zeros((d, d), dtype=complex)
-            anti[rows, cols_] += 1.0j / norm
-            anti[t_rows, t_cols] += -1.0j / norm
-            basis.extend([sym, anti])
-            consumed.update((rep, t_rep))
-    return basis
-
-
 def compute_commutant_basis(spec: SymmetrySpec) -> SymmetricBasis:
     """Orthonormal Hermitian basis of all operators invariant under the group.
 
-    The basis always contains the identity direction (the identity commutes
-    with everything), is deterministic for a given spec, and satisfies
-    ``[S_i, g] = 0`` for every generator ``g`` to high accuracy.
+    The span contains the identity (it commutes with everything), though no
+    single element is the identity.  The output is deterministic for a given
+    spec and satisfies ``[S_i, g] = 0`` for every generator ``g`` to high
+    accuracy.  The built-in kinds are read off the total-spin transform; custom
+    kinds go through the SVD null space of their commutation constraints.
     """
-    if spec.kind == KIND_PERMUTATION:
-        elements = _permutation_orbit_basis(spec.n_qubits)
+    if spec.kind in (KIND_PERMUTATION, KIND_COLLECTIVE):
+        elements = _block_matrix_units(_schur_blocks(spec.n_qubits, spec.kind))
     else:
-        elements = _null_space_basis(spec)
-    return SymmetricBasis(spec.n_qubits, spec.kind, np.array(elements))
+        elements = np.array(_null_space_basis(spec))
+    return SymmetricBasis(spec.n_qubits, spec.kind, elements)
 
 
 class SpinBlocks(NamedTuple):
@@ -392,39 +313,82 @@ def _highest_weights(n: int, lowering: np.ndarray, j2: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _schur_transform(n_qubits: int) -> tuple:
+    """The total-spin basis |J, M, alpha>, one (d, 2J+1, m_J) array per J.
+
+    J runs from n/2 down.  Axis 1 is M from J down, axis 2 the copy alpha:
+    copy alpha is lowered by J_- from the alpha-th orthonormal highest-weight
+    vector, so the copies are aligned and the map |M> (x) |alpha> -> column
+    is an isometry carrying M_{2J+1} (x) 1 onto the permutation algebra and
+    1 (x) M_{m_J} onto the collective one.  Cached per n; read-only.
+    """
+    lowering = _lowering_operator(n_qubits)
+    out = []
+    for j2 in range(n_qubits, -1, -2):
+        levels = [_highest_weights(n_qubits, lowering, j2)]
+        for _ in range(j2):
+            vecs = lowering @ levels[-1]
+            levels.append(vecs / np.linalg.norm(vecs, axis=0))
+        cols = np.stack(levels, axis=1)
+        cols.setflags(write=False)
+        out.append(cols)
+    return tuple(out)
+
+
+def _schur_blocks(n_qubits: int, kind: str) -> list[np.ndarray]:
+    """(d, block, copies) arrays of a built-in algebra's total-spin blocks.
+
+    Permutation kind: blocks of 2J+1, m_J copies each.  Collective kind: the
+    same arrays with the last two axes swapped, blocks of m_J in 2J+1 copies.
+    """
+    arrays = _schur_transform(n_qubits)
+    if kind == KIND_COLLECTIVE:
+        return [cols.swapaxes(1, 2) for cols in arrays]
+    return list(arrays)
+
+
+def _block_matrix_units(blocks) -> np.ndarray:
+    """Hermitian matrix units of every block, summed over its copies.
+
+    With E_ij = sum_c |i, c><j, c| / sqrt(copies), the elements E_ii,
+    (E_ij + E_ji)/sqrt(2) and i(E_ij - E_ji)/sqrt(2) for i < j are
+    orthonormal by construction and span the block algebra.
+    """
+    out = []
+    for cols in blocks:
+        size, copies = cols.shape[1:]
+        rows = cols.transpose(1, 0, 2)  # (block, d, copies)
+        units = (rows[:, None] @ rows[None].transpose(0, 1, 3, 2)) / np.sqrt(copies)
+        for i in range(size):
+            out.append(units[i, i])
+            for j in range(i + 1, size):
+                out.append((units[i, j] + units[j, i]) / np.sqrt(2.0))
+                out.append(1j * (units[i, j] - units[j, i]) / np.sqrt(2.0))
+    return np.array(out, dtype=complex)
+
+
+@lru_cache(maxsize=16)
 def spin_blocks(n_qubits: int, kind: str) -> SpinBlocks:
     """Isometry onto one copy of each total-spin block of a symmetry algebra.
 
-    Permutation kind: each spin-J block is 2J+1 columns, one irrep lowered by
-    J_- from a highest-weight vector, and occurs m_J times.  Collective kind:
-    each block is the m_J-dimensional highest-weight space and occurs 2J+1
-    times.  Custom kinds get the identity as a single block, so the
-    compressed view equals the dense one.  Cached per (n_qubits, kind); the
-    returned arrays are read-only.
+    The built-in kinds take copy 0 of every block of ``_schur_blocks``:
+    permutation blocks are one irrep lowered by J_- from a highest-weight
+    vector, collective blocks the highest-weight space.  Custom kinds get the
+    identity as a single block, so the compressed view equals the dense one.
+    Cached per (n_qubits, kind); the returned arrays are read-only.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown symmetry kind {kind!r}")
-    if kind not in (KIND_PERMUTATION, KIND_COLLECTIVE):
-        blocks = [(np.eye(2**n_qubits), 1)]
+    if kind in (KIND_PERMUTATION, KIND_COLLECTIVE):
+        blocks = _schur_blocks(n_qubits, kind)
     else:
-        lowering = _lowering_operator(n_qubits)
-        blocks = []
-        for j2 in range(n_qubits, -1, -2):
-            top = _highest_weights(n_qubits, lowering, j2)
-            if kind == KIND_COLLECTIVE:
-                blocks.append((top, j2 + 1))
-                continue
-            cols = [top[:, 0]]
-            for _ in range(j2):
-                vec = lowering @ cols[-1]
-                cols.append(vec / np.linalg.norm(vec))
-            blocks.append((np.stack(cols, axis=1), top.shape[1]))
-    isometry = np.hstack([cols for cols, _ in blocks])
+        blocks = [np.eye(2**n_qubits)[:, :, None]]
+    isometry = np.hstack([cols[:, :, 0] for cols in blocks])
     isometry.setflags(write=False)
     return SpinBlocks(
         isometry,
-        tuple(cols.shape[1] for cols, _ in blocks),
-        tuple(mult for _, mult in blocks),
+        tuple(cols.shape[1] for cols in blocks),
+        tuple(cols.shape[2] for cols in blocks),
     )
 
 

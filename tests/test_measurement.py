@@ -3,7 +3,7 @@ import pytest
 
 from symtomo.operators import pauli_string, projector
 from symtomo.statesim import ghz_state, werner_exact
-from symtomo.symmetry import SymmetrySpec, compute_commutant_basis
+from symtomo.symmetry import SymmetricBasis, SymmetrySpec, compute_commutant_basis
 from symtomo.measurement import (
     ObservableRecord,
     OutcomeHistogram,
@@ -276,6 +276,18 @@ def test_select_settings_deterministic_and_prefix_stable():
     assert a == b
     longer = select_settings(basis, pi_settings(2), 6)
     assert longer[:4] == a
+
+
+@pytest.mark.parametrize("spec", [SymmetrySpec.collective(3), SymmetrySpec.permutation(3)])
+def test_select_settings_ignores_the_choice_of_orthonormal_basis(spec):
+    # the selection may depend only on the span: an orthogonal rotation of
+    # the elements leaves every singular value, so every tie, unchanged
+    basis = compute_commutant_basis(spec)
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((basis.size, basis.size)))
+    rotated = SymmetricBasis(basis.n_qubits, basis.kind, np.einsum("ij,jab->iab", q, basis.elements))
+    settings = pi_settings(spec.n_qubits)
+    k = len(settings)
+    assert select_settings(rotated, settings, k) == select_settings(basis, settings, k)
 
 
 def test_select_settings_rejects_oversized_request():

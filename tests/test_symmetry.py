@@ -4,7 +4,9 @@ The two independent oracles here are (a) the closed-form count
 (n+1)(n+2)(n+3)/6 for the algebra commuting with all qubit permutations and
 (b) a sum-of-squared-multiplicities count for the algebra commuting with
 collective rotations, computed by fusing spin-1/2 ladders.  Both are
-evaluated without touching the implementation under test.
+evaluated without touching the implementation under test.  The spans of the
+built-in bases are also checked against the generic SVD route, which builds
+the same algebras from their generators as custom kinds.
 """
 
 import numpy as np
@@ -53,21 +55,26 @@ def test_permutation_sizes_match_closed_form(n, expected):
     assert basis.dim == 2**n
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_collective_sizes_match_spin_fusion_oracle(n):
     want = collective_commutant_dim(n)
-    assert want == {2: 2, 3: 5, 4: 14}[n]
+    assert want == {2: 2, 3: 5, 4: 14, 5: 42, 6: 132}[n]
     basis = compute_commutant_basis(SymmetrySpec.collective(n))
     assert basis.size == want
 
 
 def test_elements_are_hermitian_and_orthonormal():
-    for spec in (SymmetrySpec.permutation(3), SymmetrySpec.collective(3)):
-        basis = compute_commutant_basis(spec)
-        for s in basis.elements:
-            assert np.allclose(s, s.conj().T, atol=1e-10)
-        gram = np.einsum("iab,jab->ij", basis.elements.conj(), basis.elements)
-        assert np.allclose(gram, np.eye(basis.size), atol=1e-9)
+    for spec in (
+        SymmetrySpec.permutation(3),
+        SymmetrySpec.collective(3),
+        SymmetrySpec.permutation(7),
+        SymmetrySpec.collective(5),
+    ):
+        elements = compute_commutant_basis(spec).elements
+        assert np.abs(elements - elements.conj().transpose(0, 2, 1)).max() < 1e-12
+        flat = elements.reshape(len(elements), -1)
+        gram = flat.conj() @ flat.T
+        assert np.abs(gram - np.eye(len(elements))).max() < 1e-12
 
 
 def test_elements_commute_with_generators():
@@ -76,6 +83,7 @@ def test_elements_commute_with_generators():
         SymmetrySpec.permutation(3),
         SymmetrySpec.collective(2),
         SymmetrySpec.collective(3),
+        SymmetrySpec.collective(5),
     ):
         basis = compute_commutant_basis(spec)
         for g in group_generators(spec):
@@ -87,19 +95,22 @@ def test_elements_commute_with_generators():
                     assert np.allclose(g @ s - s @ g, 0, atol=1e-9)
 
 
-def test_orbit_route_agrees_with_null_space_route():
-    # feed the permutation generators through the generic unitary path and
-    # compare the spanned subspaces via their orthogonal projectors
-    for n in (2, 3):
-        fast = compute_commutant_basis(SymmetrySpec.permutation(n))
-        gens = group_generators(SymmetrySpec.permutation(n))
-        slow = compute_commutant_basis(SymmetrySpec.custom_unitaries(gens))
-        assert fast.size == slow.size
-        b1 = fast.elements.reshape(fast.size, -1)
-        b2 = slow.elements.reshape(slow.size, -1)
-        p1 = b1.conj().T @ b1
-        p2 = b2.conj().T @ b2
-        assert np.allclose(p1, p2, atol=1e-8)
+@pytest.mark.parametrize("kind", ["permutation", "collective"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_schur_route_agrees_with_null_space_route(n, kind):
+    # feed the built-in generators through the generic SVD route as a custom
+    # kind and compare the spanned subspaces via their orthogonal projectors
+    spec = SymmetrySpec(n, kind)
+    fast = compute_commutant_basis(spec)
+    gens = group_generators(spec)
+    custom = SymmetrySpec.custom_unitaries if kind == "permutation" else SymmetrySpec.custom_lie
+    slow = compute_commutant_basis(custom(gens))
+    assert fast.size == slow.size
+    b1 = fast.elements.reshape(fast.size, -1)
+    b2 = slow.elements.reshape(slow.size, -1)
+    p1 = b1.conj().T @ b1
+    p2 = b2.conj().T @ b2
+    assert np.allclose(p1, p2, atol=1e-8)
 
 
 def test_collective_two_qubit_span_is_identity_and_swap():
@@ -160,9 +171,10 @@ def test_transposition_permutation_swaps_bits():
 
 
 def test_deterministic_output():
-    a = compute_commutant_basis(SymmetrySpec.permutation(3))
-    b = compute_commutant_basis(SymmetrySpec.permutation(3))
-    assert np.array_equal(a.elements, b.elements)
+    for spec in (SymmetrySpec.permutation(3), SymmetrySpec.collective(3)):
+        a = compute_commutant_basis(spec)
+        b = compute_commutant_basis(spec)
+        assert np.array_equal(a.elements, b.elements)
 
 
 def test_coefficients_are_real_for_hermitian_input():
