@@ -228,9 +228,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    hists = ingest_histograms(args.data)
+    try:
+        hists = ingest_histograms(args.data)
+    except ValueError as exc:
+        raise SystemExit(f"{args.data}: {exc}") from None
+    try:
+        config = EstimatorConfig(alpha=args.alpha, beta=args.beta, gamma=args.gamma)
+    except ValueError as exc:
+        raise SystemExit(f"estimate: {exc}") from None
     n = hists[0].n_qubits
-    config = EstimatorConfig(alpha=args.alpha, beta=args.beta, gamma=args.gamma)
     settings = [h.setting for h in hists]
     if args.mode == "git":
         spec = (
@@ -286,8 +292,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    payload = json.loads(Path(args.config).read_text())
-    config = sweep_config_from_dict(payload)
+    try:
+        config = sweep_config_from_dict(json.loads(Path(args.config).read_text()))
+    except ValueError as exc:
+        raise SystemExit(f"{args.config}: {exc}") from None
     if config.observable_counts is not None:
         records = observable_count_sweep(config)
     else:
@@ -309,7 +317,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except OSError as exc:  # a missing or unreadable file; the message names it
+        raise SystemExit(f"symtomo {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -6,38 +6,36 @@ The central estimator minimizes, over density matrices,
   + beta  * sum_unmeasured tr(E_i rho)
   - gamma * log det rho
 
-i.e. a relative-error data term (slack variables eliminated in closed form),
-a penalty on probability mass assigned to observables nobody measured, and an
-optional log-det barrier pulling the estimate toward full rank.  The program
-is solved over a Hermitian operator basis, rho = sum_i c_i S_i: a
-``SymmetricBasis`` ("git" mode) or the full Pauli basis ("cvqt" mode, the
-same program with no symmetry restriction, practical up to six qubits).  The
-iteration is spectral projected gradient descent over the real coefficient
-vector, with the exact projection onto {trace one, PSD} (eigenvalue clipping
-against the probability simplex -- a spectral operation, so it never leaves
-the algebra spanned by the basis).  The projection never forms the d x d
-state: both built-in symmetry algebras are block diagonal in the total-spin
-decomposition, so rho is held as one copy of each block (an s x s matrix,
-s = 12 instead of d = 32 at five qubits) plus the blocks' multiplicities
-(``symmetry.spin_blocks``).  One ``eigh`` of that matrix gives the spectrum,
-each eigenvalue counted with multiplicity sum_a mult_a |U_ak|^2, and the
-eigenvalues go onto the simplex weighted by those counts, so the projection
-equals the dense one.  The log-det barrier and its gradient use the same
-pieces.  The full Pauli basis and custom symmetries get the identity as a
-single block of multiplicity one, i.e. the dense projection, through the same
-code.
+i.e. a relative-error data term, a penalty on probability mass assigned to
+observables nobody measured, and an optional log-det barrier pulling the
+estimate toward full rank.  The program is solved over a Hermitian operator
+basis, rho = sum_i c_i S_i: a ``SymmetricBasis`` ("git" mode) or the full
+Pauli basis ("cvqt" mode, the same program with no symmetry restriction,
+practical up to six qubits).
 
-The absolute values are Huber-smoothed so gradients exist everywhere, with
-the width driven through a coarse-to-fine continuation (1e-3 down to 1e-6,
-warm-starting each stage) because the sharp kinks otherwise stall the step
-size near the optimum; reported objectives always use the exact (unsmoothed)
-formula.  The program is convex in the coefficients, so the descent starts
-once, from the projected trace-one least-squares fit.
+It is an l1 fit over a spectrahedron, solved exactly by the log-barrier
+method (Boyd & Vandenberghe, Convex Optimization, ch. 11).  Each term a|e|
+becomes a*t - mu*log(t^2 - e^2) with the slack t eliminated in closed form,
+positivity becomes -mu*log det rho and merges with the gamma term, and damped
+Newton steps on the real coefficients, with the trace-one row in the KKT
+system, centre the sum for a decreasing sequence of mu.  The solve starts
+from I/d, which is strictly feasible for every basis.  At a centred point the
+duality gap is at most mu*(2m + d) (m measured records, d = 2^n), so
+``converged`` certifies that the objective is within ``objective_tolerance``
+(relative) of the optimum.
+
+The log-det terms never form the d x d state: both built-in symmetry algebras
+are block diagonal in the total-spin decomposition, so rho is held as one
+copy of each block (an s x s matrix, s = 12 instead of d = 32 at five qubits)
+plus the blocks' multiplicities (``symmetry.spin_blocks``).  One ``eigh`` of
+that matrix gives the spectrum, each eigenvalue counted with multiplicity
+sum_a mult_a |U_ak|^2, and with it log det rho, its gradient and its Hessian.
+The full Pauli basis and custom symmetries get the identity as a single block
+of multiplicity one, i.e. the dense computation, through the same code.
 
 ``solve_maxlik`` provides the classical iterative maximum-likelihood baseline
 and ``linear_inversion`` the plain least-squares fit (no positivity
-guarantee): the same fit seeds the variational solver, and tests use it as an
-independent reference.
+guarantee), which tests use as an independent reference.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -53,14 +51,10 @@ import numpy as np
 from .operators import num_qubits, pauli_string
 from .symmetry import SpinBlocks, SymmetricBasis, spin_blocks
 
-HUBER_DELTA = 1e-6          # final smoothing width for |x| in the data term
-BARRIER_EIG_FLOOR = 1e-12   # eigenvalue floor applied by projections when gamma > 0
-SEED_EIG_FLOOR = 1e-7       # kinder floor for the start, keeps barrier gradients sane
-_HUBER_STAGES = (1e-3, 3e-5, HUBER_DELTA)
-_LINESEARCH_SHRINK = 0.5
+_CENTRED = 1e-9             # half the squared Newton decrement that ends a centring stage
+_MU_SHRINK = 10.0           # barrier weight divisor between centring stages
+_ARMIJO = 0.25              # sufficient-decrease fraction of the line search
 _LINESEARCH_MAX_TRIALS = 60
-_NONMONOTONE_MEMORY = 10
-_STALL_PATIENCE = 30
 
 
 @dataclass(frozen=True)
@@ -70,10 +64,13 @@ class EstimatorConfig:
     alpha/beta/gamma weight the data term, the unmeasured-mass term and the
     barrier; alpha = beta = 1 with gamma = 0 is the plain relative-error
     program, and the default gamma = 1e-3 adds a weak full-rank pull.
-    ``frequency_floor`` is the eps in the relative weights.  ``restarts`` and
-    ``seed`` are accepted, so that saved sweep configs still load, and
-    ignored: the program is convex and every solve starts once, from the
-    least-squares fit.
+    ``frequency_floor`` is the eps in the relative weights.
+    ``max_iterations`` caps the Newton steps of the variational solve (the
+    fixed-point steps of ``solve_maxlik``), and ``objective_tolerance`` is
+    the relative duality gap at which it reports ``converged``.
+    ``feasibility_tolerance`` is used only by ``solve_maxlik``.  ``restarts``
+    and ``seed`` are accepted, so that saved sweep configs still load, and
+    ignored: the program is convex and every solve starts once, from I/d.
     """
 
     alpha: float = 1.0
@@ -85,6 +82,15 @@ class EstimatorConfig:
     frequency_floor: float = 1e-6
     restarts: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        # the barrier solve needs a data term, a convex barrier and a gap to reach
+        if not (self.alpha > 0.0 and self.gamma >= 0.0 and self.objective_tolerance > 0.0):
+            raise ValueError(
+                "estimator config needs alpha > 0, gamma >= 0 and objective_tolerance > 0, got "
+                f"alpha={self.alpha!r}, gamma={self.gamma!r}, "
+                f"objective_tolerance={self.objective_tolerance!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -110,15 +116,6 @@ class EstimationResult:
 # ---------------------------------------------------------------------------
 # small numeric helpers
 # ---------------------------------------------------------------------------
-
-def _huber(x: np.ndarray, delta: float = HUBER_DELTA) -> np.ndarray:
-    ax = np.abs(x)
-    return np.where(ax <= delta, 0.5 * x * x / delta, ax - 0.5 * delta)
-
-
-def _huber_grad(x: np.ndarray, delta: float = HUBER_DELTA) -> np.ndarray:
-    return np.clip(x / delta, -1.0, 1.0)
-
 
 @lru_cache(maxsize=8)
 def _hermitian_basis(n_qubits: int) -> np.ndarray:
@@ -169,27 +166,35 @@ def _design_matrix(proj: np.ndarray, elements: np.ndarray) -> np.ndarray:
 # linear inversion
 # ---------------------------------------------------------------------------
 
-def _trace_one_lstsq(design: np.ndarray, target: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Least squares min ||D c - f|| subject to tr(sum_i c_i S_i) = 1.
+def _element_traces(elements: np.ndarray) -> np.ndarray:
+    return np.real(np.einsum("iaa->i", elements))
 
-    Returns the minimum-norm solution.  Warns when the stacked [design;
-    traces] map has lower rank than the number of unknowns, since the data
-    then do not pin the fit down.
-    """
-    traces = np.real(np.einsum("iaa->i", elements))
-    base = traces / (traces @ traces)
-    _, _, vh = np.linalg.svd(traces.reshape(1, -1))
-    perp = vh[1:]  # orthonormal rows spanning the trace-constraint tangent
-    reduced = design @ perp.T
-    z, *_ = np.linalg.lstsq(reduced, target - design @ base, rcond=None)
+
+def _warn_if_rank_deficient(design: np.ndarray, traces: np.ndarray) -> None:
+    """Warn when the stacked [design; traces] map does not pin down every coefficient."""
     sv = np.linalg.svd(np.vstack([design, traces.reshape(1, -1)]), compute_uv=False)
     rank = int((sv > 1e-9 * max(1.0, float(sv[0]))).sum())
     if rank < traces.size:
         warnings.warn(
             f"measurement map is rank deficient ({rank} < {traces.size}); "
-            "returning the minimum-norm solution",
-            stacklevel=3,
+            "the data do not determine every coefficient",
+            stacklevel=4,
         )
+
+
+def _trace_one_lstsq(design: np.ndarray, target: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Least squares min ||D c - f|| subject to tr(sum_i c_i S_i) = 1.
+
+    Returns the minimum-norm solution, with a warning when the data do not
+    pin the fit down.
+    """
+    traces = _element_traces(elements)
+    base = traces / (traces @ traces)
+    _, _, vh = np.linalg.svd(traces.reshape(1, -1))
+    perp = vh[1:]  # orthonormal rows spanning the trace-constraint tangent
+    reduced = design @ perp.T
+    z, *_ = np.linalg.lstsq(reduced, target - design @ base, rcond=None)
+    _warn_if_rank_deficient(design, traces)
     return base + perp.T @ z
 
 
@@ -197,10 +202,10 @@ def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | No
     """Plain least-squares reconstruction from measured records.
 
     The fit enforces unit trace but *not* positivity; the result can have
-    negative eigenvalues, which is intentional (it serves as an unbiased
-    reference, and the same fit seeds the variational solver).  Rank
-    deficiency of the measurement map triggers a warning and yields the
-    minimum-norm solution.
+    negative eigenvalues, which is intentional: it serves as an unbiased
+    reference for the variational solver, which starts from I/d, not from
+    this fit.  Rank deficiency of the measurement map triggers a warning and
+    yields the minimum-norm solution.
     """
     measured, _ = _split_records(records)
     if dim is None:
@@ -220,70 +225,6 @@ def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | No
 
 
 # ---------------------------------------------------------------------------
-# spectral projected descent
-# ---------------------------------------------------------------------------
-
-def _descend(x0, value, gradient, advance, config):
-    """Barzilai-Borwein descent with nonmonotone backtracking.
-
-    ``advance(x, g, step)`` returns the trial point for one step (projection
-    happens inside it); the loop only sees flat real vectors.  The line
-    search may accept temporary increases, so the best visited point -- not
-    the last -- is returned.
-    """
-    x = advance(x0, np.zeros_like(x0), 0.0)  # initial feasibility pass
-    fval = value(x)
-    grad = gradient(x)
-    history = [fval]
-    x_best, f_best = x, fval
-    best_iter_ago = 0
-    gnorm = float(np.linalg.norm(grad))
-    step = 1.0 / max(1.0, gnorm)
-    iterations = 0
-    converged = False
-    for iterations in range(1, config.max_iterations + 1):
-        trial = advance(x, grad, step)
-        direction = trial - x
-        slope = float(grad @ direction)
-        if not np.any(direction) or slope >= 0.0:
-            converged = True
-            break
-        f_ref = max(history)
-        lam = 1.0
-        accepted = False
-        for _ in range(_LINESEARCH_MAX_TRIALS):
-            cand = x + lam * direction if lam < 1.0 else trial
-            cand_f = value(cand)
-            if cand_f <= f_ref + 1e-4 * lam * slope:
-                accepted = True
-                break
-            lam *= _LINESEARCH_SHRINK
-        if not accepted:
-            converged = True
-            break
-        new_grad = gradient(cand)
-        s = cand - x
-        y = new_grad - grad
-        sy = float(s @ y)
-        step = float(np.clip((s @ s) / sy, 1e-13, 1e13)) if sy > 1e-30 else min(step * 2.0, 1e13)
-        x, fval, grad = cand, cand_f, new_grad
-        history.append(fval)
-        if len(history) > _NONMONOTONE_MEMORY:
-            history.pop(0)
-        if fval < f_best - config.objective_tolerance * max(1.0, abs(f_best)):
-            x_best, f_best = x, fval
-            best_iter_ago = 0
-        else:
-            if fval < f_best:
-                x_best, f_best = x, fval
-            best_iter_ago += 1
-            if best_iter_ago >= _STALL_PATIENCE:
-                converged = True
-                break
-    return x_best, f_best, iterations, converged
-
-
-# ---------------------------------------------------------------------------
 # the variational estimator
 # ---------------------------------------------------------------------------
 
@@ -291,10 +232,11 @@ def solve_vqt(problem: EstimationProblem, config: EstimatorConfig = EstimatorCon
     """Minimize the relative-error objective over the problem's search space.
 
     With a basis attached the search runs over real symmetry-algebra
-    coefficients ("git" mode); without one the same descent runs over the
+    coefficients ("git" mode); without one the same solve runs over the
     coefficients of the full Pauli basis ("cvqt" mode, up to six qubits).
-    Deterministic for fixed problem and config: one descent, started from the
-    projected least-squares fit.
+    Deterministic for fixed problem and config: one barrier Newton solve,
+    started from I/d; ``iterations`` counts its Newton steps and
+    ``converged`` says that its duality gap fell below the tolerance.
     """
     basis = problem.basis
     if basis is None:
@@ -389,83 +331,121 @@ class _BlockMaps(NamedTuple):
         """Coefficients of the operator with eigenpairs (vals, vecs)."""
         return self.back @ ((vecs * vals) @ vecs.conj().T).view(float).reshape(-1)
 
-    def project(self, c, eig_floor):
-        """Coefficients of the closest density matrix to the state of c.
+    def logdet_hessian(self, vals, vecs):
+        """Hessian tr(rho^-1 S_i rho^-1 S_j) of log det rho at the state with eigenpairs (vals, vecs).
 
-        The Hilbert-Schmidt projection onto {trace one, PSD}: eigenvalues go
-        onto the multiplicity-weighted simplex, then, when ``eig_floor`` is
-        positive, are floored and renormalized.
+        With X the compressed state and M the column multiplicities (constant
+        on each block, so M commutes with X), the entry is
+        sum_b mult_b tr(X_b^-1 S_i,b X_b^-1 S_j,b) = tr(K_i K_j) with
+        K_i = P S_i P and P = M^(1/4) X^(-1/2): one real Gram matrix.
         """
-        vals, vecs, mult = self.spectrum(c)
-        vals = _project_weighted_simplex(vals, mult)
-        if eig_floor > 0.0:
-            vals = np.maximum(vals, eig_floor)
-            vals = vals / (mult @ vals)
-        return self.coefficients(vals, vecs)
+        s = self.column_mult.size
+        root = self.column_mult[:, None] ** 0.25 * ((vecs / np.sqrt(vals)) @ vecs.conj().T)
+        k = root @ self.forward.view(complex).reshape(-1, s, s) @ root
+        flat = k.view(float).reshape(len(k), -1)
+        return flat @ flat.T
 
 
-def _project_weighted_simplex(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Project ascending eigenvalues of multiplicity ``weights`` onto the simplex.
+def _newton_direction(hess, grad, traces, trace_residual):
+    """Solve the KKT system [[H, tau], [tau^T, 0]] [dc; nu] = [-g; trace_residual] for dc.
 
-    Returns x = max(vals - tau, 0) with weights . x = 1: the spectrum of the
-    Euclidean projection of a state onto the density matrices when each
-    eigenvalue occurs weights[k] times.  Unit weights give the plain simplex
-    projection.  ``vals`` must be sorted ascending, as ``eigh`` returns them.
+    Jacobi-scaled least squares: as mu -> 0 the system becomes singular to
+    working precision wherever the data leave coefficients unpinned, and the
+    least-squares solution stays finite there.  The part of g along the
+    trace row only moves nu, so it is taken out first: a large nu would
+    swamp dc with its roundoff.
     """
-    srt = vals[::-1]
-    cumsum = (weights * vals)[::-1].cumsum() - 1.0
-    counts = weights[::-1].cumsum()
-    k = np.flatnonzero(srt - cumsum / counts > 0)[-1]
-    return np.maximum(vals - cumsum[k] / counts[k], 0.0)
+    scale = 1.0 / np.sqrt(np.diag(hess))
+    row = traces * scale
+    row_norm = np.linalg.norm(row)
+    row /= row_norm
+    r = grad.size
+    kkt = np.zeros((r + 1, r + 1))
+    kkt[:r, :r] = hess * np.outer(scale, scale)
+    kkt[:r, r] = kkt[r, :r] = row
+    rhs = -grad * scale
+    rhs = np.append(rhs - row * (row @ rhs), trace_residual / row_norm)
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:r] * scale
 
 
 def _solve(records, elements: np.ndarray, blocks: SpinBlocks, config: EstimatorConfig,
            mode: str) -> EstimationResult:
-    """One descent over the real coefficients of the Hermitian basis ``elements``.
+    """Log-barrier Newton solve over the real coefficients of the Hermitian basis ``elements``.
 
     ``blocks`` is a block decomposition of the algebra the elements span, for
-    the projection; a single identity block stands for no decomposition.
+    the log-det terms; a single identity block stands for no decomposition.
     """
     proj, freq, weight, unmeasured_sum = _record_arrays(records, elements.shape[1], config)
     design = _design_matrix(proj, elements)
+    traces = _element_traces(elements)
+    _warn_if_rank_deficient(design, traces)
     unmeasured_row = config.beta * np.real(
         np.einsum("ab,iab->i", unmeasured_sum.conj(), elements)
     )
-    floor = BARRIER_EIG_FLOOR if config.gamma > 0.0 else 0.0
     maps = _BlockMaps.of(elements, blocks)
-    project = maps.project
+    slope = config.alpha * weight
+    gap_per_mu = 2 * freq.size + elements.shape[1]  # the barrier parameter 2m + d
 
-    def smooth_value(c, delta):
+    def objective(c):
+        vals, _, mult = maps.spectrum(c)
+        return (slope @ np.abs(design @ c - freq) + unmeasured_row @ c
+                - config.gamma * (mult @ np.log(vals)))
+
+    def centring_value(c, mu):
+        """The barrier objective with the slacks eliminated; inf outside the PSD cone."""
+        vals, _, mult = maps.spectrum(c)
+        if vals[0] <= 0.0:
+            return np.inf
+        width = mu / slope
+        t = width + np.hypot(width, design @ c - freq)
+        # t^2 - e^2 = 2 t mu / a at the optimal slack
+        return (slope @ t - mu * np.log(2.0 * width * t).sum() + unmeasured_row @ c
+                - (config.gamma + mu) * (mult @ np.log(vals)))
+
+    def centring_derivatives(c, mu):
+        vals, vecs, _ = maps.spectrum(c)
         resid = design @ c - freq
-        value = config.alpha * float((weight * _huber(resid, delta)).sum())
-        value += float(unmeasured_row @ c)
-        if config.gamma > 0.0:
-            vals, _, mult = maps.spectrum(c)
-            if vals[0] <= 0.0:
-                return np.inf
-            value -= config.gamma * float(mult @ np.log(vals))
-        return value
+        width = mu / slope
+        root = np.hypot(width, resid)
+        t = width + root
+        grad = (design.T @ (slope * resid / t) + unmeasured_row
+                - (config.gamma + mu) * maps.coefficients(1.0 / vals, vecs))
+        hess = (design.T @ ((mu / (root * t))[:, None] * design)
+                + (config.gamma + mu) * maps.logdet_hessian(vals, vecs))
+        return grad, hess
 
-    def smooth_gradient(c, delta):
-        resid = design @ c - freq
-        g = config.alpha * (design.T @ (weight * _huber_grad(resid, delta))) + unmeasured_row
-        if config.gamma > 0.0:
-            vals, vecs, _ = maps.spectrum(c)
-            g = g - config.gamma * maps.coefficients(1.0 / np.clip(vals, BARRIER_EIG_FLOOR, None), vecs)
-        return g
-
-    def advance(c, g, step):
-        return project(c - step * g, floor)
-
-    c = project(_trace_one_lstsq(design, freq, elements),
-                SEED_EIG_FLOOR if config.gamma > 0.0 else 0.0)
+    c = traces / elements.shape[1]  # I/d
+    # the first stage's gap bound is the objective at the start
+    mu = max(1.0, objective(c)) / gap_per_mu
+    value = centring_value(c, mu)
     iterations = 0
-    for delta in _HUBER_STAGES:  # coarse-to-fine, each stage warm-started
-        c, _, iters, converged = _descend(
-            c, partial(smooth_value, delta=delta), partial(smooth_gradient, delta=delta),
-            advance, config,
-        )
-        iterations += iters
+    converged = False
+    while True:
+        grad, hess = centring_derivatives(c, mu)
+        step = _newton_direction(hess, grad, traces, 1.0 - traces @ c)
+        if 0.5 * step @ hess @ step <= _CENTRED:
+            if mu * gap_per_mu <= config.objective_tolerance * max(1.0, abs(objective(c))):
+                converged = True
+                break
+            mu /= _MU_SHRINK
+            value = centring_value(c, mu)
+            continue
+        if iterations == config.max_iterations:
+            break
+        decrease = _ARMIJO * float(grad @ step)
+        if decrease >= 0.0:  # roundoff has swamped the Newton direction
+            break
+        length = 1.0
+        for _ in range(_LINESEARCH_MAX_TRIALS):
+            trial = c + length * step
+            trial_value = centring_value(trial, mu)
+            if trial_value <= value + length * decrease:
+                break
+            length *= 0.5
+        else:
+            break
+        c, value = trial, trial_value
+        iterations += 1
     rho = np.einsum("i,iab->ab", c, elements)
     return _finalize(rho, proj, freq, weight, unmeasured_sum, config, iterations, converged, mode)
 

@@ -319,8 +319,8 @@ def unmeasured_records(targets) -> list[ObservableRecord]:
 def _setting_response(basis: SymmetricBasis, setting: str) -> np.ndarray:
     """Linear map rows from basis coefficients to this setting's outcome probabilities."""
     u = setting_rotation(setting)
-    rotated = np.einsum("ij,njk,lk->nil", u, basis.elements, u.conj())
-    return np.real(np.einsum("nii->in", rotated))  # (2^n, r)
+    # only the diagonals of u S_n u^dag: (u S_n u^dag)_ii = sum_l (u S_n)_il conj(u_il)
+    return np.real(((u @ basis.elements) * u.conj()).sum(-1)).T  # (2^n, r)
 
 
 def select_settings(basis: SymmetricBasis, candidates, k: int) -> list[str]:
@@ -393,14 +393,19 @@ def ingest_histograms(path) -> list[OutcomeHistogram]:
     n = payload["n_qubits"]
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n_qubits must be a positive integer, got {n!r}")
+    records = payload["records"]
+    if not isinstance(records, list) or not records:
+        raise ValueError("'records' must be a non-empty list of histogram objects")
     out = []
-    for pos, rec in enumerate(payload["records"]):
+    for pos, rec in enumerate(records):
         where = f"records[{pos}]"
         if not isinstance(rec, dict):
             raise ValueError(f"{where}: expected an object")
         missing = {"setting", "shots", "counts"} - rec.keys()
         if missing:
             raise ValueError(f"{where}: missing fields {sorted(missing)}")
+        if not isinstance(rec["counts"], dict):
+            raise ValueError(f"{where}: 'counts' must be an object mapping outcomes to counts")
         try:
             hist = OutcomeHistogram(
                 setting=str(rec["setting"]),

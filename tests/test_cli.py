@@ -208,6 +208,41 @@ def test_metrics_rejects_a_file_that_is_not_a_state(tmp_path, ghz_file, side, co
     assert str(bad) in str(exc.value.code) and fault in str(exc.value.code)
 
 
+@pytest.mark.parametrize(
+    "content, fault",
+    [
+        ("{", "Expecting"),
+        (json.dumps({"n_qubits": 2, "records": []}), "'records' must be a non-empty list"),
+        (json.dumps({"n_qubits": 2, "records": {"setting": "XX"}}),
+         "'records' must be a non-empty list"),
+        (json.dumps({"n_qubits": 2, "records": [
+            {"setting": "XX", "shots": 4, "counts": {"00": 4}},
+            {"setting": "ZZ", "shots": 4, "counts": [4, 0, 0, 0]},
+        ]}), "records[1]: 'counts' must be an object"),
+    ],
+    ids=["malformed", "empty-records", "records-object", "counts-list"],
+)
+def test_estimate_rejects_bad_histogram_file(tmp_path, content, fault):
+    data = tmp_path / "hists.json"
+    data.write_text(content)
+    out = tmp_path / "est.json"
+    with pytest.raises(SystemExit) as exc:
+        run("estimate", "--data", data, "--out", out)
+    assert exc.value.code != 0
+    assert str(data) in str(exc.value.code) and fault in str(exc.value.code)
+    assert not out.exists()
+
+
+def test_estimate_rejects_a_nonpositive_alpha(tmp_path, ghz_file):
+    hists = tmp_path / "hists.json"
+    run("sample", "--state", ghz_file, "--settings", "pi", "--shots", 64, "--out", hists)
+    out = tmp_path / "est.json"
+    with pytest.raises(SystemExit) as exc:
+        run("estimate", "--data", hists, "--alpha", 0.0, "--out", out)
+    assert exc.value.code != 0 and "alpha > 0" in str(exc.value.code)
+    assert not out.exists()
+
+
 def est_state_path(tmp_path, rho):
     from symtomo.operators import save_matrix
 
@@ -296,9 +331,52 @@ def test_sweep_command_observable_counts(tmp_path):
     assert [r["observable_count"] for r in rows] == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "content, fault",
+    [
+        ("[1,", "Expecting"),
+        (json.dumps(["ghz"]), "sweep config must be a JSON object"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "colour": "red"}),
+         "unknown sweep config fields: ['colour']"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "estimator": {"tau": 1}}),
+         "unknown estimator config fields: ['tau']"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "repetitions": 0}),
+         "repetitions must be >= 1"),
+    ],
+    ids=["malformed", "not-an-object", "unknown-field", "unknown-estimator-field", "bad-value"],
+)
+def test_sweep_rejects_bad_config(tmp_path, content, fault):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(content)
+    out_dir = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run("sweep", "--config", cfg_path, "--out-dir", out_dir)
+    assert exc.value.code != 0
+    assert str(cfg_path) in str(exc.value.code) and fault in str(exc.value.code)
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # argument errors
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--data", "{missing}", "--out", "{out}"),
+        ("sample", "--state", "{missing}", "--shots", 4, "--out", "{out}"),
+        ("metrics", "--a", "{missing}", "--b", "{missing}"),
+        ("sweep", "--config", "{missing}", "--out-dir", "{out}"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_input_file_exits_naming_it(tmp_path, argv):
+    missing, out = tmp_path / "missing.json", tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(*(str(a).format(missing=missing, out=out) for a in argv))
+    assert exc.value.code != 0 and str(missing) in str(exc.value.code)
+    assert not out.exists()
+
 
 def test_unknown_subcommand():
     with pytest.raises(SystemExit):

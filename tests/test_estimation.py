@@ -32,7 +32,6 @@ from symtomo.estimation import (
     EstimatorConfig,
     _BlockMaps,
     _hermitian_basis,
-    _project_weighted_simplex,
     linear_inversion,
     solve_cvqt,
     solve_git,
@@ -154,8 +153,8 @@ def test_gamma_barrier_keeps_full_rank():
 
 @pytest.mark.parametrize("mode", ["git", "cvqt"])
 def test_seed_and_restarts_leave_the_solve_unchanged(mode):
-    # the program is convex: every solve is one descent from the least-squares
-    # fit, so the accepted-but-ignored seed and restarts fields change nothing
+    # the program is convex: every solve is one barrier Newton solve from I/d,
+    # so the accepted-but-ignored seed and restarts fields change nothing
     rho = depolarize_all(projector(ghz_state(2, theta=0.4)), 0.1)
     if mode == "git":
         basis = cached_basis(2, "permutation")
@@ -192,7 +191,67 @@ def test_git_exact_data_recovery_beyond_acceptance_grid(rho, spec, pi_mode):
 
 
 # ---------------------------------------------------------------------------
-# block-compressed projection against the dense one
+# block-compressed log det against the dense one
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def cached_basis(n, kind):
+    return compute_commutant_basis(SymmetrySpec(n, kind))
+
+
+def block_maps(basis):
+    return _BlockMaps.of(basis.elements, spin_blocks(basis.n_qubits, basis.kind))
+
+
+def dense_state(c, elements):
+    return np.einsum("i,iab->ab", c, elements)
+
+
+def assert_logdet_derivatives_match_dense(basis, c):
+    """Block log det, gradient and Hessian at exp(sum_i c_i S_i) against dense ones."""
+    maps = block_maps(basis)
+    elements = basis.elements
+    # multiplicity-weighted spectral sums are the full-space ones
+    vals, _, mult = maps.spectrum(c)
+    w, v = np.linalg.eigh(dense_state(c, elements))
+    assert np.isclose(mult @ vals, w.sum(), atol=1e-10)
+    assert np.isclose(mult @ vals**2, (w**2).sum(), atol=1e-10)
+    # a full-rank state of the algebra: exp of the member, normalized (I/d at c = 0)
+    rho = (v * np.exp(w)) @ v.conj().T
+    rho /= np.trace(rho).real
+    coeff = np.real(np.einsum("iab,ab->i", elements.conj(), rho))
+    vals, vecs, mult = maps.spectrum(coeff)
+    inv_s = np.linalg.inv(rho) @ elements  # rho^-1 S_i
+    gradient = np.real(np.einsum("iaa->i", inv_s))
+    hessian = np.real(np.einsum("iab,jba->ij", inv_s, inv_s))
+    assert np.isclose(mult @ np.log(vals), np.linalg.slogdet(rho)[1], atol=1e-9)
+    assert np.abs(maps.coefficients(1.0 / vals, vecs) - gradient).max() <= 1e-9 * max(
+        1.0, np.abs(gradient).max())
+    assert np.abs(maps.logdet_hessian(vals, vecs) - hessian).max() <= 1e-9 * max(
+        1.0, np.abs(hessian).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    kind=st.sampled_from(["permutation", "collective"]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_block_logdet_derivatives_match_dense(n, kind, seed, scale):
+    basis = cached_basis(n, kind)
+    c = scale * np.random.default_rng(seed).standard_normal(basis.size)
+    assert_logdet_derivatives_match_dense(basis, c)
+
+
+def test_block_logdet_custom_kind_matches_dense():
+    basis = compute_commutant_basis(SymmetrySpec.custom_unitaries([np.eye(4)[[0, 2, 1, 3]]]))
+    for c in (np.zeros(basis.size), np.random.default_rng(3).standard_normal(basis.size)):
+        assert_logdet_derivatives_match_dense(basis, c)
+
+
+# ---------------------------------------------------------------------------
+# the solve against an independent optimality certificate
 # ---------------------------------------------------------------------------
 
 def dense_simplex(vals):
@@ -204,74 +263,77 @@ def dense_simplex(vals):
     return np.clip(vals - cumsum[k - 1] / k, 0.0, None)
 
 
-def dense_project(c, elements, eig_floor):
-    """Projection of sum_i c_i S_i onto the density matrices, done on d x d matrices."""
-    vals, vecs = np.linalg.eigh(np.einsum("i,iab->ab", c, elements))
-    vals = dense_simplex(vals)
-    if eig_floor > 0.0:
-        vals = np.clip(vals, eig_floor, None)
-        vals = vals / vals.sum()
-    rho = (vecs * vals) @ vecs.conj().T
-    return np.real(np.einsum("iab,ab->i", elements.conj(), rho))
+def chambolle_pock_bound(records, elements, target, max_iterations=200_000):
+    """Best weak-duality lower bound on min sum_m a_m |D c - f|_m over states.
+
+    Chambolle-Pock on min_c F(D c) + G(c), G the indicator of the density
+    matrices spanned by ``elements``.  Every dual iterate y has |y| <= a,
+    so -y.f + lambda_min(sum_i (D^T y)_i S_i) bounds the optimum from below.
+    Stops once the bound is within reach of ``target``.
+    """
+    freq = np.array([r.frequency for r in records])
+    weight = 1.0 / np.maximum(np.abs(freq), EstimatorConfig().frequency_floor)
+    proj = np.stack([r.projector for r in records])
+    design = np.real(np.einsum("mab,iab->mi", proj.conj(), elements))
+    step = 0.99 / np.linalg.norm(design, 2)
+    c = np.real(np.einsum("iaa->i", elements)) / elements.shape[1]
+    c_bar, y = c.copy(), np.zeros(freq.size)
+    best = -np.inf
+    for _ in range(max_iterations):
+        y = np.clip(y + step * (design @ c_bar - freq), -weight, weight)
+        dual = design.T @ y
+        best = max(best, -y @ freq + np.linalg.eigvalsh(dense_state(dual, elements))[0])
+        if best >= target:
+            break
+        vals, vecs = np.linalg.eigh(dense_state(c - step * dual, elements))
+        rho = (vecs * dense_simplex(vals)) @ vecs.conj().T
+        c_next = np.real(np.einsum("iab,ab->i", elements.conj(), rho))
+        c_bar, c = 2.0 * c_next - c, c_next
+    return best
 
 
-@lru_cache(maxsize=None)
-def cached_basis(n, kind):
-    return compute_commutant_basis(SymmetrySpec(n, kind))
+@pytest.mark.parametrize("mode", ["git", "cvqt"])
+def test_objective_meets_an_independent_dual_bound(mode):
+    rho = depolarize_all(projector(ghz_state(2)), 0.02)
+    if mode == "git":
+        hists = sample_state(rho, pi_settings(2), 256, seed=0)
+        recs = extract_frequencies(hists, pi_observables(2), pi_mode=True)
+        elements = cached_basis(2, "permutation").elements
+        result = solve_git(recs, cached_basis(2, "permutation"), ANALYTIC)
+    else:
+        hists = sample_state(rho, full_settings(2), 256, seed=0)
+        recs = extract_frequencies(hists, full_observables(2))
+        elements = _hermitian_basis(2)
+        result = solve_cvqt(recs, 4, ANALYTIC)
+    # a zero frequency weighs 1/eps and would stall the reference
+    assert all(r.frequency > 0.0 for r in recs)
+    tol = 1e-7 * max(1.0, result.objective)
+    bound = chambolle_pock_bound(recs, elements, result.objective - tol)
+    assert result.converged
+    assert bound <= result.objective + 1e-12
+    assert result.objective - bound <= tol
 
 
-def block_maps(basis):
-    return _BlockMaps.of(basis.elements, spin_blocks(basis.n_qubits, basis.kind))
+def test_converged_is_honest():
+    rho = depolarize_all(projector(ghz_state(3)), 0.05)
+    hists = sample_state(rho, pi_settings(3), 4096, seed=7)
+    recs = extract_frequencies(hists, pi_observables(3), pi_mode=True)
+    result = solve_git(recs, cached_basis(3, "permutation"), EstimatorConfig(max_iterations=5))
+    assert not result.converged
+    assert result.iterations == 5
+    assert np.isclose(np.trace(result.rho_hat).real, 1.0, atol=1e-12)
+    assert np.linalg.eigvalsh(result.rho_hat).min() > 0.0
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 5),
-    kind=st.sampled_from(["permutation", "collective"]),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.sampled_from([0.01, 0.3, 3.0]),
-    eig_floor=st.sampled_from([0.0, 1e-7]),
-)
-def test_block_projection_matches_dense(n, kind, seed, scale, eig_floor):
-    basis = cached_basis(n, kind)
-    maps = block_maps(basis)
-    c = scale * np.random.default_rng(seed).standard_normal(basis.size)
-    assert np.allclose(maps.project(c, eig_floor), dense_project(c, basis.elements, eig_floor),
-                       rtol=0.0, atol=1e-10)
-    # multiplicity-weighted spectral sums are the full-space ones
-    vals, _, mult = maps.spectrum(c)
-    dense = np.linalg.eigvalsh(np.einsum("i,iab->ab", c, basis.elements))
-    assert np.isclose(mult @ vals, dense.sum(), atol=1e-10)
-    assert np.isclose(mult @ vals**2, (dense**2).sum(), atol=1e-10)
-
-
-def test_block_projection_custom_kind_matches_dense():
-    basis = compute_commutant_basis(SymmetrySpec.custom_unitaries([np.eye(4)[[0, 2, 1, 3]]]))
-    maps = block_maps(basis)
-    c = np.random.default_rng(3).standard_normal(basis.size)
-    assert np.allclose(maps.project(c, 0.0), dense_project(c, basis.elements, 0.0), atol=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
-def test_weighted_simplex_with_unit_weights_is_plain_simplex(vals):
-    vals = np.sort(np.array(vals))
-    got = _project_weighted_simplex(vals, np.ones_like(vals))
-    assert np.allclose(got, dense_simplex(vals), rtol=0.0, atol=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(st.floats(-3.0, 3.0), st.integers(1, 5)), min_size=1, max_size=12)
-)
-def test_weighted_simplex_equals_simplex_of_repeated_values(pairs):
-    pairs.sort()
-    vals = np.array([v for v, _ in pairs])
-    weights = np.array([w for _, w in pairs], dtype=float)
-    got = _project_weighted_simplex(vals, weights)
-    want = dense_simplex(np.repeat(vals, weights.astype(int)))
-    assert np.allclose(np.repeat(got, weights.astype(int)), np.sort(want), atol=1e-12)
-    assert np.isclose(weights @ got, 1.0)
+@pytest.mark.parametrize("gamma", [0.0, 1e-3])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_default_solve_converges_on_pooled_data(n, gamma):
+    rho = depolarize_all(projector(ghz_state(n)), 0.05)
+    hists = sample_state(rho, pi_settings(n), 4096, seed=n)
+    recs = extract_frequencies(hists, pi_observables(n), pi_mode=True)
+    result = solve_git(recs, cached_basis(n, "permutation"), EstimatorConfig(gamma=gamma))
+    assert result.converged
+    assert result.iterations < EstimatorConfig().max_iterations
 
 
 def test_pauli_basis_cache_is_read_only():
@@ -313,6 +375,12 @@ def test_cvqt_unmeasured_penalty_mechanics():
     # well as the true state under the combined objective, by shedding mass
     assert on.objective <= mass_truth + 1e-6
     assert mass_found < mass_truth
+
+
+@pytest.mark.parametrize("field", [{"alpha": 0.0}, {"gamma": -1e-3}, {"objective_tolerance": 0.0}])
+def test_config_rejects_what_the_barrier_solve_cannot_take(field):
+    with pytest.raises(ValueError, match=next(iter(field))):
+        EstimatorConfig(**field)
 
 
 def test_solve_vqt_rejects_empty_measured():

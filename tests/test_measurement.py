@@ -28,6 +28,7 @@ from symtomo.measurement import (
     setting_rotation,
     unmeasured_records,
 )
+from symtomo.measurement import _setting_response
 
 
 def random_density(rng, d):
@@ -288,6 +289,21 @@ def test_select_settings_ignores_the_choice_of_orthonormal_basis(spec):
     settings = pi_settings(spec.n_qubits)
     k = len(settings)
     assert select_settings(rotated, settings, k) == select_settings(basis, settings, k)
+
+
+@pytest.mark.parametrize("kind", ["permutation", "collective"])
+def test_setting_response_is_the_diagonal_of_the_rotated_elements(kind):
+    basis = compute_commutant_basis(SymmetrySpec(3, kind))
+    for setting in ("XYZ", "ZZX"):
+        u = setting_rotation(setting)
+        rotated = np.einsum("ij,njk,lk->nil", u, basis.elements, u.conj())
+        want = np.real(np.einsum("nii->in", rotated))
+        assert np.abs(_setting_response(basis, setting) - want).max() <= 1e-14
+
+
+def test_pooled_settings_pin_the_six_qubit_permutation_family():
+    basis = compute_commutant_basis(SymmetrySpec.permutation(6))
+    assert response_rank(basis, pi_settings(6)) == basis.size == 84
 
 
 def test_select_settings_rejects_oversized_request():
