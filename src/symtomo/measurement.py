@@ -86,19 +86,18 @@ class OutcomeHistogram:
                 raise ValueError(f"invalid outcome {outcome!r} for setting {self.setting!r}")
             if count < 0:
                 raise ValueError(f"negative count for outcome {outcome!r}")
+            if isinstance(count, bool) or (self.shots is not None and count % 1):
+                raise ValueError(f"count {count!r} for outcome {outcome!r} is not a whole number")
             total += count
         if self.shots is None:
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"exact histogram probabilities sum to {total!r}, not 1")
         else:
-            if self.shots <= 0:
-                raise ValueError("shots must be positive")
-            if round(total) != self.shots or any(
-                int(c) != c for c in self.counts.values()
-            ):
-                raise ValueError(
-                    f"counts sum {total!r} does not match shots {self.shots}"
-                )
+            whole = isinstance(self.shots, (int, np.integer)) and not isinstance(self.shots, bool)
+            if not whole or self.shots <= 0:
+                raise ValueError(f"shots must be a positive integer, got {self.shots!r}")
+            if total != self.shots:
+                raise ValueError(f"counts sum {total!r} does not match shots {self.shots}")
 
     @property
     def n_qubits(self) -> int:
@@ -140,6 +139,12 @@ def _by_identity_count(strings) -> list[str]:
     return sorted(strings, key=lambda s: (s.count("I"), s))
 
 
+def _pooled_key(ops) -> str:
+    """Canonical multiset spelling: non-identity letters sorted, then the ``I``s."""
+    non_i = sorted(c for c in ops if c != "I")
+    return "".join(non_i) + "I" * (len(ops) - len(non_i))
+
+
 def pi_observables(n_qubits: int) -> list[str]:
     """Canonical observable family for permutation-invariant estimation.
 
@@ -150,11 +155,10 @@ def pi_observables(n_qubits: int) -> list[str]:
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
-    reps = []
-    for combo in itertools.combinations_with_replacement("XYZI", n_qubits):
-        non_i = sorted(c for c in combo if c != "I")
-        reps.append("".join(non_i) + "I" * (n_qubits - len(non_i)))
-    return _by_identity_count(reps)
+    return _by_identity_count(
+        _pooled_key(combo)
+        for combo in itertools.combinations_with_replacement("XYZI", n_qubits)
+    )
 
 
 def full_observables(n_qubits: int) -> list[str]:
@@ -173,14 +177,12 @@ def marginal_observables(settings) -> list[str]:
     slots, so its frequency can be computed from that setting's histogram by
     marginalization.
     """
-    found = set()
-    for setting in settings:
-        n = len(check_setting(setting))
-        for mask in itertools.product((False, True), repeat=n):
-            if not any(mask):
-                continue
-            found.add("".join("I" if m else c for m, c in zip(mask, setting)))
-    return _by_identity_count(found)
+    return _by_identity_count({
+        "".join(letters)
+        for setting in settings
+        for letters in itertools.product(*(("I", c) for c in check_setting(setting)))
+        if "I" in letters
+    })
 
 
 def setting_rotation(setting: str) -> np.ndarray:
@@ -250,22 +252,14 @@ def sample_state(rho, settings, shots: int | None, seed=0) -> list[OutcomeHistog
     ]
 
 
-def _distinct_permutations(ops: str) -> list[str]:
-    return sorted({"".join(p) for p in itertools.permutations(ops)})
-
-
-def _marginal_estimate(hist: OutcomeHistogram, ops: str) -> float | None:
-    """All-+1 frequency of ``ops`` from one histogram, or None if incompatible."""
-    slots = [i for i, c in enumerate(ops) if c != "I"]
-    if any(hist.setting[i] != ops[i] for i in slots):
-        return None
-    total = sum(
-        count
-        for outcome, count in hist.counts.items()
-        if all(outcome[i] == "0" for i in slots)
-    )
-    denom = 1.0 if hist.shots is None else float(hist.shots)
-    return float(total) / denom
+def _zero_frequencies(hist: OutcomeHistogram) -> np.ndarray:
+    """Entry M: share of outcomes reading 0 on every slot of mask M (bit n-1-i: qubit i)."""
+    table = np.zeros((2,) * hist.n_qubits)
+    for outcome, count in hist.counts.items():
+        table.flat[int(outcome, 2)] = count
+    for axis in range(table.ndim):  # index B: counts of outcomes reading 0 wherever B is 0
+        table = table.cumsum(axis)
+    return table.ravel()[::-1] / (hist.shots or 1.0)  # entry M sits at B = complement of M
 
 
 def extract_frequencies(histograms, targets, pi_mode: bool = False) -> list[ObservableRecord]:
@@ -275,21 +269,27 @@ def extract_frequencies(histograms, targets, pi_mode: bool = False) -> list[Obse
     observable string (the target itself, or -- in ``pi_mode`` -- any
     permutation of it); the recorded frequency is the unweighted mean of all
     contributions.  A target no histogram can estimate raises ``ValueError``.
+
+    Counted, not enumerated: one O(n 2^n) subset-sum pass per histogram gives
+    the estimate of every mask of non-identity slots, filed under its one
+    compatible string (the setting's letters on it; canonical in ``pi_mode``).
     """
     histograms = list(histograms)
     if not histograms:
         raise ValueError("no histograms supplied")
     n = histograms[0].n_qubits
+    filed: dict[str, list[float]] = {}
+    for hist in histograms:
+        check_setting(hist.setting, n)
+        # ascending M, so each key's estimates come in lexicographic string order
+        masked = itertools.product(*(("I", c) for c in hist.setting))
+        for letters, est in zip(masked, _zero_frequencies(hist).tolist()):
+            key = _pooled_key(letters) if pi_mode else "".join(letters)
+            filed.setdefault(key, []).append(est)
     records = []
     for ops in targets:
         check_observable(ops, n)
-        variants = _distinct_permutations(ops) if pi_mode else [ops]
-        estimates = [
-            est
-            for hist in histograms
-            for variant in variants
-            if (est := _marginal_estimate(hist, variant)) is not None
-        ]
+        estimates = filed.get(_pooled_key(ops) if pi_mode else ops)
         if not estimates:
             raise ValueError(f"no measured setting can estimate observable {ops!r}")
         records.append(
@@ -409,8 +409,8 @@ def ingest_histograms(path) -> list[OutcomeHistogram]:
         try:
             hist = OutcomeHistogram(
                 setting=str(rec["setting"]),
-                counts={str(k): int(v) for k, v in rec["counts"].items()},
-                shots=int(rec["shots"]),
+                counts=dict(rec["counts"]),
+                shots=rec["shots"],
             )
             check_setting(hist.setting, n)
         except (ValueError, TypeError) as exc:

@@ -219,8 +219,11 @@ def test_metrics_rejects_a_file_that_is_not_a_state(tmp_path, ghz_file, side, co
             {"setting": "XX", "shots": 4, "counts": {"00": 4}},
             {"setting": "ZZ", "shots": 4, "counts": [4, 0, 0, 0]},
         ]}), "records[1]: 'counts' must be an object"),
+        (json.dumps({"n_qubits": 1, "records": [
+            {"setting": "Z", "shots": 2, "counts": {"0": 1.9, "1": 1.2}},
+        ]}), "records[0] (setting 'Z'): count 1.9 for outcome '0' is not a whole number"),
     ],
-    ids=["malformed", "empty-records", "records-object", "counts-list"],
+    ids=["malformed", "empty-records", "records-object", "counts-list", "fractional-count"],
 )
 def test_estimate_rejects_bad_histogram_file(tmp_path, content, fault):
     data = tmp_path / "hists.json"

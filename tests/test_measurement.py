@@ -1,5 +1,11 @@
+import itertools
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtomo.operators import pauli_string, projector
 from symtomo.statesim import ghz_state, werner_exact
@@ -245,6 +251,95 @@ def test_pi_mode_pooling_matches_manual_average():
     assert np.isclose(recs[0].frequency, np.mean(by_hand))
 
 
+def reference_frequencies(histograms, targets, pi_mode=False):
+    """The per-variant loop that counting replaced, kept as the reference.
+
+    Every distinct permutation of a target (in ``pi_mode``) is checked
+    against every histogram and marginalized over its outcome dict; a target
+    no histogram can estimate maps to None.
+    """
+    out = []
+    for ops in targets:
+        variants = sorted({"".join(p) for p in itertools.permutations(ops)}) if pi_mode else [ops]
+        estimates = []
+        for hist in histograms:
+            for variant in variants:
+                slots = [i for i, c in enumerate(variant) if c != "I"]
+                if any(hist.setting[i] != variant[i] for i in slots):
+                    continue
+                total = sum(
+                    count for outcome, count in hist.counts.items()
+                    if all(outcome[i] == "0" for i in slots)
+                )
+                estimates.append(float(total) / (1.0 if hist.shots is None else float(hist.shots)))
+        out.append(float(np.mean(estimates)) if estimates else None)
+    return out
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 5),
+    pi_mode=st.booleans(),
+    shots=st.sampled_from([None, 1, 7, 1000, 2, 64, 4096]),
+    data=st.data(),
+)
+def test_counting_matches_the_per_variant_loop(n, pi_mode, shots, data):
+    # few shots leave outcomes missing; the all-identity target is always asked
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pool = pi_settings(n) if pi_mode else full_settings(n)
+    measured = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    hists = sample_state(random_density(rng, 2**n), measured, shots, seed=rng)
+    targets = ["I" * n] + data.draw(st.lists(st.sampled_from(full_observables(n)), max_size=10))
+    want = reference_frequencies(hists, targets, pi_mode)
+    for ops in (t for t, f in zip(targets, want) if f is None):
+        with pytest.raises(ValueError, match="no measured setting can estimate"):
+            extract_frequencies(hists, [ops], pi_mode=pi_mode)
+    targets, want = zip(*((t, f) for t, f in zip(targets, want) if f is not None))
+    got = [r.frequency for r in extract_frequencies(hists, targets, pi_mode=pi_mode)]
+    if shots is not None and shots & (shots - 1) == 0:
+        assert got == list(want)  # every estimate and partial sum is exact in binary
+    else:
+        assert np.abs(np.subtract(got, want)).max() <= 1e-15
+
+
+def test_pooled_targets_in_any_spelling_share_one_estimate():
+    rng = np.random.default_rng(89)
+    hists = sample_state(random_density(rng, 8), pi_settings(3), 1000, seed=rng)
+    spellings = ["XYI", "IXY", "YIX"]
+    got = [r.frequency for r in extract_frequencies(hists, spellings, pi_mode=True)]
+    assert got == reference_frequencies(hists, spellings, pi_mode=True)
+    assert len(set(got)) == 1
+
+
+def twirl(rho, n):
+    """Average of P rho P^dag over every qubit permutation P."""
+    perms = list(itertools.permutations(range(n)))
+    tensor_rho = rho.reshape((2,) * (2 * n))
+    total = sum(tensor_rho.transpose(p + tuple(n + q for q in p)) for p in perms)
+    return total.reshape(rho.shape) / len(perms)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_pooled_analytic_frequencies_equal_traces_on_invariant_states(n, seed):
+    rho = twirl(random_density(np.random.default_rng(seed), 2**n), n)
+    hists = sample_state(rho, pi_settings(n), None)
+    for rec in extract_frequencies(hists, pi_observables(n), pi_mode=True):
+        assert abs(rec.frequency - np.trace(rec.projector @ rho).real) <= 1e-12
+
+
+@pytest.mark.parametrize("first_three", [False, True], ids=["two-first", "three-first"])
+def test_extract_rejects_histograms_of_differing_qubit_counts(first_three):
+    two = OutcomeHistogram("ZZ", {"00": 7, "11": 3}, 10)
+    three = OutcomeHistogram("ZZZ", {"000": 7, "111": 3}, 10)
+    if first_three:
+        hists, target, culprit = [three, two], "ZZI", "ZZ"
+    else:
+        hists, target, culprit = [two, three], "ZI", "ZZZ"
+    with pytest.raises(ValueError, match=f"setting '{culprit}' does not address"):
+        extract_frequencies(hists, [target], pi_mode=True)
+
+
 def test_unmeasured_records_have_projectors_only():
     recs = unmeasured_records(["XX", "YI"])
     assert all(not r.measured for r in recs)
@@ -341,6 +436,43 @@ def test_save_rejects_analytic_histograms(tmp_path):
     hists = sample_state(rho, ["ZZ"], None)
     with pytest.raises(ValueError):
         save_histograms(tmp_path / "x.json", hists)
+
+
+@settings(max_examples=30)
+@given(n=st.integers(1, 4), data=st.data())
+def test_histogram_json_round_trip_preserves_records(tmp_path_factory, n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    measured = data.draw(st.lists(st.sampled_from(full_settings(n)), min_size=1, max_size=5))
+    hists = [
+        sample_histogram(rng.dirichlet(np.ones(2**n)), data.draw(st.integers(1, 10**6)), rng, s)
+        for s in measured
+    ]
+    path = tmp_path_factory.mktemp("round-trip") / "hists.json"
+    save_histograms(path, hists)
+    again = ingest_histograms(path)
+    assert [(h.setting, h.shots, h.counts) for h in again] == [
+        (h.setting, h.shots, h.counts) for h in hists
+    ]
+
+
+@pytest.mark.parametrize(
+    "counts, shots, fault",
+    [
+        ({"0": 1.9, "1": 1.2}, 2, "count 1.9 for outcome '0' is not a whole number"),
+        ({"0": True, "1": 1}, 2, "count True for outcome '0' is not a whole number"),
+        ({"0": 2, "1": 1}, 2.5, "shots must be a positive integer, got 2.5"),
+        ({"0": 1}, True, "shots must be a positive integer, got True"),
+    ],
+    ids=["fractional-count", "boolean-count", "fractional-shots", "boolean-shots"],
+)
+def test_ingest_rejects_counts_that_are_not_whole(tmp_path, counts, shots, fault):
+    path = tmp_path / "hists.json"
+    path.write_text(json.dumps({"n_qubits": 1, "records": [
+        {"setting": "Z", "shots": 2, "counts": {"0": 2.0}},  # a whole float count loads
+        {"setting": "X", "shots": shots, "counts": counts},
+    ]}))
+    with pytest.raises(ValueError, match=re.escape(f"records[1] (setting 'X'): {fault}")):
+        ingest_histograms(path)
 
 
 def test_ingest_reports_bad_records(tmp_path):
