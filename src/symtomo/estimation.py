@@ -11,18 +11,23 @@ observables nobody measured, and an optional log-det barrier pulling the
 estimate toward full rank.  The program is solved over a Hermitian operator
 basis, rho = sum_i c_i S_i: a ``SymmetricBasis`` ("git" mode) or the full
 Pauli basis ("cvqt" mode, the same program with no symmetry restriction,
-practical up to six qubits).
+practical up to six qubits).  ``solve_maxlik`` instead minimizes the binomial
+negative log-likelihood -sum_i [f_i log p_i + (1 - f_i) log(1 - p_i)],
+p_i = tr(E_i rho), over the full Pauli basis.
 
-It is an l1 fit over a spectrahedron, solved exactly by the log-barrier
-method (Boyd & Vandenberghe, Convex Optimization, ch. 11).  Each term a|e|
-becomes a*t - mu*log(t^2 - e^2) with the slack t eliminated in closed form,
-positivity becomes -mu*log det rho and merges with the gamma term, and damped
-Newton steps on the real coefficients, with the trace-one row in the KKT
-system, centre the sum for a decreasing sequence of mu.  The solve starts
-from I/d, which is strictly feasible for every basis.  At a centred point the
-duality gap is at most mu*(2m + d) (m measured records, d = 2^n), so
-``converged`` certifies that the objective is within ``objective_tolerance``
-(relative) of the optimum.
+Every estimator runs the same log-barrier Newton method (Boyd & Vandenberghe,
+Convex Optimization, ch. 11) on its own data term, a convex function of the
+predictions D c on the design rows.  Positivity becomes -mu*log det rho and
+merges with the gamma term, and damped Newton steps on the real coefficients,
+with the trace-one row in the KKT system, centre the sum for a decreasing
+sequence of mu.  In the relative-error term each a|e| becomes
+a*t - mu*log(t^2 - e^2), with the slack t eliminated in closed form; the
+log-likelihood is a sum of logs of affine functions and needs no slack.  The
+solve starts from I/d, which is strictly feasible for every basis.  At a
+centred point the duality gap is at most mu*(b + d), with d = 2^n and b the
+data term's barrier parameter (2m for m measured records, 0 for the
+likelihood), so ``converged`` certifies that the objective is within
+``objective_tolerance`` (relative) of the optimum.
 
 The log-det terms never form the d x d state: both built-in symmetry algebras
 are block diagonal in the total-spin decomposition, so rho is held as one
@@ -33,8 +38,7 @@ sum_a mult_a |U_ak|^2, and with it log det rho, its gradient and its Hessian.
 The full Pauli basis and custom symmetries get the identity as a single block
 of multiplicity one, i.e. the dense computation, through the same code.
 
-``solve_maxlik`` provides the classical iterative maximum-likelihood baseline
-and ``linear_inversion`` the plain least-squares fit (no positivity
+``linear_inversion`` is the plain least-squares fit (no positivity
 guarantee), which tests use as an independent reference.
 """
 
@@ -59,18 +63,18 @@ _LINESEARCH_MAX_TRIALS = 60
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Hyperparameters of the variational estimator.
+    """Hyperparameters of the estimators.
 
     alpha/beta/gamma weight the data term, the unmeasured-mass term and the
-    barrier; alpha = beta = 1 with gamma = 0 is the plain relative-error
-    program, and the default gamma = 1e-3 adds a weak full-rank pull.
+    barrier of the variational estimator; alpha = beta = 1 with gamma = 0 is
+    the plain relative-error program, and the default gamma = 1e-3 adds a
+    weak full-rank pull.  ``solve_maxlik`` does not use them.
     ``frequency_floor`` is the eps in the relative weights.
-    ``max_iterations`` caps the Newton steps of the variational solve (the
-    fixed-point steps of ``solve_maxlik``), and ``objective_tolerance`` is
-    the relative duality gap at which it reports ``converged``.
-    ``feasibility_tolerance`` is used only by ``solve_maxlik``.  ``restarts``
-    and ``seed`` are accepted, so that saved sweep configs still load, and
-    ignored: the program is convex and every solve starts once, from I/d.
+    ``max_iterations`` caps the Newton steps of every estimator's solve, and
+    ``objective_tolerance`` is the relative duality gap at which it reports
+    ``converged``.  ``feasibility_tolerance``, ``restarts`` and ``seed`` are
+    accepted, so that saved sweep configs still load, and ignored: every
+    solve is one barrier Newton solve from I/d that stops on its gap.
     """
 
     alpha: float = 1.0
@@ -143,18 +147,16 @@ def _split_records(records):
     return measured, unmeasured
 
 
-def _record_arrays(records, dim, config):
+def _record_rows(records, elements):
+    """Design rows and frequencies of the measured records, and the summed row of the unmeasured ones."""
     measured, unmeasured = _split_records(records)
-    proj = np.stack([r.projector for r in measured])
+    dim = elements.shape[1]
+    proj = np.stack([r.projector for r in measured + unmeasured])
     if proj.shape[1:] != (dim, dim):
         raise ValueError(f"record projectors have shape {proj.shape[1:]}, expected ({dim}, {dim})")
     freq = np.array([r.frequency for r in measured], dtype=float)
-    weight = 1.0 / np.maximum(np.abs(freq), config.frequency_floor)
-    if unmeasured:
-        unmeasured_sum = np.sum([r.projector for r in unmeasured], axis=0)
-    else:
-        unmeasured_sum = np.zeros((dim, dim), dtype=complex)
-    return proj, freq, weight, unmeasured_sum
+    rows = _design_matrix(proj, elements)
+    return rows[:len(measured)], freq, rows[len(measured):].sum(axis=0)
 
 
 def _design_matrix(proj: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -177,7 +179,7 @@ def _warn_if_rank_deficient(design: np.ndarray, traces: np.ndarray) -> None:
     if rank < traces.size:
         warnings.warn(
             f"measurement map is rank deficient ({rank} < {traces.size}); "
-            "the data do not determine every coefficient",
+            "the data do not determine every coefficient, so the estimate may be non-unique",
             stacklevel=4,
         )
 
@@ -216,16 +218,14 @@ def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | No
             raise ValueError(f"basis dimension {basis.dim} does not match dim {dim}")
     else:
         elements = _hermitian_basis(num_qubits(dim))
-    proj = np.stack([r.projector for r in measured])
-    freq = np.array([r.frequency for r in measured], dtype=float)
-    design = _design_matrix(proj, elements)
+    design, freq, _ = _record_rows(measured, elements)
     coeff = _trace_one_lstsq(design, freq, elements)
     rho = np.einsum("i,iab->ab", coeff, elements)
     return 0.5 * (rho + rho.conj().T)
 
 
 # ---------------------------------------------------------------------------
-# the variational estimator
+# the estimators
 # ---------------------------------------------------------------------------
 
 def solve_vqt(problem: EstimationProblem, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
@@ -240,11 +240,9 @@ def solve_vqt(problem: EstimationProblem, config: EstimatorConfig = EstimatorCon
     """
     basis = problem.basis
     if basis is None:
-        elements = _hermitian_basis(num_qubits(problem.dim))
-        blocks = SpinBlocks(np.eye(problem.dim), (problem.dim,), (1,))
-        return _solve(problem.records, elements, blocks, config, "cvqt")
+        return _estimate(problem.records, *_full_space(problem.dim), config, "cvqt")
     blocks = spin_blocks(basis.n_qubits, basis.kind)
-    return _solve(problem.records, basis.elements, blocks, config, "git")
+    return _estimate(problem.records, basis.elements, blocks, config, "git")
 
 
 def solve_git(records, basis: SymmetricBasis, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
@@ -257,34 +255,138 @@ def solve_cvqt(records, dim: int, config: EstimatorConfig = EstimatorConfig()) -
     return solve_vqt(problem, config)
 
 
-def _exact_objective(rho, proj, freq, weight, unmeasured_sum, config):
-    pred = np.real(np.einsum("mab,ab->m", proj.conj(), rho))
-    delta = np.abs(pred - freq) * weight
-    value = config.alpha * float(delta.sum())
-    value += config.beta * float(np.vdot(unmeasured_sum, rho).real)
-    if config.gamma > 0.0:
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs[0] <= 0.0:
-            return np.inf, delta
-        value -= config.gamma * float(np.log(eigs).sum())
-    return value, delta
+def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
+    """Maximum likelihood over the full state space (up to six qubits).
+
+    Each measured record is a two-outcome experiment {E_i, I - E_i} with
+    success frequency f_i.  The barrier Newton solve of ``solve_vqt`` maximizes
+    sum_i [f_i log p_i + (1 - f_i) log(1 - p_i)], p_i = tr(E_i rho), and
+    ``objective`` is its negative.  Unmeasured records are ignored.  Warns when
+    the records are not informationally complete: the maximum may be non-unique.
+    """
+    measured, _ = _split_records(records)
+    return _estimate(measured, *_full_space(measured[0].projector.shape[0]), config, "maxlik")
 
 
-def _finalize(rho, proj, freq, weight, unmeasured_sum, config, iters, converged, mode):
+def _full_space(dim: int):
+    """The full Pauli basis, with the identity as its one block."""
+    return _hermitian_basis(num_qubits(dim)), SpinBlocks(np.eye(dim), (dim,), (1,))
+
+
+def _estimate(records, elements: np.ndarray, blocks: SpinBlocks, config: EstimatorConfig,
+              mode: str) -> EstimationResult:
+    """Solve ``mode``'s program over the real coefficients of the Hermitian basis ``elements``.
+
+    ``blocks`` is a block decomposition of the algebra the elements span, for
+    the log-det terms; a single identity block stands for no decomposition.
+    """
+    design, freq, unmeasured_row = _record_rows(records, elements)
+    traces = _element_traces(elements)
+    _warn_if_rank_deficient(design, traces)
+    weight = 1.0 / np.maximum(np.abs(freq), config.frequency_floor)
+    if mode == "maxlik":
+        term = _Likelihood.of(design, freq, traces)
+    else:
+        term = _RelativeError(np.vstack([design, unmeasured_row]), freq, config.alpha * weight,
+                              config.beta, config.gamma)
+    c, objective, iterations, converged = _barrier_newton(term, elements, traces, blocks, config)
+    rho = np.einsum("i,iab->ab", c, elements)
     rho = 0.5 * (rho + rho.conj().T)
-    objective, delta = _exact_objective(rho, proj, freq, weight, unmeasured_sum, config)
-    eigs = np.linalg.eigvalsh(rho)
-    feas = max(abs(float(np.trace(rho).real) - 1.0), max(0.0, -float(eigs[0])))
+    lowest = float(np.linalg.eigvalsh(rho)[0])
     return EstimationResult(
         rho_hat=rho,
         objective=float(objective),
-        delta=delta,
-        feasibility_residual=feas,
-        iterations=iters,
+        delta=np.abs(design @ c - freq) * weight,
+        feasibility_residual=max(abs(float(np.trace(rho).real) - 1.0), -lowest, 0.0),
+        iterations=iterations,
         converged=converged,
         mode=mode,
     )
 
+
+# ---------------------------------------------------------------------------
+# the data terms
+# ---------------------------------------------------------------------------
+#
+# A data term is a convex function of the predictions p = D c on its design
+# rows D.  It gives its exact ``objective``, the data part of the centring
+# ``value`` for barrier weight mu (inf outside its domain), and the
+# ``weights`` g and w of its gradient D^T g and Hessian D^T diag(w) D.
+# ``gamma`` adds -gamma log det rho to the objective, and at a centred point
+# the duality gap is at most mu * (``barrier_parameter`` + d).
+
+class _RelativeError(NamedTuple):
+    """sum_m a_m |p_m - f_m| + beta tr(U rho), U the sum of the unmeasured projectors.
+
+    The last design row is that of U.  In the barrier each a|e| becomes
+    a*t - mu*log(t^2 - e^2), with the slack t eliminated in closed form.
+    """
+
+    design: np.ndarray
+    freq: np.ndarray
+    slope: np.ndarray  # alpha / max(|f|, eps)
+    beta: float
+    gamma: float
+
+    @property
+    def barrier_parameter(self) -> int:
+        return 2 * self.freq.size
+
+    def objective(self, pred):
+        return self.slope @ np.abs(pred[:-1] - self.freq) + self.beta * pred[-1]
+
+    def value(self, pred, mu):
+        width = mu / self.slope
+        t = width + np.hypot(width, pred[:-1] - self.freq)
+        # t^2 - e^2 = 2 t mu / a at the optimal slack
+        return self.slope @ t - mu * np.log(2.0 * width * t).sum() + self.beta * pred[-1]
+
+    def weights(self, pred, mu):
+        resid = pred[:-1] - self.freq
+        width = mu / self.slope
+        root = np.hypot(width, resid)
+        t = width + root
+        return np.append(self.slope * resid / t, self.beta), np.append(mu / (root * t), 0.0)
+
+
+class _Likelihood(NamedTuple):
+    """The binomial negative log-likelihood -sum_k n_k log p_k over outcomes k.
+
+    Record m contributes the outcomes E_m, with count f_m, and I - E_m, with
+    count 1 - f_m; each has its own design row.  An identity record has
+    p = 1 for every state, so it carries no likelihood and is left out, and
+    so is every outcome of zero count.
+    """
+
+    design: np.ndarray
+    counts: np.ndarray
+    gamma = 0.0
+    barrier_parameter = 0
+
+    @classmethod
+    def of(cls, design: np.ndarray, freq: np.ndarray, traces: np.ndarray) -> "_Likelihood":
+        complement = traces - design  # rows of I - E
+        informative = np.linalg.norm(complement, axis=1) > 1e-9 * np.linalg.norm(traces)
+        rows = np.vstack([design[informative], complement[informative]])
+        counts = np.concatenate([freq[informative], 1.0 - freq[informative]])
+        return cls(rows[counts > 0.0], counts[counts > 0.0])
+
+    def objective(self, pred):
+        if not np.all(pred > 0.0):
+            return np.inf
+        return -(self.counts @ np.log(pred))
+
+    def value(self, pred, mu):
+        return self.objective(pred)
+
+    def weights(self, pred, mu):
+        share = self.counts / pred
+        return -share, share / pred
+
+
+# ---------------------------------------------------------------------------
+# the barrier Newton solve
+# ---------------------------------------------------------------------------
 
 class _BlockMaps(NamedTuple):
     """Coefficient maps through the block compression of a basis's algebra.
@@ -368,50 +470,34 @@ def _newton_direction(hess, grad, traces, trace_residual):
     return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:r] * scale
 
 
-def _solve(records, elements: np.ndarray, blocks: SpinBlocks, config: EstimatorConfig,
-           mode: str) -> EstimationResult:
-    """Log-barrier Newton solve over the real coefficients of the Hermitian basis ``elements``.
+def _barrier_newton(term, elements: np.ndarray, traces: np.ndarray, blocks: SpinBlocks,
+                    config: EstimatorConfig):
+    """Minimize a data term minus gamma log det rho over the states rho = sum_i c_i S_i.
 
-    ``blocks`` is a block decomposition of the algebra the elements span, for
-    the log-det terms; a single identity block stands for no decomposition.
+    Returns the coefficients, the objective there, the Newton steps taken and
+    whether the duality gap was certified below the tolerance.
     """
-    proj, freq, weight, unmeasured_sum = _record_arrays(records, elements.shape[1], config)
-    design = _design_matrix(proj, elements)
-    traces = _element_traces(elements)
-    _warn_if_rank_deficient(design, traces)
-    unmeasured_row = config.beta * np.real(
-        np.einsum("ab,iab->i", unmeasured_sum.conj(), elements)
-    )
+    design = term.design
     maps = _BlockMaps.of(elements, blocks)
-    slope = config.alpha * weight
-    gap_per_mu = 2 * freq.size + elements.shape[1]  # the barrier parameter 2m + d
+    gap_per_mu = term.barrier_parameter + elements.shape[1]
 
     def objective(c):
         vals, _, mult = maps.spectrum(c)
-        return (slope @ np.abs(design @ c - freq) + unmeasured_row @ c
-                - config.gamma * (mult @ np.log(vals)))
+        return term.objective(design @ c) - term.gamma * (mult @ np.log(vals))
 
     def centring_value(c, mu):
-        """The barrier objective with the slacks eliminated; inf outside the PSD cone."""
+        """The barrier objective; inf outside the PSD cone and the data term's domain."""
         vals, _, mult = maps.spectrum(c)
         if vals[0] <= 0.0:
             return np.inf
-        width = mu / slope
-        t = width + np.hypot(width, design @ c - freq)
-        # t^2 - e^2 = 2 t mu / a at the optimal slack
-        return (slope @ t - mu * np.log(2.0 * width * t).sum() + unmeasured_row @ c
-                - (config.gamma + mu) * (mult @ np.log(vals)))
+        return term.value(design @ c, mu) - (term.gamma + mu) * (mult @ np.log(vals))
 
     def centring_derivatives(c, mu):
         vals, vecs, _ = maps.spectrum(c)
-        resid = design @ c - freq
-        width = mu / slope
-        root = np.hypot(width, resid)
-        t = width + root
-        grad = (design.T @ (slope * resid / t) + unmeasured_row
-                - (config.gamma + mu) * maps.coefficients(1.0 / vals, vecs))
-        hess = (design.T @ ((mu / (root * t))[:, None] * design)
-                + (config.gamma + mu) * maps.logdet_hessian(vals, vecs))
+        g, w = term.weights(design @ c, mu)
+        grad = design.T @ g - (term.gamma + mu) * maps.coefficients(1.0 / vals, vecs)
+        hess = (design.T @ (w[:, None] * design)
+                + (term.gamma + mu) * maps.logdet_hessian(vals, vecs))
         return grad, hess
 
     c = traces / elements.shape[1]  # I/d
@@ -446,91 +532,4 @@ def _solve(records, elements: np.ndarray, blocks: SpinBlocks, config: EstimatorC
             break
         c, value = trial, trial_value
         iterations += 1
-    rho = np.einsum("i,iab->ab", c, elements)
-    return _finalize(rho, proj, freq, weight, unmeasured_sum, config, iterations, converged, mode)
-
-
-# ---------------------------------------------------------------------------
-# iterative maximum likelihood
-# ---------------------------------------------------------------------------
-
-def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
-    """Diluted iterative maximum likelihood over the full state space.
-
-    Each measured record contributes a two-outcome experiment {E_i, 1 - E_i}
-    with success frequency f_i, so the update operator R is the standard
-    likelihood-gradient kernel and the combined outcome set is a rescaled
-    POVM.  Steps are diluted (shrunk toward the identity) whenever a full
-    R rho R step would lower the likelihood.  Unmeasured records are ignored.
-    Emits a warning when the records are not informationally complete.
-    """
-    measured, _ = _split_records(records)
-    dim = measured[0].projector.shape[0]
-    proj = np.stack([r.projector for r in measured])
-    freq = np.array([r.frequency for r in measured], dtype=float)
-    m = len(measured)
-
-    flat = np.concatenate([proj.reshape(m, -1), np.eye(dim).reshape(1, -1)])
-    rank = int(np.linalg.matrix_rank(flat, tol=1e-9))
-    if rank < dim * dim:
-        warnings.warn(
-            f"records span only {rank} of {dim * dim} operator dimensions; "
-            "maximum-likelihood solution may be non-unique",
-            stacklevel=2,
-        )
-
-    eye = np.eye(dim, dtype=complex)
-
-    def loglik(p):
-        p = np.clip(p, 1e-12, 1.0 - 1e-12)
-        return float(freq @ np.log(p) + (1.0 - freq) @ np.log1p(-p))
-
-    def kernel(p):
-        p = np.clip(p, 1e-12, 1.0 - 1e-12)
-        pos = freq / p
-        neg = (1.0 - freq) / (1.0 - p)
-        r_op = np.einsum("m,mab->ab", pos - neg, proj) + neg.sum() * eye
-        return r_op / m
-
-    rho = eye / dim
-    pred = np.real(np.einsum("mab,ab->m", proj.conj(), rho))
-    current = loglik(pred)
-    iterations = 0
-    converged = False
-    residual = np.inf
-    for iterations in range(1, config.max_iterations + 1):
-        r_op = kernel(pred)
-        r_op = 0.5 * (r_op + r_op.conj().T)
-        pure = r_op @ rho @ r_op
-        residual = float(np.max(np.abs(pure / np.trace(pure).real - rho)))
-        if residual < config.feasibility_tolerance:
-            converged = True
-            break
-        scale = 1.0
-        improved = False
-        for _ in range(30):
-            mix = (1.0 - scale) * eye + scale * r_op
-            cand = mix @ rho @ mix.conj().T
-            cand = cand / np.trace(cand).real
-            cand_pred = np.real(np.einsum("mab,ab->m", proj.conj(), cand))
-            cand_ll = loglik(cand_pred)
-            if cand_ll > current - 1e-15:
-                rho, pred, current = cand, cand_pred, cand_ll
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            converged = True
-            break
-
-    rho = 0.5 * (rho + rho.conj().T)
-    delta = np.abs(pred - freq) / np.maximum(np.abs(freq), config.frequency_floor)
-    return EstimationResult(
-        rho_hat=rho,
-        objective=-current,
-        delta=delta,
-        feasibility_residual=residual,
-        iterations=iterations,
-        converged=converged,
-        mode="maxlik",
-    )
+    return c, objective(c), iterations, converged

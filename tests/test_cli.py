@@ -266,6 +266,7 @@ def test_estimate_maxlik_mode(tmp_path, ghz_file):
     assert run("estimate", "--data", hists, "--mode", "maxlik", "--out", est) == 0
     payload = json.loads(est.read_text())
     assert payload["mode"] == "maxlik"
+    assert payload["converged"] is True
     rho_hat = matrix_from_json(payload["rho_hat"])
     assert fidelity(rho_hat, projector(ghz_state(2))) > 0.95
 

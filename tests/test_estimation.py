@@ -428,6 +428,66 @@ def test_maxlik_warns_under_complete():
         solve_maxlik(recs)
 
 
+def likelihood_gap_bound(records, rho):
+    """m (lambda_max(R) - 1): how far any state's log-likelihood can lie above rho's.
+
+    R = (1/m) sum_m [f/p E + (1 - f)/(1 - p) (I - E)] over the m non-identity
+    records, p = tr(E rho), is the gradient of the normalized log-likelihood
+    and has tr(R rho) = 1, so concavity bounds the gap of
+    sum_m [f log p + (1 - f) log(1 - p)] by m (lambda_max(R) - 1)
+    (Glancy, Knill & Girard, NJP 14, 095017 (2012)).
+    """
+    informative = [r for r in records if r.measured and r.ops.strip("I")]
+    eye = np.eye(rho.shape[0])
+    r_op = 0.0
+    for rec in informative:
+        p = float(np.real(np.vdot(rec.projector, rho)))
+        f = rec.frequency
+        r_op = r_op + f / p * rec.projector + (1.0 - f) / (1.0 - p) * (eye - rec.projector)
+    m = len(informative)
+    return m * (np.linalg.eigvalsh(r_op / m)[-1] - 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_maxlik_meets_the_likelihood_gap_bound(n):
+    rho = depolarize_all(projector(ghz_state(n)), 0.05)
+    hists = sample_state(rho, full_settings(n), 4096, seed=n)
+    recs = extract_frequencies(hists, full_observables(n))
+    result = solve_maxlik(recs)
+    gap = likelihood_gap_bound(recs, result.rho_hat)
+    assert result.converged
+    assert -1e-9 <= gap <= 1e-6 * max(1.0, abs(result.objective))
+
+
+ESTIMATORS = {
+    "git": lambda hists, cfg: solve_git(
+        extract_frequencies(hists, pi_observables(2), pi_mode=True),
+        cached_basis(2, "permutation"), cfg),
+    "cvqt": lambda hists, cfg: solve_cvqt(extract_frequencies(hists, full_observables(2)), 4, cfg),
+    "maxlik": lambda hists, cfg: solve_maxlik(extract_frequencies(hists, full_observables(2)), cfg),
+}
+
+
+@settings(max_examples=15)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    level=st.floats(0.0, 0.5),
+    shots=st.sampled_from([16, 256, 4096]),
+    gamma=st.sampled_from([0.0, 1e-3]),
+)
+def test_every_estimator_returns_a_density_matrix(seed, level, shots, gamma):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    rho = depolarize_all(projector(psi / np.linalg.norm(psi)), level)
+    hists = sample_state(rho, full_settings(2), shots, seed=seed)
+    for mode, fit in ESTIMATORS.items():
+        est = fit(hists, EstimatorConfig(gamma=gamma)).rho_hat
+        assert np.array_equal(est, est.conj().T), mode
+        assert abs(np.trace(est).real - 1.0) <= 1e-10, mode
+        assert np.linalg.eigvalsh(est)[0] >= 0.0, mode
+        fidelity(est, rho)
+
+
 # ---------------------------------------------------------------------------
 # sampled-data fidelity floor (single representative instance)
 # ---------------------------------------------------------------------------
