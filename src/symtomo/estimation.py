@@ -18,11 +18,14 @@ p_i = tr(E_i rho), over the full Pauli basis.
 Every estimator runs the same log-barrier Newton method (Boyd & Vandenberghe,
 Convex Optimization, ch. 11) on its own data term, a convex function of the
 predictions D c on the design rows.  Positivity becomes -mu*log det rho and
-merges with the gamma term, and damped Newton steps on the real coefficients,
-with the trace-one row in the KKT system, centre the sum for a decreasing
-sequence of mu.  In the relative-error term each a|e| becomes
-a*t - mu*log(t^2 - e^2), with the slack t eliminated in closed form; the
-log-likelihood is a sum of logs of affine functions and needs no slack.  The
+merges with the gamma term, and damped Newton steps on the real coefficients
+centre the sum for a decreasing sequence of mu.  Each step keeps tr(rho) = 1
+by the null-space method: the Hessian is reduced to the r - 1 directions that
+leave the trace unchanged and factored by Cholesky, with an eigendecomposition
+only where Cholesky finds it singular to working precision.  In the
+relative-error term each a|e| becomes a*t - mu*log(t^2 - e^2), with the
+slack t eliminated in closed form; the log-likelihood is a sum of logs of
+affine functions and needs no slack.  The
 solve starts from I/d, which is strictly feasible for every basis.  At a
 centred point the duality gap is at most mu*(b + d), with d = 2^n and b the
 data term's barrier parameter (2m for m measured records, 0 for the
@@ -180,8 +183,17 @@ def _warn_if_rank_deficient(design: np.ndarray, traces: np.ndarray) -> None:
         warnings.warn(
             f"measurement map is rank deficient ({rank} < {traces.size}); "
             "the data do not determine every coefficient, so the estimate may be non-unique",
+            # the caller of the public estimator, which calls _estimate or
+            # _trace_one_lstsq itself, never another public estimator
             stacklevel=4,
         )
+
+
+def _trace_tangent(traces: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the null space of the trace row: the coefficient
+    directions that leave tr(rho) unchanged."""
+    _, _, vh = np.linalg.svd(traces.reshape(1, -1))
+    return vh[1:].T
 
 
 def _trace_one_lstsq(design: np.ndarray, target: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -192,12 +204,10 @@ def _trace_one_lstsq(design: np.ndarray, target: np.ndarray, elements: np.ndarra
     """
     traces = _element_traces(elements)
     base = traces / (traces @ traces)
-    _, _, vh = np.linalg.svd(traces.reshape(1, -1))
-    perp = vh[1:]  # orthonormal rows spanning the trace-constraint tangent
-    reduced = design @ perp.T
-    z, *_ = np.linalg.lstsq(reduced, target - design @ base, rcond=None)
+    tangent = _trace_tangent(traces)
+    z, *_ = np.linalg.lstsq(design @ tangent, target - design @ base, rcond=None)
     _warn_if_rank_deficient(design, traces)
-    return base + perp.T @ z
+    return base + tangent @ z
 
 
 def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | None = None) -> np.ndarray:
@@ -238,21 +248,17 @@ def solve_vqt(problem: EstimationProblem, config: EstimatorConfig = EstimatorCon
     started from I/d; ``iterations`` counts its Newton steps and
     ``converged`` says that its duality gap fell below the tolerance.
     """
-    basis = problem.basis
-    if basis is None:
+    if problem.basis is None:
         return _estimate(problem.records, *_full_space(problem.dim), config, "cvqt")
-    blocks = spin_blocks(basis.n_qubits, basis.kind)
-    return _estimate(problem.records, basis.elements, blocks, config, "git")
+    return _estimate(problem.records, *_symmetric_space(problem.basis), config, "git")
 
 
 def solve_git(records, basis: SymmetricBasis, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
-    problem = EstimationProblem(records=tuple(records), basis=basis, dim=basis.dim)
-    return solve_vqt(problem, config)
+    return _estimate(tuple(records), *_symmetric_space(basis), config, "git")
 
 
 def solve_cvqt(records, dim: int, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
-    problem = EstimationProblem(records=tuple(records), basis=None, dim=dim)
-    return solve_vqt(problem, config)
+    return _estimate(tuple(records), *_full_space(dim), config, "cvqt")
 
 
 def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
@@ -266,6 +272,11 @@ def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> Estima
     """
     measured, _ = _split_records(records)
     return _estimate(measured, *_full_space(measured[0].projector.shape[0]), config, "maxlik")
+
+
+def _symmetric_space(basis: SymmetricBasis):
+    """A symmetric basis, with its spin-block decomposition."""
+    return basis.elements, spin_blocks(basis.n_qubits, basis.kind)
 
 
 def _full_space(dim: int):
@@ -448,26 +459,32 @@ class _BlockMaps(NamedTuple):
         return flat @ flat.T
 
 
-def _newton_direction(hess, grad, traces, trace_residual):
-    """Solve the KKT system [[H, tau], [tau^T, 0]] [dc; nu] = [-g; trace_residual] for dc.
+def _newton_direction(hess, grad, traces, trace_residual, tangent):
+    """Newton step dc: minimize g.dc + dc.H.dc / 2 subject to traces.dc = trace_residual.
 
-    Jacobi-scaled least squares: as mu -> 0 the system becomes singular to
-    working precision wherever the data leave coefficients unpinned, and the
-    least-squares solution stays finite there.  The part of g along the
-    trace row only moves nu, so it is taken out first: a large nu would
-    swamp dc with its roundoff.
+    Null-space method (Boyd & Vandenberghe, Convex Optimization, sec. 10.4.2):
+    with c0 = traces * trace_residual / |traces|^2, which restores the trace,
+    and ``tangent`` P, whose orthonormal columns span the directions that
+    keep it, the step is c0 + P dz with (P^T H P) dz = -P^T (g + H c0).  The
+    reduced matrix is Jacobi-scaled by its own diagonal and factored by
+    Cholesky.  As mu -> 0 it can become singular to working precision where
+    the data leave coefficients unpinned; only when Cholesky fails is it
+    solved through its eigendecomposition instead, dropping the eigenvalues
+    at or below (r - 1) eps lambda_max, the cut-off of ``np.linalg.lstsq``.
     """
-    scale = 1.0 / np.sqrt(np.diag(hess))
-    row = traces * scale
-    row_norm = np.linalg.norm(row)
-    row /= row_norm
-    r = grad.size
-    kkt = np.zeros((r + 1, r + 1))
-    kkt[:r, :r] = hess * np.outer(scale, scale)
-    kkt[:r, r] = kkt[r, :r] = row
-    rhs = -grad * scale
-    rhs = np.append(rhs - row * (row @ rhs), trace_residual / row_norm)
-    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:r] * scale
+    base = traces * (trace_residual / (traces @ traces))
+    reduced = tangent.T @ hess @ tangent
+    scale = 1.0 / np.sqrt(np.diag(reduced))
+    reduced *= np.outer(scale, scale)
+    rhs = -(tangent.T @ (grad + hess @ base)) * scale
+    try:
+        np.linalg.cholesky(reduced)
+        dz = np.linalg.solve(reduced, rhs)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(reduced)
+        keep = vals > rhs.size * np.finfo(float).eps * vals[-1]
+        dz = vecs[:, keep] @ ((rhs @ vecs[:, keep]) / vals[keep])
+    return base + tangent @ (dz * scale)
 
 
 def _barrier_newton(term, elements: np.ndarray, traces: np.ndarray, blocks: SpinBlocks,
@@ -479,21 +496,23 @@ def _barrier_newton(term, elements: np.ndarray, traces: np.ndarray, blocks: Spin
     """
     design = term.design
     maps = _BlockMaps.of(elements, blocks)
+    tangent = _trace_tangent(traces)
     gap_per_mu = term.barrier_parameter + elements.shape[1]
 
-    def objective(c):
-        vals, _, mult = maps.spectrum(c)
+    # ``spectrum`` is maps.spectrum(c), computed once per point and shared by all three
+    def objective(c, spectrum):
+        vals, _, mult = spectrum
         return term.objective(design @ c) - term.gamma * (mult @ np.log(vals))
 
-    def centring_value(c, mu):
+    def centring_value(c, spectrum, mu):
         """The barrier objective; inf outside the PSD cone and the data term's domain."""
-        vals, _, mult = maps.spectrum(c)
+        vals, _, mult = spectrum
         if vals[0] <= 0.0:
             return np.inf
         return term.value(design @ c, mu) - (term.gamma + mu) * (mult @ np.log(vals))
 
-    def centring_derivatives(c, mu):
-        vals, vecs, _ = maps.spectrum(c)
+    def centring_derivatives(c, spectrum, mu):
+        vals, vecs, _ = spectrum
         g, w = term.weights(design @ c, mu)
         grad = design.T @ g - (term.gamma + mu) * maps.coefficients(1.0 / vals, vecs)
         hess = (design.T @ (w[:, None] * design)
@@ -501,20 +520,21 @@ def _barrier_newton(term, elements: np.ndarray, traces: np.ndarray, blocks: Spin
         return grad, hess
 
     c = traces / elements.shape[1]  # I/d
+    spectrum = maps.spectrum(c)
     # the first stage's gap bound is the objective at the start
-    mu = max(1.0, objective(c)) / gap_per_mu
-    value = centring_value(c, mu)
+    mu = max(1.0, objective(c, spectrum)) / gap_per_mu
+    value = centring_value(c, spectrum, mu)
     iterations = 0
     converged = False
     while True:
-        grad, hess = centring_derivatives(c, mu)
-        step = _newton_direction(hess, grad, traces, 1.0 - traces @ c)
+        grad, hess = centring_derivatives(c, spectrum, mu)
+        step = _newton_direction(hess, grad, traces, 1.0 - traces @ c, tangent)
         if 0.5 * step @ hess @ step <= _CENTRED:
-            if mu * gap_per_mu <= config.objective_tolerance * max(1.0, abs(objective(c))):
+            if mu * gap_per_mu <= config.objective_tolerance * max(1.0, abs(objective(c, spectrum))):
                 converged = True
                 break
             mu /= _MU_SHRINK
-            value = centring_value(c, mu)
+            value = centring_value(c, spectrum, mu)
             continue
         if iterations == config.max_iterations:
             break
@@ -524,12 +544,14 @@ def _barrier_newton(term, elements: np.ndarray, traces: np.ndarray, blocks: Spin
         length = 1.0
         for _ in range(_LINESEARCH_MAX_TRIALS):
             trial = c + length * step
-            trial_value = centring_value(trial, mu)
-            if trial_value <= value + length * decrease:
+            trial_spectrum = maps.spectrum(trial)
+            trial_value = centring_value(trial, trial_spectrum, mu)
+            # strict: next to a large value, length * decrease can round away
+            if trial_value < value and trial_value <= value + length * decrease:
                 break
             length *= 0.5
         else:
             break
-        c, value = trial, trial_value
+        c, spectrum, value = trial, trial_spectrum, trial_value
         iterations += 1
-    return c, objective(c), iterations, converged
+    return c, objective(c, spectrum), iterations, converged

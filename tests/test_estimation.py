@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtomo.operators import projector
+from symtomo.operators import assert_density_matrix, projector
 from symtomo.statesim import apply_channel, ghz_state, werner_exact
 from symtomo.symmetry import SymmetrySpec, compute_commutant_basis, spin_blocks, symmetrize
 from symtomo.measurement import (
@@ -32,6 +32,8 @@ from symtomo.estimation import (
     EstimatorConfig,
     _BlockMaps,
     _hermitian_basis,
+    _newton_direction,
+    _trace_tangent,
     linear_inversion,
     solve_cvqt,
     solve_git,
@@ -84,19 +86,35 @@ def test_linear_inversion_matches_symmetric_route():
 # collective basis is fully pinned by them, so it cannot show the warning)
 RANK_DEFICIENT_FITS = {
     "linear_inversion": lambda recs: linear_inversion(recs),
+    "solve_vqt": lambda recs: solve_vqt(EstimationProblem(tuple(recs), None, 4), ANALYTIC).rho_hat,
     "solve_cvqt": lambda recs: solve_cvqt(recs, 4, ANALYTIC).rho_hat,
     "solve_git": lambda recs: solve_git(recs, cached_basis(2, "permutation"), ANALYTIC).rho_hat,
+    "solve_maxlik": lambda recs: solve_maxlik(recs).rho_hat,
 }
+
+
+def zz_only_records():
+    hists = sample_state(werner_exact(0.51), ["ZZ"], None)
+    return extract_frequencies(hists, ["ZZ", "ZI", "IZ", "II"])
 
 
 @pytest.mark.parametrize("fit", sorted(RANK_DEFICIENT_FITS))
 def test_linear_inversion_warns_when_rank_deficient(fit):
-    rho = werner_exact(0.51)
-    hists = sample_state(rho, ["ZZ"], None)
-    recs = extract_frequencies(hists, ["ZZ", "ZI", "IZ", "II"])
     with pytest.warns(UserWarning, match="rank deficient"):
-        est = RANK_DEFICIENT_FITS[fit](recs)
+        est = RANK_DEFICIENT_FITS[fit](zz_only_records())
     assert np.isclose(np.trace(est).real, 1.0)
+
+
+@pytest.mark.parametrize("fit", sorted(RANK_DEFICIENT_FITS))
+def test_rank_warning_points_at_the_caller(fit):
+    # a filter on the caller's module must catch it, so it may not land in the library
+    recs = zz_only_records()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        RANK_DEFICIENT_FITS[fit](recs)
+    rank = [w for w in caught if "rank deficient" in str(w.message)]
+    assert rank
+    assert all(w.filename == __file__ for w in rank)
 
 
 def test_full_rank_pooled_data_do_not_warn():
@@ -251,6 +269,39 @@ def test_block_logdet_custom_kind_matches_dense():
 
 
 # ---------------------------------------------------------------------------
+# the Newton step against the bordered KKT system
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30)
+@given(r=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+def test_newton_direction_solves_the_bordered_kkt_system(r, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((r, r))
+    hess = a @ a.T / r + 0.1 * np.eye(r)
+    grad, traces = rng.standard_normal(r), rng.standard_normal(r)
+    residual = float(rng.standard_normal())
+    step = _newton_direction(hess, grad, traces, residual, _trace_tangent(traces))
+    kkt = np.block([[hess, traces[:, None]], [traces[None, :], np.zeros((1, 1))]])
+    want = np.linalg.solve(kkt, np.append(-grad, residual))[:r]
+    assert np.linalg.norm(step - want) <= 1e-9 * np.linalg.norm(want)
+    assert abs(traces @ step - residual) <= 1e-12
+
+
+@settings(max_examples=30)
+@given(r=st.integers(10, 30), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_newton_direction_on_a_singular_hessian_keeps_the_trace_and_descends(r, seed, data):
+    # rank at most r/2: Cholesky of the reduced matrix fails and the eigh branch runs
+    rank = data.draw(st.integers(1, r // 2))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((r, rank))
+    grad, traces = rng.standard_normal(r), rng.standard_normal(r)
+    step = _newton_direction(a @ a.T, grad, traces, 0.0, _trace_tangent(traces))
+    assert np.all(np.isfinite(step))
+    assert abs(traces @ step) <= 1e-12 * max(1.0, np.linalg.norm(step))
+    assert grad @ step < 0.0
+
+
+# ---------------------------------------------------------------------------
 # the solve against an independent optimality certificate
 # ---------------------------------------------------------------------------
 
@@ -334,6 +385,34 @@ def test_default_solve_converges_on_pooled_data(n, gamma):
     result = solve_git(recs, cached_basis(n, "permutation"), EstimatorConfig(gamma=gamma))
     assert result.converged
     assert result.iterations < EstimatorConfig().max_iterations
+
+
+def relative_error_objective(records, rho, floor=1e-6):
+    """The alpha = beta = 1, gamma = 0 objective of rho, from the dense record projectors."""
+    total = 0.0
+    for rec in records:
+        p = float(np.real(np.vdot(rec.projector, rho)))
+        total += abs(p - rec.frequency) / max(abs(rec.frequency), floor) if rec.measured else p
+    return total
+
+
+def test_pure_state_solve_is_centred_before_it_converges():
+    # test_04's level-0 data at n = 2, rep 9: a least-squares step that
+    # truncated the ill-conditioned directions once certified 0.05381 here
+    hists = sample_state(projector(ghz_state(2)), full_settings(2), 4096, seed=1009)
+    recs = extract_frequencies(hists, pi_observables(2), pi_mode=True)
+    result = solve_git(recs, cached_basis(2, "permutation"), ANALYTIC)
+    assert_density_matrix(result.rho_hat)
+    assert relative_error_objective(recs, result.rho_hat) <= 0.05340
+
+
+def test_line_search_stops_when_the_value_stops_falling():
+    # test_05's level-0 cvqt solve at n = 3, rep 7: once the steps fall below
+    # roundoff, a trial of equal value must not count as a decrease
+    hists = sample_state(projector(ghz_state(3)), full_settings(3), 4096, seed=2007)
+    result = solve_cvqt(extract_frequencies(hists, full_observables(3)), 8, ANALYTIC)
+    assert result.iterations <= 200
+    assert_density_matrix(result.rho_hat)
 
 
 def test_pauli_basis_cache_is_read_only():
