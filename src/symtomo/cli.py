@@ -45,6 +45,7 @@ from .operators import (
 )
 from .statesim import (
     NoiseModel,
+    apply_channel,
     build_ghz_phase,
     build_twisted,
     run_circuit,
@@ -133,13 +134,15 @@ def _cmd_basis(args) -> int:
     if args.symmetry == "custom":
         if not args.generators:
             raise SystemExit("--symmetry custom requires --generators FILE")
-        payload = json.loads(Path(args.generators).read_text())
-        mats = [matrix_from_json(item) for item in payload]
-        spec = (
-            SymmetrySpec.custom_unitaries(mats)
-            if args.generator_kind == "unitary"
-            else SymmetrySpec.custom_lie(mats)
-        )
+        make = SymmetrySpec.custom_unitaries if args.generator_kind == "unitary" else SymmetrySpec.custom_lie
+        mats = []
+        for i, item in enumerate(_load_json_list(args.generators, "generator matrices")):
+            try:
+                mats.append(matrix_from_json(item))
+                make([mats[0], mats[-1]])  # entry i alone: its size against entry 0, and its kind
+            except (TypeError, ValueError) as exc:
+                raise SystemExit(f"{args.generators}: entry {i}: {exc}") from None
+        spec = make(mats)
         if spec.n_qubits != args.qubits:
             raise SystemExit("generator dimension does not match --qubits")
     elif args.symmetry == "permutation":
@@ -170,13 +173,10 @@ def _cmd_prepare(args) -> int:
             raise SystemExit("the werner circuit prepares a 2-qubit state")
         rho = run_werner_pair(args.theta_a, args.theta_b, noise)
     else:
-        n_pairs = 2 if args.p2 is not None else 1
-        if args.qubits != 2 * n_pairs:
-            raise SystemExit("werner-exact needs --qubits 2, or 4 with --p2")
-        rho = werner_exact(args.p, n_pairs=n_pairs, p2=args.p2)
+        if args.qubits != 4 and (args.qubits, args.p2) != (2, None):
+            raise SystemExit("werner-exact needs --qubits 2, or 4 (--p2 sets the second pair)")
+        rho = werner_exact(args.p, n_pairs=args.qubits // 2, p2=args.p2)
         if channel != "none" and args.level > 0.0:
-            from .statesim import apply_channel
-
             for q in range(args.qubits):
                 rho = apply_channel(rho, channel, args.level, q)
     save_matrix(args.out, rho)
@@ -193,14 +193,20 @@ def _load_state(path) -> tuple[np.ndarray, int]:
         raise SystemExit(f"{path}: {exc}") from None
 
 
-def _load_settings(path, n: int) -> list[str]:
-    """A JSON list of n-letter X/Y/Z settings; exits naming the file and entry at fault."""
+def _load_json_list(path, what: str) -> list:
+    """A non-empty JSON list; exits naming the file if it is not one."""
     try:
-        settings = json.loads(Path(path).read_text())
+        items = json.loads(Path(path).read_text())
     except ValueError as exc:
         raise SystemExit(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(settings, list) or not settings:
-        raise SystemExit(f"{path}: expected a non-empty JSON list of {n}-letter X/Y/Z strings")
+    if not isinstance(items, list) or not items:
+        raise SystemExit(f"{path}: expected a non-empty JSON list of {what}")
+    return items
+
+
+def _load_settings(path, n: int) -> list[str]:
+    """A JSON list of n-letter X/Y/Z settings; exits naming the file and entry at fault."""
+    settings = _load_json_list(path, f"{n}-letter X/Y/Z strings")
     for i, setting in enumerate(settings):
         if not isinstance(setting, str):
             raise SystemExit(f"{path}: entry {i} is {setting!r}, not a string")

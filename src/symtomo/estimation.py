@@ -17,20 +17,17 @@ p_i = tr(E_i rho), over the full Pauli basis.
 
 Every estimator runs the same log-barrier Newton method (Boyd & Vandenberghe,
 Convex Optimization, ch. 11) on its own data term, a convex function of the
-predictions D c on the design rows.  Positivity becomes -mu*log det rho and
-merges with the gamma term, and damped Newton steps on the real coefficients
-centre the sum for a decreasing sequence of mu.  Each step keeps tr(rho) = 1
-by the null-space method: the Hessian is reduced to the r - 1 directions that
-leave the trace unchanged and factored by Cholesky, with an eigendecomposition
-only where Cholesky finds it singular to working precision.  In the
-relative-error term each a|e| becomes a*t - mu*log(t^2 - e^2), with the
-slack t eliminated in closed form; the log-likelihood is a sum of logs of
-affine functions and needs no slack.  The
-solve starts from I/d, which is strictly feasible for every basis.  At a
-centred point the duality gap is at most mu*(b + d), with d = 2^n and b the
-data term's barrier parameter (2m for m measured records, 0 for the
-likelihood), so ``converged`` certifies that the objective is within
-``objective_tolerance`` (relative) of the optimum.
+predictions D c on the design rows.  tr(rho) = 1 is eliminated up front: the
+solve runs in the coordinates c = base + P z, base the coefficients of I/d
+and P an orthonormal basis of the trace-keeping directions, so every Newton
+step is unconstrained.  Positivity becomes -mu*log det rho and merges with
+the gamma term; damped Newton steps from z = 0 (I/d) centre the sum for a
+decreasing sequence of mu.  In the relative-error term each a|e| becomes
+a*t - mu*log(t^2 - e^2), the slack t eliminated in closed form; the
+log-likelihood needs no slack.  At a centred point the duality gap is at
+most mu*(b + d), with d = 2^n and b the data term's barrier parameter (2m
+for m measured records, 0 for the likelihood), so ``converged`` certifies
+that the objective is within ``objective_tolerance`` (relative) of the optimum.
 
 The log-det terms never form the d x d state: both built-in symmetry algebras
 are block diagonal in the total-spin decomposition, so rho is held as one
@@ -175,13 +172,20 @@ def _element_traces(elements: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("iaa->i", elements))
 
 
-def _warn_if_rank_deficient(design: np.ndarray, traces: np.ndarray) -> None:
-    """Warn when the stacked [design; traces] map does not pin down every coefficient."""
-    sv = np.linalg.svd(np.vstack([design, traces.reshape(1, -1)]), compute_uv=False)
+def _trace_frame(traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(base, P): the unit-trace coefficients are c = base + P z, with base = traces/|traces|^2
+    those of I/d and P's orthonormal columns the r - 1 directions that keep the trace."""
+    _, _, vh = np.linalg.svd(traces.reshape(1, -1))
+    return traces / (traces @ traces), vh[1:].T
+
+
+def _warn_if_rank_deficient(design: np.ndarray) -> None:
+    """Warn when the design D P, with the trace, does not pin down all r = cols + 1 coefficients."""
+    sv = np.linalg.svd(design, compute_uv=False)
     rank = int((sv > 1e-9 * max(1.0, float(sv[0]))).sum())
-    if rank < traces.size:
+    if rank < design.shape[1]:
         warnings.warn(
-            f"measurement map is rank deficient ({rank} < {traces.size}); "
+            f"measurement map is rank deficient ({rank + 1} < {design.shape[1] + 1}); "
             "the data do not determine every coefficient, so the estimate may be non-unique",
             # the caller of the public estimator, which calls _estimate or
             # _trace_one_lstsq itself, never another public estimator
@@ -189,24 +193,16 @@ def _warn_if_rank_deficient(design: np.ndarray, traces: np.ndarray) -> None:
         )
 
 
-def _trace_tangent(traces: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the null space of the trace row: the coefficient
-    directions that leave tr(rho) unchanged."""
-    _, _, vh = np.linalg.svd(traces.reshape(1, -1))
-    return vh[1:].T
-
-
 def _trace_one_lstsq(design: np.ndarray, target: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Least squares min ||D c - f|| subject to tr(sum_i c_i S_i) = 1.
 
-    Returns the minimum-norm solution, with a warning when the data do not
-    pin the fit down.
+    Solved as min ||D P z - (f - D base)|| in trace-one coordinates.  Returns
+    the minimum-norm solution, with a warning when the data do not pin it down.
     """
-    traces = _element_traces(elements)
-    base = traces / (traces @ traces)
-    tangent = _trace_tangent(traces)
-    z, *_ = np.linalg.lstsq(design @ tangent, target - design @ base, rcond=None)
-    _warn_if_rank_deficient(design, traces)
+    base, tangent = _trace_frame(_element_traces(elements))
+    reduced = design @ tangent
+    z, *_ = np.linalg.lstsq(reduced, target - design @ base, rcond=None)
+    _warn_if_rank_deficient(reduced)
     return base + tangent @ z
 
 
@@ -293,14 +289,15 @@ def _estimate(records, elements: np.ndarray, blocks: SpinBlocks, config: Estimat
     """
     design, freq, unmeasured_row = _record_rows(records, elements)
     traces = _element_traces(elements)
-    _warn_if_rank_deficient(design, traces)
+    frame = _trace_frame(traces)
+    _warn_if_rank_deficient(design @ frame[1])
     weight = 1.0 / np.maximum(np.abs(freq), config.frequency_floor)
     if mode == "maxlik":
         term = _Likelihood.of(design, freq, traces)
     else:
         term = _RelativeError(np.vstack([design, unmeasured_row]), freq, config.alpha * weight,
                               config.beta, config.gamma)
-    c, objective, iterations, converged = _barrier_newton(term, elements, traces, blocks, config)
+    c, objective, iterations, converged = _barrier_newton(term, elements, blocks, frame, config)
     rho = np.einsum("i,iab->ab", c, elements)
     rho = 0.5 * (rho + rho.conj().T)
     lowest = float(np.linalg.eigvalsh(rho)[0])
@@ -400,57 +397,53 @@ class _Likelihood(NamedTuple):
 # ---------------------------------------------------------------------------
 
 class _BlockMaps(NamedTuple):
-    """Coefficient maps through the block compression of a basis's algebra.
+    """Maps between trace-one coordinates z and the block compression of a basis's algebra.
 
-    With V the isometry of ``spin_blocks``, ``forward`` sends c to the s x s
-    matrix V^dag (sum_i c_i S_i) V, masked to its diagonal blocks, and
-    ``back`` sends such a matrix X to the coefficients tr(S_i rho) of the
-    full-space operator rho it stands for, sum_b mult_b tr(S_i,b X_b).  Both
-    are stored as real views of the complex maps, so each application is one
-    real matrix-vector product.  ``column_mult`` is the multiplicity of each
-    of the s columns.
+    With V the isometry of ``spin_blocks`` and c = base + P z (``_trace_frame``),
+    ``offset + z @ forward`` is the s x s matrix V^dag (sum_i c_i S_i) V masked
+    to its diagonal blocks.  Both are real views of the complex arrays, so
+    each application is one real matrix-vector product.  ``column_mult`` is
+    the multiplicity of each of the s columns.
     """
 
+    offset: np.ndarray
     forward: np.ndarray
-    back: np.ndarray
     column_mult: np.ndarray
 
     @classmethod
-    def of(cls, elements: np.ndarray, blocks: SpinBlocks) -> "_BlockMaps":
+    def of(cls, elements: np.ndarray, blocks: SpinBlocks, base: np.ndarray,
+           tangent: np.ndarray) -> "_BlockMaps":
         isometry, sizes, mults = blocks
         block_of = np.repeat(np.arange(len(sizes)), sizes)
         mask = block_of[:, None] == block_of[None, :]
         column_mult = np.asarray(mults, dtype=float)[block_of]
         compressed = isometry.conj().T @ (elements @ isometry) * mask
-        # Re tr(B^dag X) = B.real . X.real + B.imag . X.imag
-        back = compressed * column_mult[:, None]
-        return cls(
-            compressed.view(float).reshape(len(elements), -1),
-            back.view(float).reshape(len(elements), -1),
-            column_mult,
-        )
+        flat = compressed.view(float).reshape(len(elements), -1)
+        return cls(base @ flat, tangent.T @ flat, column_mult)
 
-    def spectrum(self, c):
-        """Eigenvalues (ascending), eigenvectors and multiplicities of the state of c.
+    def spectrum(self, z):
+        """Eigenvalues (ascending), eigenvectors and multiplicities of the state of z.
 
         Multiplicities are per eigenvector, sum_a mult_a |U_ak|^2, so they stay
         right when eigh mixes degenerate eigenvectors of different blocks.
         """
         s = self.column_mult.size
-        vals, vecs = np.linalg.eigh((c @ self.forward).view(complex).reshape(s, s))
+        vals, vecs = np.linalg.eigh((self.offset + z @ self.forward).view(complex).reshape(s, s))
         return vals, vecs, self.column_mult @ (vecs * vecs.conj()).real
 
     def coefficients(self, vals, vecs):
-        """Coefficients of the operator with eigenpairs (vals, vecs)."""
-        return self.back @ ((vecs * vals) @ vecs.conj().T).view(float).reshape(-1)
+        """z-gradient P^T tr(S_i A) of tr(rho A), A the operator with eigenpairs (vals, vecs);
+        tr(S_i A) = sum_b mult_b tr(S_i,b A_b) is one real dot product with a row of ``forward``."""
+        weighted = self.column_mult[:, None] * ((vecs * vals) @ vecs.conj().T)
+        return self.forward @ weighted.view(float).reshape(-1)
 
     def logdet_hessian(self, vals, vecs):
-        """Hessian tr(rho^-1 S_i rho^-1 S_j) of log det rho at the state with eigenpairs (vals, vecs).
+        """z-Hessian of log det rho at the state with eigenpairs (vals, vecs).
 
-        With X the compressed state and M the column multiplicities (constant
-        on each block, so M commutes with X), the entry is
-        sum_b mult_b tr(X_b^-1 S_i,b X_b^-1 S_j,b) = tr(K_i K_j) with
-        K_i = P S_i P and P = M^(1/4) X^(-1/2): one real Gram matrix.
+        With X the compressed state, M the column multiplicities (constant on
+        each block, so M commutes with X) and F_a the rows of ``forward``,
+        the entry is sum_b mult_b tr(X_b^-1 F_a,b X_b^-1 F_c,b) = tr(K_a K_c)
+        with K_a = R F_a R and R = M^(1/4) X^(-1/2): one real Gram matrix.
         """
         s = self.column_mult.size
         root = self.column_mult[:, None] ** 0.25 * ((vecs / np.sqrt(vals)) @ vecs.conj().T)
@@ -459,82 +452,78 @@ class _BlockMaps(NamedTuple):
         return flat @ flat.T
 
 
-def _newton_direction(hess, grad, traces, trace_residual, tangent):
-    """Newton step dc: minimize g.dc + dc.H.dc / 2 subject to traces.dc = trace_residual.
+def _newton_direction(hess, grad):
+    """Newton step: minimize g.dz + dz.H.dz / 2, by Cholesky of the Jacobi-scaled H.
 
-    Null-space method (Boyd & Vandenberghe, Convex Optimization, sec. 10.4.2):
-    with c0 = traces * trace_residual / |traces|^2, which restores the trace,
-    and ``tangent`` P, whose orthonormal columns span the directions that
-    keep it, the step is c0 + P dz with (P^T H P) dz = -P^T (g + H c0).  The
-    reduced matrix is Jacobi-scaled by its own diagonal and factored by
-    Cholesky.  As mu -> 0 it can become singular to working precision where
-    the data leave coefficients unpinned; only when Cholesky fails is it
-    solved through its eigendecomposition instead, dropping the eigenvalues
-    at or below (r - 1) eps lambda_max, the cut-off of ``np.linalg.lstsq``.
+    As mu -> 0, H can become singular to working precision where the data
+    leave coefficients unpinned.  Where Cholesky fails, or roundoff leaves its
+    step no descent direction, the scaled H is solved through its
+    eigendecomposition, dropping the eigenvalues at or below
+    size * eps * lambda_max, the cut-off of ``np.linalg.lstsq``.
     """
-    base = traces * (trace_residual / (traces @ traces))
-    reduced = tangent.T @ hess @ tangent
-    scale = 1.0 / np.sqrt(np.diag(reduced))
-    reduced *= np.outer(scale, scale)
-    rhs = -(tangent.T @ (grad + hess @ base)) * scale
+    scale = 1.0 / np.sqrt(np.diag(hess))
+    scaled = hess * np.outer(scale, scale)
+    rhs = -grad * scale
     try:
-        np.linalg.cholesky(reduced)
-        dz = np.linalg.solve(reduced, rhs)
+        np.linalg.cholesky(scaled)
+        dz = np.linalg.solve(scaled, rhs)
+        if rhs @ dz > 0.0:
+            return dz * scale
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(reduced)
-        keep = vals > rhs.size * np.finfo(float).eps * vals[-1]
-        dz = vecs[:, keep] @ ((rhs @ vecs[:, keep]) / vals[keep])
-    return base + tangent @ (dz * scale)
+        pass
+    vals, vecs = np.linalg.eigh(scaled)
+    keep = vals > rhs.size * np.finfo(float).eps * vals[-1]
+    return vecs[:, keep] @ ((rhs @ vecs[:, keep]) / vals[keep]) * scale
 
 
-def _barrier_newton(term, elements: np.ndarray, traces: np.ndarray, blocks: SpinBlocks,
-                    config: EstimatorConfig):
+def _barrier_newton(term, elements: np.ndarray, blocks: SpinBlocks, frame, config: EstimatorConfig):
     """Minimize a data term minus gamma log det rho over the states rho = sum_i c_i S_i.
 
-    Returns the coefficients, the objective there, the Newton steps taken and
-    whether the duality gap was certified below the tolerance.
+    Works in the coordinates c = base + P z of ``frame``, from z = 0 (I/d).
+    Returns c, the objective there, the Newton steps taken and whether the
+    duality gap was certified below the tolerance.
     """
-    design = term.design
-    maps = _BlockMaps.of(elements, blocks)
-    tangent = _trace_tangent(traces)
+    base, tangent = frame
+    offset, design = term.design @ base, term.design @ tangent
+    maps = _BlockMaps.of(elements, blocks, base, tangent)
     gap_per_mu = term.barrier_parameter + elements.shape[1]
 
-    # ``spectrum`` is maps.spectrum(c), computed once per point and shared by all three
-    def objective(c, spectrum):
+    # ``spectrum`` is maps.spectrum(z), computed once per point and shared by all three
+    def objective(z, spectrum):
         vals, _, mult = spectrum
-        return term.objective(design @ c) - term.gamma * (mult @ np.log(vals))
+        return term.objective(offset + design @ z) - term.gamma * (mult @ np.log(vals))
 
-    def centring_value(c, spectrum, mu):
+    def centring_value(z, spectrum, mu):
         """The barrier objective; inf outside the PSD cone and the data term's domain."""
         vals, _, mult = spectrum
         if vals[0] <= 0.0:
             return np.inf
-        return term.value(design @ c, mu) - (term.gamma + mu) * (mult @ np.log(vals))
+        return term.value(offset + design @ z, mu) - (term.gamma + mu) * (mult @ np.log(vals))
 
-    def centring_derivatives(c, spectrum, mu):
+    def centring_derivatives(z, spectrum, mu):
         vals, vecs, _ = spectrum
-        g, w = term.weights(design @ c, mu)
+        g, w = term.weights(offset + design @ z, mu)
         grad = design.T @ g - (term.gamma + mu) * maps.coefficients(1.0 / vals, vecs)
         hess = (design.T @ (w[:, None] * design)
                 + (term.gamma + mu) * maps.logdet_hessian(vals, vecs))
         return grad, hess
 
-    c = traces / elements.shape[1]  # I/d
-    spectrum = maps.spectrum(c)
+    z = np.zeros(tangent.shape[1])  # I/d
+    spectrum = maps.spectrum(z)
     # the first stage's gap bound is the objective at the start
-    mu = max(1.0, objective(c, spectrum)) / gap_per_mu
-    value = centring_value(c, spectrum, mu)
+    mu = max(1.0, objective(z, spectrum)) / gap_per_mu
+    value = centring_value(z, spectrum, mu)
     iterations = 0
     converged = False
     while True:
-        grad, hess = centring_derivatives(c, spectrum, mu)
-        step = _newton_direction(hess, grad, traces, 1.0 - traces @ c, tangent)
+        grad, hess = centring_derivatives(z, spectrum, mu)
+        step = _newton_direction(hess, grad)
         if 0.5 * step @ hess @ step <= _CENTRED:
-            if mu * gap_per_mu <= config.objective_tolerance * max(1.0, abs(objective(c, spectrum))):
+            if mu * gap_per_mu <= config.objective_tolerance * max(1.0, abs(objective(z, spectrum))):
                 converged = True
                 break
             mu /= _MU_SHRINK
-            value = centring_value(c, spectrum, mu)
+            value = centring_value(z, spectrum, mu)
             continue
         if iterations == config.max_iterations:
             break
@@ -543,7 +532,7 @@ def _barrier_newton(term, elements: np.ndarray, traces: np.ndarray, blocks: Spin
             break
         length = 1.0
         for _ in range(_LINESEARCH_MAX_TRIALS):
-            trial = c + length * step
+            trial = z + length * step
             trial_spectrum = maps.spectrum(trial)
             trial_value = centring_value(trial, trial_spectrum, mu)
             # strict: next to a large value, length * decrease can round away
@@ -552,6 +541,6 @@ def _barrier_newton(term, elements: np.ndarray, traces: np.ndarray, blocks: Spin
             length *= 0.5
         else:
             break
-        c, spectrum, value = trial, trial_spectrum, trial_value
+        z, spectrum, value = trial, trial_spectrum, trial_value
         iterations += 1
-    return c, objective(c, spectrum), iterations, converged
+    return base + tangent @ z, objective(z, spectrum), iterations, converged

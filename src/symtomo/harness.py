@@ -120,6 +120,14 @@ class SweepConfig:
         bad_channels = set(self.channels) - set(CHANNELS)
         if bad_channels:
             raise ValueError(f"unknown channels {sorted(bad_channels)}")
+        for channel in self.channels:
+            for level in self.levels:
+                NoiseModel(channel, float(level), self.noise_policy)
+        if self.family == "werner" and self.n_qubits != 2:
+            raise ValueError("the werner circuit family prepares a two-qubit state")
+        one_pair = self.n_qubits == 2 and self.p2 is None
+        if self.family == "werner_exact" and not (one_pair or self.n_qubits == 4):
+            raise ValueError("werner_exact supports 2 qubits (one pair) or 4 (two pairs)")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for s in self.shots:
@@ -178,17 +186,12 @@ def _prepared_states(config: SweepConfig, channel: str, level: float):
         circuit = build_twisted(config.n_qubits, config.theta)
         return run_circuit(circuit), run_circuit(circuit, noise)
     if config.family == "werner":
-        if config.n_qubits != 2:
-            raise ValueError("the werner circuit family prepares a two-qubit state")
         return (
             run_werner_pair(config.theta_a, config.theta_b),
             run_werner_pair(config.theta_a, config.theta_b, noise),
         )
     # closed-form werner state(s); noise is applied post-preparation per qubit
-    n_pairs = 2 if config.p2 is not None or config.n_qubits == 4 else 1
-    if config.n_qubits != 2 * n_pairs:
-        raise ValueError("werner_exact supports 2 qubits (one pair) or 4 (two pairs)")
-    rho = werner_exact(config.p, n_pairs=n_pairs, p2=config.p2)
+    rho = werner_exact(config.p, n_pairs=config.n_qubits // 2, p2=config.p2)
     rho_real = rho
     if channel != "none" and level > 0.0:
         for q in range(config.n_qubits):

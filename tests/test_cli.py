@@ -40,6 +40,30 @@ def test_basis_custom_requires_generators(tmp_path):
         run("basis", "--symmetry", "custom", "--qubits", 1, "--out", tmp_path / "b.json")
 
 
+@pytest.mark.parametrize(
+    "content, fault",
+    [
+        ("[{", "not valid JSON"),
+        ("[]", "expected a non-empty JSON list"),
+        (json.dumps([matrix_to_json(np.eye(2)), matrix_to_json(np.diag([1.0, 2.0]))]),
+         "entry 1: custom generator is not unitary"),
+        (json.dumps([matrix_to_json(np.eye(2)), {"dim": 2}]), "entry 1: matrix JSON must be"),
+        (json.dumps([matrix_to_json(np.eye(2)), matrix_to_json(np.eye(4))]),
+         "entry 1: generator shape (4, 4) != (2, 2)"),
+    ],
+    ids=["malformed", "empty", "non-unitary", "not-a-matrix", "size-mismatch"],
+)
+def test_basis_custom_rejects_bad_generators(tmp_path, content, fault):
+    gens = tmp_path / "gens.json"
+    gens.write_text(content)
+    out = tmp_path / "b.json"
+    with pytest.raises(SystemExit) as exc:
+        run("basis", "--symmetry", "custom", "--qubits", 1, "--generators", gens, "--out", out)
+    assert exc.value.code != 0
+    assert str(gens) in str(exc.value.code) and fault in str(exc.value.code)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------
@@ -67,6 +91,12 @@ def test_prepare_werner_exact(tmp_path):
     out = tmp_path / "w.json"
     assert run("prepare", "--state", "werner-exact", "--qubits", 2, "--p", 0.51, "--out", out) == 0
     assert np.allclose(load_matrix(out), werner_exact(0.51), atol=1e-12)
+
+
+def test_prepare_werner_exact_two_pairs_without_p2(tmp_path):
+    out = tmp_path / "w.json"
+    assert run("prepare", "--state", "werner-exact", "--qubits", 4, "--p", 0.51, "--out", out) == 0
+    assert np.allclose(load_matrix(out), werner_exact(0.51, n_pairs=2), atol=1e-12)
 
 
 def test_prepare_werner_circuit_default_angles(tmp_path):
@@ -346,8 +376,15 @@ def test_sweep_command_observable_counts(tmp_path):
          "unknown estimator config fields: ['tau']"),
         (json.dumps({"family": "ghz", "n_qubits": 2, "repetitions": 0}),
          "repetitions must be >= 1"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "levels": [1.5]}),
+         "noise level 1.5 outside [0, 1.0]"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "noise_policy": "bogus"}),
+         "unknown noise policy 'bogus'"),
+        (json.dumps({"family": "werner", "n_qubits": 3}),
+         "the werner circuit family prepares a two-qubit state"),
     ],
-    ids=["malformed", "not-an-object", "unknown-field", "unknown-estimator-field", "bad-value"],
+    ids=["malformed", "not-an-object", "unknown-field", "unknown-estimator-field", "bad-value",
+         "bad-level", "bad-policy", "bad-family-size"],
 )
 def test_sweep_rejects_bad_config(tmp_path, content, fault):
     cfg_path = tmp_path / "sweep.json"

@@ -31,9 +31,10 @@ from symtomo.estimation import (
     EstimationProblem,
     EstimatorConfig,
     _BlockMaps,
+    _element_traces,
     _hermitian_basis,
     _newton_direction,
-    _trace_tangent,
+    _trace_frame,
     linear_inversion,
     solve_cvqt,
     solve_git,
@@ -218,7 +219,10 @@ def cached_basis(n, kind):
 
 
 def block_maps(basis):
-    return _BlockMaps.of(basis.elements, spin_blocks(basis.n_qubits, basis.kind))
+    # base 0 and tangent I: the maps act on the coefficients c themselves
+    r = basis.size
+    return _BlockMaps.of(basis.elements, spin_blocks(basis.n_qubits, basis.kind),
+                         np.zeros(r), np.eye(r))
 
 
 def dense_state(c, elements):
@@ -269,35 +273,52 @@ def test_block_logdet_custom_kind_matches_dense():
 
 
 # ---------------------------------------------------------------------------
-# the Newton step against the bordered KKT system
+# the trace-one frame and the Newton step in it
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "elements",
+    [pytest.param(lambda n=n: cached_basis(n, "permutation").elements, id=f"permutation-{n}")
+     for n in (2, 3, 4, 5)]
+    + [pytest.param(lambda n=n: cached_basis(n, "collective").elements, id=f"collective-{n}")
+       for n in (2, 3, 4)]
+    + [pytest.param(lambda n=n: _hermitian_basis(n), id=f"pauli-{n}") for n in (1, 2, 3)]
+    + [pytest.param(lambda: compute_commutant_basis(
+        SymmetrySpec.custom_unitaries([np.eye(4)[[0, 2, 1, 3]]])).elements, id="custom")],
+)
+def test_trace_frame_spans_the_unit_trace_states(elements):
+    elements = elements()
+    traces = _element_traces(elements)
+    base, tangent = _trace_frame(traces)
+    r, d = len(elements), elements.shape[1]
+    assert tangent.shape == (r, r - 1)
+    assert np.abs(tangent.T @ tangent - np.eye(r - 1)).max() <= 1e-12
+    assert np.abs(traces @ tangent).max() <= 1e-12
+    assert np.abs(np.einsum("i,iab->ab", base, elements) - np.eye(d) / d).max() <= 1e-12
+
 
 @settings(max_examples=30)
 @given(r=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
-def test_newton_direction_solves_the_bordered_kkt_system(r, seed):
+def test_newton_direction_solves_the_newton_system(r, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((r, r))
     hess = a @ a.T / r + 0.1 * np.eye(r)
-    grad, traces = rng.standard_normal(r), rng.standard_normal(r)
-    residual = float(rng.standard_normal())
-    step = _newton_direction(hess, grad, traces, residual, _trace_tangent(traces))
-    kkt = np.block([[hess, traces[:, None]], [traces[None, :], np.zeros((1, 1))]])
-    want = np.linalg.solve(kkt, np.append(-grad, residual))[:r]
+    grad = rng.standard_normal(r)
+    step = _newton_direction(hess, grad)
+    want = np.linalg.solve(hess, -grad)
     assert np.linalg.norm(step - want) <= 1e-9 * np.linalg.norm(want)
-    assert abs(traces @ step - residual) <= 1e-12
 
 
 @settings(max_examples=30)
 @given(r=st.integers(10, 30), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_newton_direction_on_a_singular_hessian_keeps_the_trace_and_descends(r, seed, data):
-    # rank at most r/2: Cholesky of the reduced matrix fails and the eigh branch runs
+def test_newton_direction_on_a_singular_hessian_descends(r, seed, data):
+    # rank at most r/2: Cholesky fails and the eigh branch runs
     rank = data.draw(st.integers(1, r // 2))
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((r, rank))
-    grad, traces = rng.standard_normal(r), rng.standard_normal(r)
-    step = _newton_direction(a @ a.T, grad, traces, 0.0, _trace_tangent(traces))
+    grad = rng.standard_normal(r)
+    step = _newton_direction(a @ a.T, grad)
     assert np.all(np.isfinite(step))
-    assert abs(traces @ step) <= 1e-12 * max(1.0, np.linalg.norm(step))
     assert grad @ step < 0.0
 
 

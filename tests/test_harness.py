@@ -80,6 +80,12 @@ def test_config_is_frozen_and_normalizes_tuples():
         dict(repetitions=0),
         dict(shots=(0,)),
         dict(shots=(-5,)),
+        dict(levels=(1.5,)),
+        dict(channels=("depolarizing_pauli",), levels=(0.8,)),
+        dict(noise_policy="bogus"),
+        dict(family="werner", n_qubits=3),
+        dict(family="werner_exact", n_qubits=3),
+        dict(family="werner_exact", n_qubits=2, p2=0.5),
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
