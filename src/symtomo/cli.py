@@ -20,19 +20,19 @@ from pathlib import Path
 import numpy as np
 
 from .estimation import EstimatorConfig, solve_cvqt, solve_git, solve_maxlik
-from .harness import export, observable_count_sweep, run_sweep, sweep_config_from_dict
+from .harness import export, run_sweep, sweep_config_from_dict
 from .measurement import (
     check_setting,
+    covered_observables,
     extract_frequencies,
-    full_observables,
     full_settings,
     ingest_histograms,
-    marginal_observables,
     pi_observables,
     pi_settings,
     sample_state,
     save_histograms,
     select_settings,
+    unmeasured_records,
 )
 from .metrics import metric_report
 from .operators import (
@@ -145,10 +145,8 @@ def _cmd_basis(args) -> int:
         spec = make(mats)
         if spec.n_qubits != args.qubits:
             raise SystemExit("generator dimension does not match --qubits")
-    elif args.symmetry == "permutation":
-        spec = SymmetrySpec.permutation(args.qubits)
     else:
-        spec = SymmetrySpec.collective(args.qubits)
+        spec = SymmetrySpec(args.qubits, args.symmetry)
     basis = compute_commutant_basis(spec)
     payload = {
         "symmetry": basis.kind,
@@ -163,22 +161,25 @@ def _cmd_basis(args) -> int:
 
 def _cmd_prepare(args) -> int:
     channel = _CHANNEL_ALIASES[args.noise]
-    noise = NoiseModel(channel=channel, level=args.level, policy=args.policy)
-    if args.state == "ghz":
-        rho = run_circuit(build_ghz_phase(args.qubits, args.theta), noise)
-    elif args.state == "twisted":
-        rho = run_circuit(build_twisted(args.qubits, args.theta), noise)
-    elif args.state == "werner":
-        if args.qubits != 2:
-            raise SystemExit("the werner circuit prepares a 2-qubit state")
-        rho = run_werner_pair(args.theta_a, args.theta_b, noise)
-    else:
-        if args.qubits != 4 and (args.qubits, args.p2) != (2, None):
-            raise SystemExit("werner-exact needs --qubits 2, or 4 (--p2 sets the second pair)")
-        rho = werner_exact(args.p, n_pairs=args.qubits // 2, p2=args.p2)
-        if channel != "none" and args.level > 0.0:
-            for q in range(args.qubits):
-                rho = apply_channel(rho, channel, args.level, q)
+    try:
+        noise = NoiseModel(channel=channel, level=args.level, policy=args.policy)
+        if args.state == "ghz":
+            rho = run_circuit(build_ghz_phase(args.qubits, args.theta), noise)
+        elif args.state == "twisted":
+            rho = run_circuit(build_twisted(args.qubits, args.theta), noise)
+        elif args.state == "werner":
+            if args.qubits != 2:
+                raise SystemExit("the werner circuit prepares a 2-qubit state")
+            rho = run_werner_pair(args.theta_a, args.theta_b, noise)
+        else:
+            if args.qubits != 4 and (args.qubits, args.p2) != (2, None):
+                raise SystemExit("werner-exact needs --qubits 2, or 4 (--p2 sets the second pair)")
+            rho = werner_exact(args.p, n_pairs=args.qubits // 2, p2=args.p2)
+            if channel != "none" and args.level > 0.0:
+                for q in range(args.qubits):
+                    rho = apply_channel(rho, channel, args.level, q)
+    except ValueError as exc:
+        raise SystemExit(f"prepare: {exc}") from None
     save_matrix(args.out, rho)
     print(f"wrote {args.qubits}-qubit state to {args.out}")
     return 0
@@ -223,8 +224,10 @@ def _cmd_sample(args) -> int:
         settings = pi_settings(n)
     elif args.settings == "werner":
         basis = compute_commutant_basis(SymmetrySpec.collective(n))
-        count = args.count or min(len(full_settings(n)), 2 * basis.size)
-        settings = select_settings(basis, full_settings(n), count)
+        try:
+            settings = select_settings(basis, full_settings(n), args.count)
+        except ValueError as exc:
+            raise SystemExit(f"--count: {exc}") from None
     else:
         settings = _load_settings(args.settings, n)
     hists = sample_state(rho, settings, args.shots, args.seed)
@@ -243,31 +246,15 @@ def _cmd_estimate(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"estimate: {exc}") from None
     n = hists[0].n_qubits
-    settings = [h.setting for h in hists]
+    covered, uncovered = covered_observables(h.setting for h in hists)
+    pooled = args.mode == "git" and args.symmetry == "permutation"
+    records = extract_frequencies(hists, pi_observables(n) if pooled else covered, pi_mode=pooled)
     if args.mode == "git":
-        spec = (
-            SymmetrySpec.permutation(n)
-            if args.symmetry == "permutation"
-            else SymmetrySpec.collective(n)
-        )
-        basis = compute_commutant_basis(spec)
-        if args.symmetry == "permutation":
-            records = extract_frequencies(hists, pi_observables(n), pi_mode=True)
-        else:
-            targets = sorted(set(settings)) + marginal_observables(settings)
-            records = extract_frequencies(hists, targets)
-        result = solve_git(records, basis, config)
+        result = solve_git(records, compute_commutant_basis(SymmetrySpec(n, args.symmetry)), config)
+    elif args.mode == "cvqt":
+        result = solve_cvqt(records + unmeasured_records(uncovered), 2**n, config)
     else:
-        covered = set(settings) | set(marginal_observables(settings))
-        measured = [o for o in full_observables(n) if o in covered]
-        records = extract_frequencies(hists, measured)
-        if args.mode == "cvqt":
-            from .measurement import unmeasured_records
-
-            records += unmeasured_records([o for o in full_observables(n) if o not in covered])
-            result = solve_cvqt(records, 2**n, config)
-        else:
-            result = solve_maxlik(records, config)
+        result = solve_maxlik(records, config)
     payload = {
         "mode": result.mode,
         "objective": result.objective,
@@ -300,12 +287,9 @@ def _cmd_metrics(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         config = sweep_config_from_dict(json.loads(Path(args.config).read_text()))
+        records = run_sweep(config, jobs=args.jobs)
     except ValueError as exc:
         raise SystemExit(f"{args.config}: {exc}") from None
-    if config.observable_counts is not None:
-        records = observable_count_sweep(config)
-    else:
-        records = run_sweep(config, jobs=args.jobs)
     written = export(records, args.out_dir, fmt=args.format, config=config)
     print(f"wrote {len(records)} records; files: {', '.join(p.name for p in written)}")
     return 0

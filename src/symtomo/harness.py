@@ -7,10 +7,13 @@ estimators, and records fidelities.  Everything is driven by one frozen
 config object so a run is fully determined by its content; rerunning a sweep
 reproduces the output files byte for byte.
 
-``observable_count_sweep`` is the second study type: it fixes the data and
-grows the measured observable set one record at a time (remaining family
-members enter the estimator as unmeasured-mass penalties), tracking how the
-reconstruction approaches the full-data estimate and the true state.
+A config with ``observable_counts`` selects the second study type, the
+observable-count study: it fixes each cell's data and grows the measured
+observable set one record at a time (remaining family members enter the git
+estimator as unmeasured-mass penalties), tracking how the reconstruction
+approaches the full-data estimate and the true state.  Both studies run
+through ``run_sweep`` on the same cells; ``observable_count_sweep`` fills in
+the default counts.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import csv
 import dataclasses
 import io
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +33,9 @@ import numpy as np
 from . import __version__ as _VERSION
 from .estimation import EstimatorConfig, solve_cvqt, solve_git, solve_maxlik
 from .measurement import (
+    covered_observables,
     extract_frequencies,
-    full_observables,
     full_settings,
-    marginal_observables,
     pi_observables,
     pi_settings,
     sample_state,
@@ -104,35 +107,61 @@ class SweepConfig:
     estimator: EstimatorConfig = EstimatorConfig()
 
     def __post_init__(self):
-        for name in ("modes", "channels", "levels", "shots"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.observable_counts is not None:
-            object.__setattr__(self, "observable_counts", tuple(self.observable_counts))
+        for name in ("modes", "channels", "levels", "shots", "observable_counts"):
+            value = getattr(self, name)
+            if name == "observable_counts" and value is None:
+                continue
+            try:
+                object.__setattr__(self, name, tuple(value))
+            except TypeError:
+                raise ValueError(f"{name} must be a list, got {value!r}") from None
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown state family {self.family!r}")
         if self.symmetry not in ("permutation", "collective"):
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
         if self.settings_plan not in _PLANS:
             raise ValueError(f"unknown settings plan {self.settings_plan!r}")
-        bad_modes = set(self.modes) - set(_MODES)
-        if bad_modes or not self.modes:
+        if not self.modes or any(mode not in _MODES for mode in self.modes):
             raise ValueError(f"modes must be a nonempty subset of {_MODES}")
-        bad_channels = set(self.channels) - set(CHANNELS)
+        bad_channels = [c for c in self.channels if c not in CHANNELS]
         if bad_channels:
-            raise ValueError(f"unknown channels {sorted(bad_channels)}")
+            raise ValueError(f"unknown channels {bad_channels}")
+        _check_number("n_qubits", self.n_qubits, low=1)
+        for name in ("theta", "theta_a", "theta_b", "p"):
+            _check_number(name, getattr(self, name), numbers.Real)
+        if self.p2 is not None:
+            _check_number("p2", self.p2, numbers.Real)
+        for level in self.levels:
+            _check_number("levels entry", level, numbers.Real)
         for channel in self.channels:
             for level in self.levels:
                 NoiseModel(channel, float(level), self.noise_policy)
         if self.family == "werner" and self.n_qubits != 2:
             raise ValueError("the werner circuit family prepares a two-qubit state")
-        one_pair = self.n_qubits == 2 and self.p2 is None
-        if self.family == "werner_exact" and not (one_pair or self.n_qubits == 4):
-            raise ValueError("werner_exact supports 2 qubits (one pair) or 4 (two pairs)")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if self.family == "werner_exact":
+            one_pair = self.n_qubits == 2 and self.p2 is None
+            if not (one_pair or self.n_qubits == 4):
+                raise ValueError("werner_exact supports 2 qubits (one pair) or 4 (two pairs)")
+            werner_exact(self.p, n_pairs=self.n_qubits // 2, p2=self.p2)
+        _check_number("repetitions", self.repetitions, low=1)
+        _check_number("base_seed", self.base_seed)
         for s in self.shots:
-            if s is not None and int(s) <= 0:
-                raise ValueError("shot counts must be positive or None (analytic)")
+            if s is not None:
+                _check_number("shots entry", s, low=1)
+        if self.selected_count is not None:
+            _check_number("selected_count", self.selected_count, low=1, high=3**self.n_qubits)
+        for k in self.observable_counts or ():
+            _check_number("observable_counts entry", k, low=1)
+
+
+def _check_number(name: str, value, kind=numbers.Integral, low=None, high=None) -> None:
+    """Reject a config value that is not a ``kind`` number in [low, high], naming its field."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -204,35 +233,25 @@ class _Plan:
 
     def __init__(self, config: SweepConfig):
         n = config.n_qubits
-        spec = (
-            SymmetrySpec.permutation(n)
-            if config.symmetry == "permutation"
-            else SymmetrySpec.collective(n)
-        )
-        self.basis = compute_commutant_basis(spec)
+        self.basis = compute_commutant_basis(SymmetrySpec(n, config.symmetry))
         if config.settings_plan == "pi":
             self.settings = pi_settings(n)
         elif config.settings_plan == "complete":
             self.settings = full_settings(n)
         else:
-            k = config.selected_count or min(len(full_settings(n)), 2 * self.basis.size)
-            self.settings = select_settings(self.basis, full_settings(n), k)
-        if config.symmetry == "permutation":
-            self.git_targets = pi_observables(n)
-            self.pi_mode = True
-        else:
-            self.git_targets = list(self.settings) + marginal_observables(self.settings)
-            self.pi_mode = False
-        everything = full_observables(n)
-        measured = set(self.settings) | set(marginal_observables(self.settings))
-        self.full_measured = [o for o in everything if o in measured]
-        self.full_unmeasured = [o for o in everything if o not in measured]
-        # observable-count sweeps grow the measured set in this order:
-        if config.symmetry == "permutation":
-            greedy = select_settings(self.basis, pi_settings(n), len(pi_settings(n)))
-            self.ordered_observables = greedy + [o for o in pi_observables(n) if "I" in o]
-        else:
-            self.ordered_observables = list(self.settings) + marginal_observables(self.settings)
+            self.settings = select_settings(self.basis, full_settings(n), config.selected_count)
+        self.covered, self.uncovered = covered_observables(self.settings)
+        self.pi_mode = config.symmetry == "permutation"
+        self.git_targets = pi_observables(n) if self.pi_mode else self.covered
+
+    @cached_property
+    def ordered_observables(self) -> list[str]:
+        """The git targets in the order an observable-count study measures them: settings first."""
+        settings = self.settings
+        if self.pi_mode:  # every pooled setting, in greedy order
+            n = self.basis.n_qubits
+            settings = select_settings(self.basis, pi_settings(n), len(pi_settings(n)))
+        return list(settings) + [o for o in self.git_targets if "I" in o]
 
 
 @lru_cache(maxsize=32)
@@ -240,97 +259,119 @@ def _plan_for(config: SweepConfig) -> _Plan:
     return _Plan(config)
 
 
-def _git_records(plan: _Plan, histograms, measured=None):
-    targets = plan.git_targets if measured is None else measured
-    return extract_frequencies(histograms, targets, pi_mode=plan.pi_mode)
+def _solve_mode(config: SweepConfig, plan: _Plan, histograms, mode: str):
+    if mode == "git":
+        records = extract_frequencies(histograms, plan.git_targets, pi_mode=plan.pi_mode)
+        return solve_git(records, plan.basis, config.estimator)
+    records = extract_frequencies(histograms, plan.covered)
+    if mode == "cvqt":
+        return solve_cvqt(records + unmeasured_records(plan.uncovered), 2**config.n_qubits, config.estimator)
+    return solve_maxlik(records, config.estimator)
 
 
-def _cell_estimates(config: SweepConfig, plan: _Plan, histograms):
-    """Run every requested estimator on one sampled data set."""
-    results = {}
-    errors = {}
-    for mode in config.modes:
-        try:
-            if mode == "git":
-                records = _git_records(plan, histograms)
-                results[mode] = solve_git(records, plan.basis, config.estimator)
-            elif mode == "cvqt":
-                records = extract_frequencies(histograms, plan.full_measured)
-                records += unmeasured_records(plan.full_unmeasured)
-                results[mode] = solve_cvqt(records, 2**config.n_qubits, config.estimator)
-            else:
-                records = extract_frequencies(histograms, plan.full_measured)
-                results[mode] = solve_maxlik(records, config.estimator)
-        except Exception as exc:  # noqa: BLE001 -- sweep must survive solver failures
-            errors[mode] = f"{type(exc).__name__}: {exc}"
-    return results, errors
+def _solve_count(config: SweepConfig, plan: _Plan, histograms, k: int):
+    """Git with the first k ordered observables measured and the rest as unmeasured-mass penalties."""
+    ordered = plan.ordered_observables
+    records = extract_frequencies(histograms, ordered[:k], pi_mode=plan.pi_mode)
+    records += unmeasured_records(ordered[k:])
+    return solve_git(records, plan.basis, config.estimator)
+
+
+def _attempt(solve, *args):
+    """``solve(*args)``, or the message of the error it raised."""
+    try:
+        return solve(*args)
+    except Exception as exc:  # noqa: BLE001 -- sweep must survive solver failures
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _safe_fidelity(a, b) -> float | None:
+    if a is None or b is None:
+        return None
     try:
         return fidelity(a, b)
     except ValueError:
         return None
 
 
+def _row(common: dict, result, rho_target, rho_real, **extra) -> SweepRecord:
+    """The row of one solve; ``result`` is its estimate or the message of its error."""
+    if isinstance(result, str):
+        return SweepRecord(**common, error=result)
+    return SweepRecord(
+        **common,
+        fidelity_vs_target=_safe_fidelity(result.rho_hat, rho_target),
+        fidelity_vs_real=_safe_fidelity(result.rho_hat, rho_real),
+        converged=result.converged,
+        iterations=result.iterations,
+        objective=result.objective,
+        **extra,
+    )
+
+
 def _run_cell(args) -> list[SweepRecord]:
+    """One grid point and repetition: a row per mode, or per observable count in a count study."""
     config, ci, li, si, rep = args
-    channel = config.channels[ci]
-    level = config.levels[li]
-    shots = config.shots[si]
+    channel, level, shots = config.channels[ci], float(config.levels[li]), config.shots[si]
     plan = _plan_for(config)
-    rho_target, rho_real = _prepared_states(config, channel, float(level))
+    rho_target, rho_real = _prepared_states(config, channel, level)
     seed = mix_seed(config.base_seed, ci, li, si, rep)
     histograms = sample_state(rho_real, plan.settings, shots, seed)
-    results, errors = _cell_estimates(config, plan, histograms)
-
-    cross = None
-    if "git" in results and "cvqt" in results:
-        cross = _safe_fidelity(results["git"].rho_hat, results["cvqt"].rho_hat)
-
-    rows = []
-    for mode in config.modes:
-        common = dict(
-            family=config.family,
-            n_qubits=config.n_qubits,
-            channel=channel,
-            level=float(level),
-            shots=shots,
-            repetition=rep,
-            mode=mode,
-            seed=seed,
-        )
-        if mode in errors:
-            rows.append(SweepRecord(**common, error=errors[mode]))
-            continue
-        res = results[mode]
-        rows.append(
-            SweepRecord(
-                **common,
-                fidelity_vs_target=_safe_fidelity(res.rho_hat, rho_target),
-                fidelity_vs_real=_safe_fidelity(res.rho_hat, rho_real),
-                fidelity_git_vs_cvqt=cross if mode == "cvqt" else None,
-                converged=res.converged,
-                iterations=res.iterations,
-                objective=res.objective,
-            )
-        )
-    return rows
+    common = dict(
+        family=config.family,
+        n_qubits=config.n_qubits,
+        channel=channel,
+        level=level,
+        shots=shots,
+        repetition=rep,
+        seed=seed,
+    )
+    if config.observable_counts is not None:
+        full = len(plan.ordered_observables)
+        reference = _solve_count(config, plan, histograms, full).rho_hat
+        rows = []
+        for k in config.observable_counts:
+            result = _attempt(_solve_count, config, plan, histograms, k)
+            vs_reference = _safe_fidelity(getattr(result, "rho_hat", None), reference)
+            rows.append(_row(dict(common, mode="git", observable_count=int(k)), result,
+                             rho_target, rho_real, fidelity_vs_reference=vs_reference))
+        return rows
+    results = {mode: _attempt(_solve_mode, config, plan, histograms, mode) for mode in config.modes}
+    cross = _safe_fidelity(
+        getattr(results.get("git"), "rho_hat", None), getattr(results.get("cvqt"), "rho_hat", None)
+    )
+    return [
+        _row(dict(common, mode=mode), results[mode], rho_target, rho_real,
+             fidelity_git_vs_cvqt=cross if mode == "cvqt" else None)
+        for mode in config.modes
+    ]
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
-    """Execute the full grid; failures are recorded per cell, never raised.
+    """Execute the full grid; solver failures are recorded per row, never raised.
 
-    With ``jobs > 1`` grid cells run in separate processes; the merged record
+    Each cell (channel, level, shots, repetition) samples one data set and
+    runs every mode on it.  A config with ``observable_counts`` runs the
+    observable-count study instead: each cell solves git once per count
+    (see ``observable_count_sweep``), and analytic (``shots=None``) entries
+    take a single repetition.  Counts beyond the ordered family raise
+    ``ValueError`` before any cell runs.
+
+    With ``jobs > 1`` cells run in separate processes; the merged record
     list is identical to a serial run because every cell's randomness comes
     only from its own mixed seed.
     """
+    counting = config.observable_counts is not None
+    if counting:
+        full = len(_plan_for(config).ordered_observables)
+        if any(not 1 <= k <= full for k in config.observable_counts):
+            raise ValueError(f"observable counts must lie in [1, {full}]")
     cells = [
         (config, ci, li, si, rep)
         for ci in range(len(config.channels))
         for li in range(len(config.levels))
-        for si in range(len(config.shots))
-        for rep in range(config.repetitions)
+        for si, shots in enumerate(config.shots)
+        for rep in range(1 if counting and shots is None else config.repetitions)
     ]
     if jobs <= 1:
         nested = [_run_cell(cell) for cell in cells]
@@ -344,63 +385,15 @@ def observable_count_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Grow the measured observable set record by record (git mode).
 
     Observables beyond the first k stay in the problem as unmeasured-mass
-    penalties.  Each cell also reports fidelity against the full-data
+    penalties.  Each row also reports fidelity against the full-data
     estimate ("reference") so quorum onset is visible without knowing the
-    true state.  ``shots=None`` entries use exact Born frequencies, for which
-    a single repetition suffices.
+    true state.  Unset ``observable_counts`` mean every k from 1 to the size
+    of the family.  This is ``run_sweep`` on that config, run serially.
     """
-    plan = _plan_for(config)
-    ordered = plan.ordered_observables
-    counts = config.observable_counts or tuple(range(1, len(ordered) + 1))
-    if any(not 1 <= k <= len(ordered) for k in counts):
-        raise ValueError(f"observable counts must lie in [1, {len(ordered)}]")
-    rows = []
-    for ci, channel in enumerate(config.channels):
-        for li, level in enumerate(config.levels):
-            for si, shots in enumerate(config.shots):
-                reps = 1 if shots is None else config.repetitions
-                for rep in range(reps):
-                    rho_target, rho_real = _prepared_states(config, channel, float(level))
-                    seed = mix_seed(config.base_seed, ci, li, si, rep)
-                    hists = sample_state(rho_real, plan.settings, shots, seed)
-                    reference = solve_git(
-                        _git_records(plan, hists, ordered), plan.basis, config.estimator
-                    )
-                    for k in counts:
-                        common = dict(
-                            family=config.family,
-                            n_qubits=config.n_qubits,
-                            channel=channel,
-                            level=float(level),
-                            shots=shots,
-                            repetition=rep,
-                            mode="git",
-                            seed=seed,
-                            observable_count=int(k),
-                        )
-                        try:
-                            records = _git_records(plan, hists, ordered[:k])
-                            records += unmeasured_records(ordered[k:])
-                            res = solve_git(records, plan.basis, config.estimator)
-                        except Exception as exc:  # noqa: BLE001
-                            rows.append(
-                                SweepRecord(**common, error=f"{type(exc).__name__}: {exc}")
-                            )
-                            continue
-                        rows.append(
-                            SweepRecord(
-                                **common,
-                                fidelity_vs_target=_safe_fidelity(res.rho_hat, rho_target),
-                                fidelity_vs_real=_safe_fidelity(res.rho_hat, rho_real),
-                                fidelity_vs_reference=_safe_fidelity(
-                                    res.rho_hat, reference.rho_hat
-                                ),
-                                converged=res.converged,
-                                iterations=res.iterations,
-                                objective=res.objective,
-                            )
-                        )
-    return rows
+    if config.observable_counts is None:
+        full = len(_plan_for(config).ordered_observables)
+        config = dataclasses.replace(config, observable_counts=tuple(range(1, full + 1)))
+    return run_sweep(config)
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +525,15 @@ def sweep_config_from_dict(payload: dict) -> SweepConfig:
     if unknown:
         raise ValueError(f"unknown sweep config fields: {sorted(unknown)}")
     kwargs = dict(payload)
-    if "estimator" in kwargs and kwargs["estimator"] is not None:
+    if "estimator" in kwargs:
         est = kwargs["estimator"]
+        if not isinstance(est, dict):
+            raise ValueError(f"estimator must be a JSON object, got {est!r}")
         bad = set(est) - {f.name for f in dataclasses.fields(EstimatorConfig)}
         if bad:
             raise ValueError(f"unknown estimator config fields: {sorted(bad)}")
-        kwargs["estimator"] = EstimatorConfig(**est)
-    for name in ("modes", "channels", "levels", "shots", "observable_counts"):
-        if name in kwargs and kwargs[name] is not None:
-            kwargs[name] = tuple(kwargs[name])
+        try:
+            kwargs["estimator"] = EstimatorConfig(**est)
+        except TypeError as exc:
+            raise ValueError(f"estimator: {exc}") from None
     return SweepConfig(**kwargs)

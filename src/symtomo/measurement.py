@@ -185,6 +185,19 @@ def marginal_observables(settings) -> list[str]:
     })
 
 
+def covered_observables(settings) -> tuple[list[str], list[str]]:
+    """Split ``full_observables(n)``, in order, by whether the settings determine each frequency.
+
+    An observable is covered when it is one of the settings or one of their
+    marginals: exactly the strings ``extract_frequencies`` can estimate from
+    these settings' histograms without pooling.
+    """
+    settings = list(settings)
+    determined = set(settings) | set(marginal_observables(settings))
+    everything = full_observables(len(settings[0]))
+    return [o for o in everything if o in determined], [o for o in everything if o not in determined]
+
+
 def setting_rotation(setting: str) -> np.ndarray:
     """Unitary rotating the setting's product eigenbasis onto the computational basis."""
     check_setting(setting)
@@ -323,8 +336,11 @@ def _setting_response(basis: SymmetricBasis, setting: str) -> np.ndarray:
     return np.real(((u @ basis.elements) * u.conj()).sum(-1)).T  # (2^n, r)
 
 
-def select_settings(basis: SymmetricBasis, candidates, k: int) -> list[str]:
+def select_settings(basis: SymmetricBasis, candidates, k: int | None = None) -> list[str]:
     """Greedy measurement-design: pick ``k`` settings for a symmetric family.
+
+    ``k`` defaults to twice the basis size, capped at the number of distinct
+    candidates.
 
     At each step the candidate maximizing the rank of the stacked
     coefficients-to-probabilities map is chosen; ties fall to the candidate
@@ -334,6 +350,8 @@ def select_settings(basis: SymmetricBasis, candidates, k: int) -> list[str]:
     the basis, not on which orthonormal elements represent it.
     """
     candidates = sorted({check_setting(s, basis.n_qubits) for s in candidates})
+    if k is None:
+        k = min(len(candidates), 2 * basis.size)
     if not 0 < k <= len(candidates):
         raise ValueError(f"cannot pick {k} settings from {len(candidates)} candidates")
     responses = {s: _setting_response(basis, s) for s in candidates}

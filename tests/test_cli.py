@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from symtomo import cli
 from symtomo.cli import main
 from symtomo.operators import load_matrix, matrix_from_json, matrix_to_json, projector, save_matrix
 from symtomo.statesim import ghz_state, werner_exact
@@ -110,6 +111,26 @@ def test_prepare_werner_circuit_default_angles(tmp_path):
 def test_prepare_rejects_bad_werner_qubits(tmp_path):
     with pytest.raises(SystemExit):
         run("prepare", "--state", "werner", "--qubits", 3, "--out", tmp_path / "x.json")
+
+
+@pytest.mark.parametrize(
+    "argv, fault",
+    [
+        (("--state", "werner-exact", "--qubits", 2, "--p", 2), "werner parameter 2.0 outside"),
+        (("--state", "werner-exact", "--qubits", 4, "--p2", -1), "werner parameter -1.0 outside"),
+        (("--state", "ghz", "--qubits", 2, "--noise", "dep", "--level", 1.5),
+         "noise level 1.5 outside [0, 1.0]"),
+        (("--state", "ghz", "--qubits", 0), "out of range for 0 qubits"),
+    ],
+    ids=["p", "p2", "level", "qubits"],
+)
+def test_prepare_rejects_out_of_range_values(tmp_path, argv, fault):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        run("prepare", *argv, "--out", out)
+    assert exc.value.code != 0
+    assert str(exc.value.code).startswith("prepare: ") and fault in str(exc.value.code)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +386,36 @@ def test_sweep_command_observable_counts(tmp_path):
     assert [r["observable_count"] for r in rows] == [1, 2]
 
 
+@pytest.mark.filterwarnings("ignore:measurement map is rank deficient")
+def test_sweep_jobs_apply_to_count_studies(tmp_path, monkeypatch):
+    cfg = {
+        "family": "ghz",
+        "n_qubits": 3,
+        "channels": ["depolarizing"],
+        "levels": [0.1],
+        "shots": [None, 256],
+        "repetitions": 2,
+        "observable_counts": [2, 9],
+        "estimator": {"gamma": 0.0},
+    }
+    cfg_path = tmp_path / "counts.json"
+    cfg_path.write_text(json.dumps(cfg))
+    seen, real = [], cli.run_sweep
+
+    def run_sweep(config, jobs):
+        seen.append(jobs)
+        return real(config, jobs=jobs)
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    for n in (1, 2):
+        assert run("sweep", "--config", cfg_path, "--out-dir", tmp_path / f"jobs{n}",
+                   "--jobs", n) == 0
+    assert seen == [1, 2]
+    for name in ("records.csv", "summary.csv", "manifest.json"):
+        assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
+    assert json.loads((tmp_path / "jobs1" / "manifest.json").read_text())["n_records"] == 6
+
+
 @pytest.mark.parametrize(
     "content, fault",
     [
@@ -382,9 +433,23 @@ def test_sweep_command_observable_counts(tmp_path):
          "unknown noise policy 'bogus'"),
         (json.dumps({"family": "werner", "n_qubits": 3}),
          "the werner circuit family prepares a two-qubit state"),
+        (json.dumps({"family": "ghz", "n_qubits": 0}), "n_qubits must be >= 1, got 0"),
+        (json.dumps({"family": "werner_exact", "n_qubits": 2, "p": 2.0}),
+         "werner parameter 2.0 outside [-1/3, 1]"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "settings_plan": "selected",
+                     "selected_count": 100}), "selected_count must be in [1, 9], got 100"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "observable_counts": [0]}),
+         "observable_counts entry must be >= 1, got 0"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "levels": [None]}),
+         "levels entry must be a number, got None"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "repetitions": "3"}),
+         "repetitions must be an integer, got '3'"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "observable_counts": [99]}),
+         "observable counts must lie in [1, 10]"),
     ],
     ids=["malformed", "not-an-object", "unknown-field", "unknown-estimator-field", "bad-value",
-         "bad-level", "bad-policy", "bad-family-size"],
+         "bad-level", "bad-policy", "bad-family-size", "no-qubits", "werner-p",
+         "selected-count", "zero-count", "null-level", "string-repetitions", "count-too-large"],
 )
 def test_sweep_rejects_bad_config(tmp_path, content, fault):
     cfg_path = tmp_path / "sweep.json"

@@ -86,6 +86,20 @@ def test_config_is_frozen_and_normalizes_tuples():
         dict(family="werner", n_qubits=3),
         dict(family="werner_exact", n_qubits=3),
         dict(family="werner_exact", n_qubits=2, p2=0.5),
+        dict(n_qubits=0),
+        dict(n_qubits="2"),
+        dict(family="werner_exact", n_qubits=2, p=2.0),
+        dict(family="werner_exact", n_qubits=4, p=0.5, p2=-0.5),
+        dict(settings_plan="selected", selected_count=0),
+        dict(settings_plan="selected", selected_count=10),
+        dict(observable_counts=(0,)),
+        dict(observable_counts=(1.5,)),
+        dict(levels=(None,)),
+        dict(levels=None),
+        dict(repetitions="3"),
+        dict(shots=(128.0,)),
+        dict(base_seed=1.5),
+        dict(theta="pi"),
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
@@ -253,9 +267,34 @@ def test_observable_count_sweep_structure():
 
 
 def test_observable_count_sweep_rejects_bad_counts():
-    cfg = dataclasses.replace(SMALL, observable_counts=(0,))
+    cfg = dataclasses.replace(SMALL, observable_counts=(11,))  # n = 2 has 10 pooled observables
     with pytest.raises(ValueError):
         observable_count_sweep(cfg)
+
+
+COUNTS = dataclasses.replace(
+    SMALL,
+    n_qubits=3,
+    levels=(0.05, 0.2),
+    shots=(None, 256),
+    observable_counts=(1, 4, 8, 12),
+)
+
+
+@pytest.mark.filterwarnings("ignore:measurement map is rank deficient")
+def test_count_study_runs_as_sweep_cells():
+    serial = observable_count_sweep(COUNTS)
+    # analytic entries take one repetition: 2 levels x (1 + 2 repetitions) x 4 counts
+    assert len(serial) == 2 * 3 * 4
+    assert records_to_csv(run_sweep(COUNTS, jobs=2)) == records_to_csv(serial)
+
+
+@pytest.mark.filterwarnings("ignore:measurement map is rank deficient")
+def test_count_study_reruns_from_its_manifest(tmp_path):
+    export(observable_count_sweep(COUNTS), tmp_path, config=COUNTS)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    again = run_sweep(sweep_config_from_dict(manifest["config"]))
+    assert records_to_csv(again) == (tmp_path / "records.csv").read_text()
 
 
 # ---------------------------------------------------------------------------

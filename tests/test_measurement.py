@@ -17,6 +17,7 @@ from symtomo.measurement import (
     born_probabilities,
     check_observable,
     check_setting,
+    covered_observables,
     exact_histogram,
     extract_frequencies,
     full_observables,
@@ -340,6 +341,21 @@ def test_extract_rejects_histograms_of_differing_qubit_counts(first_three):
         extract_frequencies(hists, [target], pi_mode=True)
 
 
+@settings(max_examples=40)
+@given(n=st.integers(1, 4), data=st.data())
+def test_covered_observables_are_the_estimable_ones(n, data):
+    measured = data.draw(st.lists(st.sampled_from(full_settings(n)), min_size=1, max_size=6))
+    covered, uncovered = covered_observables(measured)
+    assert sorted(covered + uncovered) == sorted(full_observables(n))
+    assert covered == [o for o in full_observables(n) if o in covered]
+    assert uncovered == [o for o in full_observables(n) if o in uncovered]
+    hists = sample_state(np.eye(2**n) / 2**n, measured, 16, seed=0)
+    assert [r.ops for r in extract_frequencies(hists, covered)] == covered
+    for ops in uncovered:
+        with pytest.raises(ValueError, match="no measured setting can estimate"):
+            extract_frequencies(hists, [ops])
+
+
 def test_unmeasured_records_have_projectors_only():
     recs = unmeasured_records(["XX", "YI"])
     assert all(not r.measured for r in recs)
@@ -356,6 +372,7 @@ def test_select_settings_reaches_full_rank_for_permutation_pair():
     chosen = select_settings(basis, pi_settings(2), 6)
     assert len(chosen) == 6
     assert response_rank(basis, chosen) == basis.size  # 10
+    assert select_settings(basis, pi_settings(2)) == chosen  # k defaults to min(6, 2 * 10)
 
 
 def test_select_settings_single_werner_setting():
