@@ -65,6 +65,7 @@ from .statesim import (
     Gate,
     NoiseModel,
     apply_channel,
+    apply_channel_to_all,
     build_ghz_phase,
     build_twisted,
     build_werner_pair,

@@ -45,7 +45,7 @@ from .operators import (
 )
 from .statesim import (
     NoiseModel,
-    apply_channel,
+    apply_channel_to_all,
     build_ghz_phase,
     build_twisted,
     run_circuit,
@@ -176,8 +176,7 @@ def _cmd_prepare(args) -> int:
                 raise SystemExit("werner-exact needs --qubits 2, or 4 (--p2 sets the second pair)")
             rho = werner_exact(args.p, n_pairs=args.qubits // 2, p2=args.p2)
             if channel != "none" and args.level > 0.0:
-                for q in range(args.qubits):
-                    rho = apply_channel(rho, channel, args.level, q)
+                rho = apply_channel_to_all(rho, channel, args.level)
     except ValueError as exc:
         raise SystemExit(f"prepare: {exc}") from None
     save_matrix(args.out, rho)

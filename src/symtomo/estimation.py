@@ -52,6 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .measurement import check_observable, observable_projector
 from .operators import num_qubits, pauli_string
 from .symmetry import SpinBlocks, SymmetricBasis, spin_blocks
 
@@ -142,18 +143,14 @@ def _split_records(records):
     unmeasured = [r for r in records if not r.measured]
     if not measured:
         raise ValueError("estimation needs at least one measured record")
-    if any(r.frequency is None for r in measured):
-        raise ValueError("measured records must carry a frequency")
     return measured, unmeasured
 
 
 def _record_rows(records, elements):
     """Design rows and frequencies of the measured records, and the summed row of the unmeasured ones."""
     measured, unmeasured = _split_records(records)
-    dim = elements.shape[1]
-    proj = np.stack([r.projector for r in measured + unmeasured])
-    if proj.shape[1:] != (dim, dim):
-        raise ValueError(f"record projectors have shape {proj.shape[1:]}, expected ({dim}, {dim})")
+    n = num_qubits(elements.shape[1])
+    proj = np.stack([observable_projector(check_observable(r.ops, n)) for r in measured + unmeasured])
     freq = np.array([r.frequency for r in measured], dtype=float)
     rows = _design_matrix(proj, elements)
     return rows[:len(measured)], freq, rows[len(measured):].sum(axis=0)
@@ -217,7 +214,7 @@ def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | No
     """
     measured, _ = _split_records(records)
     if dim is None:
-        dim = measured[0].projector.shape[0]
+        dim = 2 ** len(measured[0].ops)
     if basis is not None:
         elements = basis.elements
         if basis.dim != dim:
@@ -267,7 +264,7 @@ def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> Estima
     the records are not informationally complete: the maximum may be non-unique.
     """
     measured, _ = _split_records(records)
-    return _estimate(measured, *_full_space(measured[0].projector.shape[0]), config, "maxlik")
+    return _estimate(measured, *_full_space(2 ** len(measured[0].ops)), config, "maxlik")
 
 
 def _symmetric_space(basis: SymmetricBasis):

@@ -46,7 +46,7 @@ from .metrics import fidelity
 from .statesim import (
     CHANNELS,
     NoiseModel,
-    apply_channel,
+    apply_channel_to_all,
     build_ghz_phase,
     build_twisted,
     run_circuit,
@@ -152,6 +152,9 @@ class SweepConfig:
             _check_number("selected_count", self.selected_count, low=1, high=3**self.n_qubits)
         for k in self.observable_counts or ():
             _check_number("observable_counts entry", k, low=1)
+        if self.observable_counts is not None and self.modes != ("git",):
+            raise ValueError(f"an observable-count study runs git only; modes must be ['git'], "
+                             f"got {list(self.modes)}")
 
 
 def _check_number(name: str, value, kind=numbers.Integral, low=None, high=None) -> None:
@@ -221,11 +224,9 @@ def _prepared_states(config: SweepConfig, channel: str, level: float):
         )
     # closed-form werner state(s); noise is applied post-preparation per qubit
     rho = werner_exact(config.p, n_pairs=config.n_qubits // 2, p2=config.p2)
-    rho_real = rho
     if channel != "none" and level > 0.0:
-        for q in range(config.n_qubits):
-            rho_real = apply_channel(rho_real, channel, level, q)
-    return rho, rho_real
+        return rho, apply_channel_to_all(rho, channel, level)
+    return rho, rho
 
 
 class _Plan:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,14 +104,28 @@ class OutcomeHistogram:
         return len(self.setting)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ObservableRecord:
-    """One observable with (optionally) an estimated frequency attached."""
+    """One observable string, with its estimated frequency if it was measured.
+
+    ``frequency=None`` marks an observable that carries no data.  The string
+    determines the operator: ``projector`` builds the dense d x d
+    ``observable_projector(ops)`` on each read, so a record stores no matrix.
+    """
 
     ops: str
-    projector: np.ndarray
-    frequency: float | None
-    measured: bool
+    frequency: float | None = None
+
+    def __post_init__(self):
+        check_observable(self.ops)
+
+    @property
+    def measured(self) -> bool:
+        return self.frequency is not None
+
+    @property
+    def projector(self) -> np.ndarray:
+        return observable_projector(self.ops)
 
 
 def pi_settings(n_qubits: int) -> list[str]:
@@ -286,6 +300,8 @@ def extract_frequencies(histograms, targets, pi_mode: bool = False) -> list[Obse
     Counted, not enumerated: one O(n 2^n) subset-sum pass per histogram gives
     the estimate of every mask of non-identity slots, filed under its one
     compatible string (the setting's letters on it; canonical in ``pi_mode``).
+    Each record holds the target string and its frequency; no operator is
+    built here, so extraction costs no d x d matrices.
     """
     histograms = list(histograms)
     if not histograms:
@@ -305,28 +321,13 @@ def extract_frequencies(histograms, targets, pi_mode: bool = False) -> list[Obse
         estimates = filed.get(_pooled_key(ops) if pi_mode else ops)
         if not estimates:
             raise ValueError(f"no measured setting can estimate observable {ops!r}")
-        records.append(
-            ObservableRecord(
-                ops=ops,
-                projector=observable_projector(ops),
-                frequency=float(np.mean(estimates)),
-                measured=True,
-            )
-        )
+        records.append(ObservableRecord(ops, float(np.mean(estimates))))
     return records
 
 
 def unmeasured_records(targets) -> list[ObservableRecord]:
-    """Projector-only records for observables that carry no data."""
-    return [
-        ObservableRecord(
-            ops=check_observable(ops),
-            projector=observable_projector(ops),
-            frequency=None,
-            measured=False,
-        )
-        for ops in targets
-    ]
+    """Frequency-free records for observables that carry no data."""
+    return [ObservableRecord(ops) for ops in targets]
 
 
 def _setting_response(basis: SymmetricBasis, setting: str) -> np.ndarray:

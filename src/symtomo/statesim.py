@@ -187,6 +187,14 @@ def apply_channel(rho, channel: str, level: float, qubit: int) -> np.ndarray:
     return out
 
 
+def apply_channel_to_all(rho, channel: str, level: float) -> np.ndarray:
+    """Apply a single-qubit channel to every qubit of a register state, qubit 0 first."""
+    rho = as_matrix(rho)
+    for q in range(num_qubits(rho.shape[0])):
+        rho = apply_channel(rho, channel, level, q)
+    return rho
+
+
 def run_circuit(circuit: Circuit, noise: NoiseModel = NoiseModel.none()) -> np.ndarray:
     """Evolve |0...0><0...0| through the circuit under the noise model."""
     n = circuit.n_qubits
@@ -198,8 +206,7 @@ def run_circuit(circuit: Circuit, noise: NoiseModel = NoiseModel.none()) -> np.n
             for q in gate.qubits:
                 rho = apply_channel(rho, noise.channel, noise.level, q)
     if noise.policy == POLICY_POST and noise.channel != CHANNEL_NONE:
-        for q in range(n):
-            rho = apply_channel(rho, noise.channel, noise.level, q)
+        rho = apply_channel_to_all(rho, noise.channel, noise.level)
     return 0.5 * (rho + rho.conj().T)
 
 

@@ -18,9 +18,9 @@ Two construction routes are used:
   either algebra, with no cost that grows as d^4.
 * SVD route, for custom kinds: stack the vectorized commutation constraints
   for every generator and extract the joint null space by singular value
-  decomposition; each null vector is split into Hermitian components and the
-  candidates are orthonormalized by Gram-Schmidt under the Hilbert-Schmidt
-  inner product.  The test suite uses it as the reference for the Schur route.
+  decomposition; the Hermitian parts of the null vectors are orthonormalized
+  under the Hilbert-Schmidt inner product by a second, real SVD.  The test
+  suite uses it as the reference for the Schur route.
 
 ``spin_blocks`` gives the solver the compressed view of the same transform:
 one copy of every block, plus the number of copies, represents any member of
@@ -43,12 +43,10 @@ from .operators import (
     assert_hermitian,
     assert_unitary,
     embed_one_qubit,
-    hilbert_schmidt_inner,
     num_qubits,
 )
 
-SINGULAR_VALUE_TOL = 1e-9   # constraint singular values below this are null
-GRAM_SCHMIDT_DROP_TOL = 1e-8  # residual norm below which a candidate is dropped
+SINGULAR_VALUE_TOL = 1e-9  # singular values below this are null
 
 KIND_PERMUTATION = "permutation"
 KIND_COLLECTIVE = "collective"
@@ -192,36 +190,7 @@ def group_generators(spec: SymmetrySpec) -> list[np.ndarray]:
     return [np.array(op) for op in spec.operators]
 
 
-def _gram_schmidt(candidates, drop_tol: float = GRAM_SCHMIDT_DROP_TOL) -> list[np.ndarray]:
-    """Orthonormalize Hermitian matrices under the HS inner product.
-
-    Candidates whose residual norm falls below ``drop_tol`` are linearly
-    dependent on earlier ones and are dropped.
-    """
-    kept: list[np.ndarray] = []
-    for cand in candidates:
-        work = np.array(cand, dtype=complex)
-        for base in kept:
-            work = work - hilbert_schmidt_inner(base, work) * base
-        # second pass for numerical stability (classical re-orthogonalization)
-        for base in kept:
-            work = work - hilbert_schmidt_inner(base, work) * base
-        nrm = np.linalg.norm(work)
-        if nrm > drop_tol:
-            kept.append(work / nrm)
-    return kept
-
-
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its first sizable entry is positive real."""
-    nz = np.flatnonzero(np.abs(vec) > 1e-8)
-    if nz.size == 0:
-        return vec
-    pivot = vec[nz[0]]
-    return vec * (pivot.conj() / abs(pivot))
-
-
-def _null_space_basis(spec: SymmetrySpec) -> list[np.ndarray]:
+def _null_space_basis(spec: SymmetrySpec) -> np.ndarray:
     """Generic route: SVD null space of the stacked commutation constraints."""
     d = 2**spec.n_qubits
     eye_d = np.eye(d)
@@ -236,16 +205,17 @@ def _null_space_basis(spec: SymmetrySpec) -> list[np.ndarray]:
             blocks.append(np.kron(gen, eye_d) - np.kron(eye_d, gen.T))
     stacked = np.vstack(blocks)
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    null_rows = vh[svals < SINGULAR_VALUE_TOL]
-    candidates = []
-    for row in null_rows:
-        mat = _fix_phase(row).reshape(d, d)
-        candidates.append(0.5 * (mat + mat.conj().T))
-        candidates.append(0.5j * (mat - mat.conj().T))
-    basis = _gram_schmidt(candidates)
-    if not basis:
+    null = vh[svals < SINGULAR_VALUE_TOL].reshape(-1, d, d)
+    if not len(null):
         raise RuntimeError("commutant basis came out empty; constraints are inconsistent")
-    return basis
+    # The null space is closed under dagger, so the Hermitian parts of its rows
+    # span its Hermitian operators.  Real combinations of Hermitian matrices are
+    # Hermitian, and the real inner product of their real views is the HS one:
+    # one real SVD of those views orthonormalizes them.
+    adjoint = null.conj().transpose(0, 2, 1)
+    parts = np.concatenate([null + adjoint, 1j * (null - adjoint)]) / 2.0
+    _, svals, vh = np.linalg.svd(parts.reshape(len(parts), -1).view(float), full_matrices=False)
+    return vh[svals > SINGULAR_VALUE_TOL * svals[0]].view(complex).reshape(-1, d, d)
 
 
 def compute_commutant_basis(spec: SymmetrySpec) -> SymmetricBasis:
@@ -260,7 +230,7 @@ def compute_commutant_basis(spec: SymmetrySpec) -> SymmetricBasis:
     if spec.kind in (KIND_PERMUTATION, KIND_COLLECTIVE):
         elements = _block_matrix_units(_schur_blocks(spec.n_qubits, spec.kind))
     else:
-        elements = np.array(_null_space_basis(spec))
+        elements = _null_space_basis(spec)
     return SymmetricBasis(spec.n_qubits, spec.kind, elements)
 
 

@@ -8,7 +8,7 @@ import pytest
 from symtomo import cli
 from symtomo.cli import main
 from symtomo.operators import load_matrix, matrix_from_json, matrix_to_json, projector, save_matrix
-from symtomo.statesim import ghz_state, werner_exact
+from symtomo.statesim import apply_channel, ghz_state, werner_exact
 from symtomo.metrics import fidelity
 
 
@@ -98,6 +98,16 @@ def test_prepare_werner_exact_two_pairs_without_p2(tmp_path):
     out = tmp_path / "w.json"
     assert run("prepare", "--state", "werner-exact", "--qubits", 4, "--p", 0.51, "--out", out) == 0
     assert np.allclose(load_matrix(out), werner_exact(0.51, n_pairs=2), atol=1e-12)
+
+
+def test_prepare_noisy_werner_exact_acts_on_every_qubit(tmp_path):
+    out = tmp_path / "w.json"
+    assert run("prepare", "--state", "werner-exact", "--qubits", 2, "--p", 0.51,
+               "--noise", "dep", "--level", 0.2, "--out", out) == 0
+    want = werner_exact(0.51)
+    for q in range(2):
+        want = apply_channel(want, "depolarizing", 0.2, q)
+    assert np.array_equal(load_matrix(out), want)
 
 
 def test_prepare_werner_circuit_default_angles(tmp_path):
@@ -446,10 +456,13 @@ def test_sweep_jobs_apply_to_count_studies(tmp_path, monkeypatch):
          "repetitions must be an integer, got '3'"),
         (json.dumps({"family": "ghz", "n_qubits": 2, "observable_counts": [99]}),
          "observable counts must lie in [1, 10]"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "modes": ["cvqt"], "observable_counts": [3]}),
+         "modes must be ['git'], got ['cvqt']"),
     ],
     ids=["malformed", "not-an-object", "unknown-field", "unknown-estimator-field", "bad-value",
          "bad-level", "bad-policy", "bad-family-size", "no-qubits", "werner-p",
-         "selected-count", "zero-count", "null-level", "string-repetitions", "count-too-large"],
+         "selected-count", "zero-count", "null-level", "string-repetitions", "count-too-large",
+         "count-study-modes"],
 )
 def test_sweep_rejects_bad_config(tmp_path, content, fault):
     cfg_path = tmp_path / "sweep.json"

@@ -5,6 +5,7 @@ trace-constrained least-squares fit), so solver output can be checked to tight
 tolerances.  Sampled cases pin fidelity floors measured from the seeds used.
 """
 
+import itertools
 import warnings
 from functools import lru_cache
 
@@ -21,7 +22,6 @@ from symtomo.measurement import (
     extract_frequencies,
     full_observables,
     full_settings,
-    observable_projector,
     pi_observables,
     pi_settings,
     sample_state,
@@ -34,6 +34,7 @@ from symtomo.estimation import (
     _element_traces,
     _hermitian_basis,
     _newton_direction,
+    _record_rows,
     _trace_frame,
     linear_inversion,
     solve_cvqt,
@@ -216,6 +217,18 @@ def test_git_exact_data_recovery_beyond_acceptance_grid(rho, spec, pi_mode):
 @lru_cache(maxsize=None)
 def cached_basis(n, kind):
     return compute_commutant_basis(SymmetrySpec(n, kind))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_permuted_strings_share_a_permutation_design_row(data):
+    # why a pooled record may stand for its canonical string
+    n = data.draw(st.integers(1, 4))
+    ops = data.draw(st.text("IXYZ", min_size=n, max_size=n))
+    elements = cached_basis(n, "permutation").elements
+    rows, _, _ = _record_rows([ObservableRecord("".join(p), 0.5)
+                               for p in itertools.permutations(ops)], elements)
+    assert np.allclose(rows, rows[0], rtol=0.0, atol=1e-12)
 
 
 def block_maps(basis):
@@ -488,6 +501,24 @@ def test_solve_vqt_rejects_empty_measured():
         solve_vqt(EstimationProblem(records=(), basis=None, dim=2), ANALYTIC)
 
 
+SOLVERS = {
+    "git": lambda recs: solve_git(recs, compute_commutant_basis(SymmetrySpec.permutation(2)), ANALYTIC),
+    "cvqt": lambda recs: solve_cvqt(recs, 4, ANALYTIC),
+    "maxlik": lambda recs: solve_maxlik(recs, ANALYTIC),
+    "linv": linear_inversion,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SOLVERS))
+def test_estimators_name_a_record_of_the_wrong_size(mode):
+    recs = analytic_records(np.eye(4) / 4, 2)
+    with pytest.raises(ValueError, match="observable 'XYZ' does not address 2 qubits"):
+        SOLVERS[mode](recs + [ObservableRecord("XYZ", 0.5)])
+    if mode in ("git", "cvqt"):  # the estimators that read unmeasured records
+        with pytest.raises(ValueError, match="observable 'Z' does not address 2 qubits"):
+            SOLVERS[mode](recs + [ObservableRecord("Z")])
+
+
 def test_zero_frequency_records_are_stable():
     # exact-zero frequencies exercise the eps floor in the relative weights
     rho = projector(np.array([0, 0, 0, 1], dtype=complex))  # |11><11|
@@ -630,8 +661,5 @@ def test_result_delta_matches_definition():
 @pytest.mark.filterwarnings("ignore:measurement map is rank deficient")
 def test_manual_records_accepted():
     # records do not have to come from histograms; hand-built ones work too
-    e = observable_projector("Z")
-    rec = ObservableRecord(ops="Z", projector=e, frequency=1.0, measured=True)
-    norm = ObservableRecord(ops="I", projector=np.eye(2, dtype=complex), frequency=1.0, measured=True)
-    result = solve_cvqt([rec, norm], 2, ANALYTIC)
+    result = solve_cvqt([ObservableRecord("Z", 1.0), ObservableRecord("I", 1.0)], 2, ANALYTIC)
     assert fidelity(result.rho_hat, projector(np.array([1.0, 0.0], dtype=complex))) > 0.999

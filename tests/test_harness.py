@@ -5,11 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtomo.estimation import EstimatorConfig
 from symtomo.harness import (
     SweepConfig,
     SweepRecord,
+    _prepared_states,
     export,
     mix_seed,
     observable_count_sweep,
@@ -19,6 +22,7 @@ from symtomo.harness import (
     summary_to_csv,
     sweep_config_from_dict,
 )
+from symtomo.statesim import apply_channel, werner_exact
 
 
 FAST = EstimatorConfig(gamma=0.0, restarts=1, max_iterations=600)
@@ -100,11 +104,23 @@ def test_config_is_frozen_and_normalizes_tuples():
         dict(shots=(128.0,)),
         dict(base_seed=1.5),
         dict(theta="pi"),
+        dict(observable_counts=(2,), modes=("git", "cvqt")),
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
         SweepConfig(**kwargs)
+
+
+def test_werner_exact_noise_acts_on_every_qubit():
+    cfg = SweepConfig(family="werner_exact", n_qubits=4, p=0.6, p2=0.3,
+                      channels=("amplitude_damping",), levels=(0.2,))
+    target, real = _prepared_states(cfg, "amplitude_damping", 0.2)
+    want = werner_exact(0.6, n_pairs=2, p2=0.3)
+    assert np.array_equal(target, want)
+    for q in range(4):
+        want = apply_channel(want, "amplitude_damping", 0.2, q)
+    assert np.array_equal(real, want)
 
 
 def test_config_from_dict():
@@ -352,3 +368,24 @@ def test_summary_csv_shape():
     lines = text.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("channel,level,shots,mode,count,failures")
+
+
+def subsets(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True).map(tuple)
+
+
+@pytest.mark.filterwarnings("ignore:measurement map is rank deficient")
+@settings(max_examples=3, deadline=None)
+@given(
+    family=st.sampled_from(["ghz", "twisted"]),
+    symmetry=st.sampled_from(["permutation", "collective"]),
+    settings_plan=st.sampled_from(["pi", "complete"]),
+    modes=subsets(["git", "cvqt", "maxlik"]),
+    levels=subsets([0.0, 0.05, 0.2]),
+    shots=subsets([None, 64, 256]),
+    repetitions=st.integers(1, 2),
+    base_seed=st.integers(0, 2**31 - 1),
+)
+def test_parallel_sweep_matches_serial(**fields):
+    cfg = SweepConfig(n_qubits=2, channels=("depolarizing",), estimator=FAST, **fields)
+    assert records_to_csv(run_sweep(cfg, jobs=2)) == records_to_csv(run_sweep(cfg, jobs=1))

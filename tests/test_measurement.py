@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -35,6 +36,7 @@ from symtomo.measurement import (
     setting_rotation,
     unmeasured_records,
 )
+from symtomo import measurement
 from symtomo.measurement import _setting_response
 
 
@@ -361,6 +363,35 @@ def test_unmeasured_records_have_projectors_only():
     assert all(not r.measured for r in recs)
     assert all(r.frequency is None for r in recs)
     assert recs[0].projector.shape == (4, 4)
+
+
+def test_a_record_is_its_string_and_its_frequency():
+    assert [f.name for f in dataclasses.fields(ObservableRecord)] == ["ops", "frequency"]
+    rec = ObservableRecord("XI", 0.25)
+    assert rec == ObservableRecord("XI", 0.25) != ObservableRecord("XI", 0.5)
+    assert rec.measured and not ObservableRecord("XI").measured
+    assert np.array_equal(rec.projector, observable_projector("XI"))
+    for name in ("measured", "projector", "frequency"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+
+
+@pytest.mark.parametrize("ops", ["", "XQ", "xz"])
+def test_record_rejects_a_bad_string(ops):
+    with pytest.raises(ValueError, match=re.escape(repr(ops))):
+        ObservableRecord(ops, 0.5)
+
+
+def test_records_are_built_without_operators(monkeypatch):
+    def refuse(ops):
+        raise AssertionError(f"built the operator of {ops!r}")
+
+    monkeypatch.setattr(measurement, "observable_projector", refuse)
+    hists = sample_state(projector(ghz_state(3)), pi_settings(3), 64, seed=1)
+    recs = extract_frequencies(hists, pi_observables(3), pi_mode=True)
+    recs += extract_frequencies(hists, ["XXX", "ZZI"])
+    assert len(recs) == 22 and all(r.measured for r in recs)
+    assert unmeasured_records(["XY", "II"]) == [ObservableRecord("XY"), ObservableRecord("II")]
 
 
 # ---------------------------------------------------------------------------

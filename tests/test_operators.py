@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from symtomo.operators import (
     HADAMARD,
@@ -188,3 +193,10 @@ def test_matrix_json_round_trip(tmp_path):
     path = tmp_path / "mat.json"
     save_matrix(path, m)
     assert np.array_equal(load_matrix(path), m)
+
+
+@given(hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6).map(lambda s: (s[0], s[0])),
+                  elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
+def test_matrix_json_round_trip_is_exact(m):
+    again = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+    assert again.tobytes() == m.tobytes()  # bit for bit, signed zeros included

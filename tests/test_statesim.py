@@ -8,6 +8,7 @@ from symtomo.statesim import (
     Gate,
     NoiseModel,
     apply_channel,
+    apply_channel_to_all,
     build_ghz_phase,
     build_twisted,
     build_werner_pair,
@@ -106,6 +107,26 @@ def test_run_circuit_examples():
         Circuit(1, (Gate.h(0),)), NoiseModel(channel="depolarizing", level=1.0)
     )
     assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
+
+
+def each_qubit(rho, channel, level):
+    for q in range(int(np.log2(len(rho)))):
+        rho = apply_channel(rho, channel, level, q)
+    return rho
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_post_noise_is_the_channel_on_every_qubit(channel):
+    circuit = build_ghz_phase(3, 0.4)
+    rho = projector(basis_ket("000"))
+    for gate in circuit.gates:
+        u = gate_unitary(gate, 3)
+        rho = u @ rho @ u.conj().T
+    noisy = each_qubit(rho, channel, 0.3)
+    assert np.array_equal(apply_channel_to_all(rho, channel, 0.3), noisy)
+    if channel == "none":
+        noisy = rho
+    assert np.array_equal(run_circuit(circuit, NoiseModel(channel, 0.3)), 0.5 * (noisy + noisy.conj().T))
 
 
 def test_noise_policies_differ():

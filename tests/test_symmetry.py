@@ -9,8 +9,12 @@ built-in bases are also checked against the generic SVD route, which builds
 the same algebras from their generators as custom kinds.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtomo.operators import hilbert_schmidt_inner, pauli_string
 from symtomo.symmetry import (
@@ -158,6 +162,28 @@ def test_symmetrize_fixes_symmetric_states():
     ghz = np.zeros((4, 4), dtype=complex)
     ghz[0, 0] = ghz[0, 3] = ghz[3, 0] = ghz[3, 3] = 0.5
     assert np.allclose(symmetrize(ghz, basis), ghz, atol=1e-10)
+
+
+# built-in kinds at n <= 4, and a custom kind: total Z on two qubits
+SYMMETRIES = [SymmetrySpec(n, kind) for kind in ("permutation", "collective") for n in (1, 2, 3, 4)]
+SYMMETRIES.append(SymmetrySpec.custom_lie([pauli_string("ZI") + pauli_string("IZ")]))
+
+
+@lru_cache(maxsize=None)
+def symmetry_basis(index):
+    return compute_commutant_basis(SYMMETRIES[index])
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, len(SYMMETRIES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_symmetrize_is_an_invariant_projection(index, seed):
+    basis = symmetry_basis(index)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((basis.dim,) * 2) + 1j * rng.standard_normal((basis.dim,) * 2)
+    sym = symmetrize(a + a.conj().T, basis)
+    assert np.allclose(symmetrize(sym, basis), sym, atol=1e-10)
+    for gen in group_generators(SYMMETRIES[index]):
+        assert np.allclose(gen @ sym, sym @ gen, atol=1e-10)
 
 
 def test_transposition_permutation_swaps_bits():
