@@ -52,8 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measurement import check_observable, observable_projector
-from .operators import num_qubits, pauli_string
+from .measurement import _observable_projectors, check_observable
+from .operators import PAULIS, _tensor_stack, num_qubits
 from .symmetry import SpinBlocks, SymmetricBasis, spin_blocks
 
 _CENTRED = 1e-9             # half the squared Newton decrement that ends a centring stage
@@ -129,11 +129,8 @@ def _hermitian_basis(n_qubits: int) -> np.ndarray:
         raise ValueError(
             "full-space estimation keeps 4^n dense basis matrices; practical up to 6 qubits"
         )
-    scale = np.sqrt(2.0**n_qubits)
-    mats = np.array([
-        pauli_string("".join(s)) / scale
-        for s in itertools.product("IXYZ", repeat=n_qubits)
-    ])
+    mats = _tensor_stack(PAULIS, list(itertools.product("IXYZ", repeat=n_qubits)))
+    mats /= np.sqrt(2.0**n_qubits)
     mats.setflags(write=False)  # cached: every caller shares this array
     return mats
 
@@ -150,15 +147,17 @@ def _record_rows(records, elements):
     """Design rows and frequencies of the measured records, and the summed row of the unmeasured ones."""
     measured, unmeasured = _split_records(records)
     n = num_qubits(elements.shape[1])
-    proj = np.stack([observable_projector(check_observable(r.ops, n)) for r in measured + unmeasured])
+    proj = _observable_projectors([check_observable(r.ops, n) for r in measured + unmeasured])
     freq = np.array([r.frequency for r in measured], dtype=float)
     rows = _design_matrix(proj, elements)
     return rows[:len(measured)], freq, rows[len(measured):].sum(axis=0)
 
 
 def _design_matrix(proj: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Rows Re tr(E_m^dag S_i): one matmul of the flattened (m, d^2) and (r, d^2) arrays."""
-    return np.real(proj.reshape(len(proj), -1).conj() @ elements.reshape(len(elements), -1).T)
+    """Rows Re tr(E_m^dag S_i) = sum_ab (Re E Re S + Im E Im S)_ab: one real matmul
+    of the (m, 2d^2) and (r, 2d^2) float views of the flattened complex arrays."""
+    flat = np.ascontiguousarray(elements).view(float).reshape(len(elements), -1)
+    return np.ascontiguousarray(proj).view(float).reshape(len(proj), -1) @ flat.T
 
 
 # ---------------------------------------------------------------------------

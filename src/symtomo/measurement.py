@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import HADAMARD, PAULI_I, as_matrix, num_qubits, tensor
+from .operators import HADAMARD, PAULI_I, _tensor_stack, as_matrix, num_qubits
 from .symmetry import SymmetricBasis
 
 RANK_TOL = 1e-9  # singular values below this do not count toward map rank
@@ -215,13 +215,17 @@ def covered_observables(settings) -> tuple[list[str], list[str]]:
 def setting_rotation(setting: str) -> np.ndarray:
     """Unitary rotating the setting's product eigenbasis onto the computational basis."""
     check_setting(setting)
-    return tensor(*(_BASIS_ROTATIONS[c] for c in setting))
+    return _tensor_stack(_BASIS_ROTATIONS, [setting])[0]
 
 
 def observable_projector(ops: str) -> np.ndarray:
     """Tensor of +1 eigenprojectors (identity on ``I`` slots)."""
-    check_observable(ops)
-    return tensor(*(_PLUS_PROJECTORS[c] for c in ops))
+    return _observable_projectors([check_observable(ops)])[0]
+
+
+def _observable_projectors(strings) -> np.ndarray:
+    """(m, d, d) stack of the ``observable_projector`` of each of m checked, equal-length strings."""
+    return _tensor_stack(_PLUS_PROJECTORS, strings)
 
 
 def born_probabilities(rho, setting: str) -> np.ndarray:
@@ -229,12 +233,14 @@ def born_probabilities(rho, setting: str) -> np.ndarray:
 
     Entry ``b`` is tr(P_b rho) for the rank-one product projector labeled by
     bitstring ``b``; tiny negative values from roundoff are clipped and the
-    vector is renormalized.
+    vector is renormalized.  With u the setting's rotation, entry b is
+    (u rho u^dag)_bb = sum_k (u rho)_bk conj(u_bk): one matrix product and a
+    row sum.
     """
     rho = as_matrix(rho)
     check_setting(setting, num_qubits(rho.shape[0]))
     u = setting_rotation(setting)
-    probs = np.real(np.einsum("ij,jk,ik->i", u, rho, u.conj()))
+    probs = np.real(((u @ rho) * u.conj()).sum(-1))
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 
@@ -349,31 +355,35 @@ def select_settings(basis: SymmetricBasis, candidates, k: int | None = None) -> 
     Condition numbers within a relative ``COND_TIE_RTOL`` count as tied, so
     roundoff cannot break a tie and the choice depends only on the span of
     the basis, not on which orthonormal elements represent it.
+
+    The chosen rows are kept as the R factor of their QR decomposition (at
+    most r x r), which has their singular values, and each round scores every
+    remaining candidate by one batched SVD of the stacked [R; A_s].
     """
     candidates = sorted({check_setting(s, basis.n_qubits) for s in candidates})
     if k is None:
         k = min(len(candidates), 2 * basis.size)
     if not 0 < k <= len(candidates):
         raise ValueError(f"cannot pick {k} settings from {len(candidates)} candidates")
-    responses = {s: _setting_response(basis, s) for s in candidates}
+    responses = np.array([_setting_response(basis, s) for s in candidates])  # (C, 2^n, r)
+    remaining = list(range(len(candidates)))
     chosen: list[str] = []
-    rows = np.zeros((0, basis.size))
+    reduced = np.zeros((0, basis.size))
     for _ in range(k):
-        scores = {}
-        for s in candidates:
-            if s in chosen:
-                continue
-            sv = np.linalg.svd(np.vstack([rows, responses[s]]), compute_uv=False)
-            rank = int((sv > RANK_TOL).sum())
-            scores[s] = (rank, float(sv[0] / sv[rank - 1]) if rank else np.inf)
-        top_rank = max(rank for rank, _ in scores.values())
-        least = min(cond for rank, cond in scores.values() if rank == top_rank)
-        best = next(
-            s for s, (rank, cond) in scores.items()
-            if rank == top_rank and cond <= least * (1.0 + COND_TIE_RTOL)
+        stacked = np.concatenate(
+            [np.broadcast_to(reduced, (len(remaining),) + reduced.shape), responses[remaining]], axis=1
         )
-        chosen.append(best)
-        rows = np.vstack([rows, responses[best]])
+        sv = np.linalg.svd(stacked, compute_uv=False)  # (remaining, min(rows, r)), descending
+        rank = (sv > RANK_TOL).sum(axis=1)
+        top = rank == rank.max()
+        cond = np.full(len(remaining), np.inf)
+        if rank.max():
+            cond[top] = sv[top, 0] / sv[top, rank.max() - 1]
+        least = cond[top].min()
+        # remaining is in sorted order, so the first tied candidate is the lexicographic pick
+        best = remaining.pop(int(np.flatnonzero(top & (cond <= least * (1.0 + COND_TIE_RTOL)))[0]))
+        chosen.append(candidates[best])
+        reduced = np.linalg.qr(np.vstack([reduced, responses[best]]), mode="r")
     return chosen
 
 

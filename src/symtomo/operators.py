@@ -117,6 +117,25 @@ def tensor(*factors) -> np.ndarray:
     return out
 
 
+def _tensor_stack(factors: dict, strings) -> np.ndarray:
+    """Stack of tensor products, entry k the ``tensor`` of ``factors[c]`` over the letters c of ``strings[k]``.
+
+    ``factors`` maps each letter to a 2 x 2 matrix; ``strings`` holds one or
+    more checked strings of one length n >= 1.  The letters index a
+    (letters, 2, 2) table, and one broadcast outer product per qubit extends
+    all the products at once.  Each entry is the same product of the same
+    numbers as ``np.kron`` forms, so the result equals ``tensor`` bit for bit.
+    """
+    position = {c: i for i, c in enumerate(factors)}
+    table = np.array(list(factors.values()), dtype=complex)
+    letters = np.array([[position[c] for c in s] for s in strings], dtype=np.intp)
+    out = table[letters[:, 0]]
+    for q in range(1, letters.shape[1]):
+        d = out.shape[-1]
+        out = (out[:, :, None, :, None] * table[letters[:, q]][:, None, :, None, :]).reshape(-1, 2 * d, 2 * d)
+    return out
+
+
 def embed_one_qubit(op, qubit: int, n: int) -> np.ndarray:
     """Embed a single-qubit operator at position ``qubit`` of an n-qubit register."""
     op = as_matrix(op)
@@ -133,7 +152,7 @@ def pauli_string(ops: str) -> np.ndarray:
     """Tensor product of Pauli matrices named by a string over ``IXYZ``."""
     if not ops or any(c not in PAULIS for c in ops):
         raise ValueError(f"invalid Pauli string {ops!r}")
-    return tensor(*(PAULIS[c] for c in ops))
+    return _tensor_stack(PAULIS, [ops])[0]
 
 
 def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ from symtomo.statesim import apply_channel, ghz_state, werner_exact
 from symtomo.symmetry import SymmetrySpec, compute_commutant_basis, spin_blocks, symmetrize
 from symtomo.measurement import (
     ObservableRecord,
+    _observable_projectors,
     extract_frequencies,
     full_observables,
     full_settings,
@@ -31,6 +32,7 @@ from symtomo.estimation import (
     EstimationProblem,
     EstimatorConfig,
     _BlockMaps,
+    _design_matrix,
     _element_traces,
     _hermitian_basis,
     _newton_direction,
@@ -229,6 +231,14 @@ def test_permuted_strings_share_a_permutation_design_row(data):
     rows, _, _ = _record_rows([ObservableRecord("".join(p), 0.5)
                                for p in itertools.permutations(ops)], elements)
     assert np.allclose(rows, rows[0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, kind", [(n, "permutation") for n in range(2, 7)] + [(2, None), (3, None)])
+def test_design_matrix_is_the_real_part_of_the_complex_product(n, kind):
+    elements = _hermitian_basis(n) if kind is None else cached_basis(n, kind).elements
+    proj = _observable_projectors(pi_observables(n) if kind else full_observables(n))
+    want = np.real(np.conj(proj.reshape(len(proj), -1)) @ elements.reshape(len(elements), -1).T)
+    assert np.abs(_design_matrix(proj, elements) - want).max() <= 1e-13
 
 
 def block_maps(basis):

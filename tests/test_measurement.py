@@ -37,7 +37,7 @@ from symtomo.measurement import (
     unmeasured_records,
 )
 from symtomo import measurement
-from symtomo.measurement import _setting_response
+from symtomo.measurement import COND_TIE_RTOL, RANK_TOL, _observable_projectors, _setting_response
 
 
 def random_density(rng, d):
@@ -137,6 +137,40 @@ def test_born_probabilities_normalized():
             assert np.isclose(probs.sum(), 1.0)
 
 
+def kron_chain(factors):
+    out = np.eye(1)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def test_batched_projectors_equal_the_kron_chain():
+    plus = {"I": np.eye(2), "X": np.full((2, 2), 0.5),
+            "Y": np.array([[0.5, -0.5j], [0.5j, 0.5]]), "Z": np.diag([1.0, 0.0])}
+    rng = np.random.default_rng(5)
+    groups = [full_observables(n) for n in range(1, 5)]
+    groups.append(["".join(rng.choice(list("IXYZ"), 7)) for _ in range(50)])
+    for strings in groups:
+        stack = _observable_projectors(strings)
+        assert stack.shape == (len(strings),) + observable_projector(strings[0]).shape
+        for ops, proj in zip(strings, stack):
+            assert np.array_equal(proj, observable_projector(ops))
+            assert np.array_equal(proj, kron_chain([plus[c] for c in ops]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_born_probabilities_are_the_traces_of_the_product_projectors(n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rho = random_density(rng, 2**n)
+    setting = data.draw(st.text("XYZ", min_size=n, max_size=n), label="setting")
+    u = setting_rotation(setting)  # row b is the bra of the eigenstate labeled by b
+    want = np.array([np.trace(np.outer(row.conj(), row) @ rho).real for row in u])
+    probs = born_probabilities(rho, setting)
+    assert np.abs(probs - want).max() <= 1e-14
+    assert probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= 1e-14
+
+
 def test_analytic_frequencies_equal_traces():
     """Infinite statistics: extracted f must match tr(E rho) for every target."""
     rng = np.random.default_rng(79)
@@ -154,6 +188,12 @@ def test_analytic_frequencies_equal_traces():
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
+
+def test_sample_state_is_reproducible_from_its_seed():
+    rho = random_density(np.random.default_rng(3), 16)
+    runs = [sample_state(rho, pi_settings(4), 4096, seed=11) for _ in range(2)]
+    assert [(h.setting, h.counts) for h in runs[0]] == [(h.setting, h.counts) for h in runs[1]]
+
 
 def test_point_distribution_sampling():
     probs = np.array([1.0, 0.0, 0.0, 0.0])
@@ -397,6 +437,37 @@ def test_records_are_built_without_operators(monkeypatch):
 # ---------------------------------------------------------------------------
 # setting selection
 # ---------------------------------------------------------------------------
+
+def select_by_full_svds(basis, candidates, k):
+    """The greedy rule with one SVD of all stacked rows per candidate per round."""
+    candidates = sorted(set(candidates))
+    responses = {s: _setting_response(basis, s) for s in candidates}
+    chosen, rows = [], np.zeros((0, basis.size))
+    for _ in range(k):
+        scores = {}
+        for s in candidates:
+            if s not in chosen:
+                sv = np.linalg.svd(np.vstack([rows, responses[s]]), compute_uv=False)
+                rank = int((sv > RANK_TOL).sum())
+                scores[s] = (rank, float(sv[0] / sv[rank - 1]) if rank else np.inf)
+        top = max(rank for rank, _ in scores.values())
+        least = min(cond for rank, cond in scores.values() if rank == top)
+        best = next(s for s, (rank, cond) in scores.items()
+                    if rank == top and cond <= least * (1.0 + COND_TIE_RTOL))
+        chosen.append(best)
+        rows = np.vstack([rows, responses[best]])
+    return chosen
+
+
+@pytest.mark.parametrize("kind", ["collective", "permutation"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", [full_settings, pi_settings])
+def test_select_settings_picks_as_one_svd_per_candidate_does(kind, n, family):
+    basis = compute_commutant_basis(SymmetrySpec(n, kind))
+    candidates = family(n)
+    k = min(len(candidates), 2 * basis.size)
+    assert select_settings(basis, candidates, k) == select_by_full_svds(basis, candidates, k)
+
 
 def test_select_settings_reaches_full_rank_for_permutation_pair():
     basis = compute_commutant_basis(SymmetrySpec.permutation(2))
