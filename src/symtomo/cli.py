@@ -23,12 +23,11 @@ from .estimation import EstimatorConfig, solve_cvqt, solve_git, solve_maxlik
 from .harness import export, run_sweep, sweep_config_from_dict
 from .measurement import (
     check_setting,
-    covered_observables,
     extract_frequencies,
     full_settings,
     ingest_histograms,
-    pi_observables,
     pi_settings,
+    record_plan,
     sample_state,
     save_histograms,
     select_settings,
@@ -245,13 +244,12 @@ def _cmd_estimate(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"estimate: {exc}") from None
     n = hists[0].n_qubits
-    covered, uncovered = covered_observables(h.setting for h in hists)
-    pooled = args.mode == "git" and args.symmetry == "permutation"
-    records = extract_frequencies(hists, pi_observables(n) if pooled else covered, pi_mode=pooled)
+    measured, unmeasured, pooled = record_plan(args.mode, args.symmetry, (h.setting for h in hists))
+    records = extract_frequencies(hists, measured, pi_mode=pooled) + unmeasured_records(unmeasured)
     if args.mode == "git":
         result = solve_git(records, compute_commutant_basis(SymmetrySpec(n, args.symmetry)), config)
     elif args.mode == "cvqt":
-        result = solve_cvqt(records + unmeasured_records(uncovered), 2**n, config)
+        result = solve_cvqt(records, 2**n, config)
     else:
         result = solve_maxlik(records, config)
     payload = {

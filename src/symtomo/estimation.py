@@ -45,6 +45,7 @@ guarantee), which tests use as an independent reference.
 from __future__ import annotations
 
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .measurement import _observable_projectors, check_observable
-from .operators import PAULIS, _tensor_stack, num_qubits
+from .operators import PAULIS, _check_number, _tensor_stack, num_qubits
 from .symmetry import SpinBlocks, SymmetricBasis, spin_blocks
 
 _CENTRED = 1e-9             # half the squared Newton decrement that ends a centring stage
@@ -89,13 +90,18 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the barrier solve needs a data term, a convex barrier and a gap to reach
-        if not (self.alpha > 0.0 and self.gamma >= 0.0 and self.objective_tolerance > 0.0):
-            raise ValueError(
-                "estimator config needs alpha > 0, gamma >= 0 and objective_tolerance > 0, got "
-                f"alpha={self.alpha!r}, gamma={self.gamma!r}, "
-                f"objective_tolerance={self.objective_tolerance!r}"
-            )
+        for name in ("alpha", "beta", "gamma", "objective_tolerance", "feasibility_tolerance",
+                     "frequency_floor"):
+            _check_number(name, getattr(self, name), numbers.Real)
+        for name in ("max_iterations", "restarts", "seed"):
+            _check_number(name, getattr(self, name))
+        # the barrier solve needs a convex barrier, an iteration cap, a data
+        # term, a gap to reach and finite relative weights
+        _check_number("gamma", self.gamma, numbers.Real, low=0)
+        _check_number("max_iterations", self.max_iterations, low=0)
+        for name in ("alpha", "objective_tolerance", "frequency_floor"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"estimator config needs {name} > 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -242,6 +248,8 @@ def solve_vqt(problem: EstimationProblem, config: EstimatorConfig = EstimatorCon
     """
     if problem.basis is None:
         return _estimate(problem.records, *_full_space(problem.dim), config, "cvqt")
+    if problem.basis.dim != problem.dim:
+        raise ValueError(f"basis dimension {problem.basis.dim} does not match dim {problem.dim}")
     return _estimate(problem.records, *_symmetric_space(problem.basis), config, "git")
 
 

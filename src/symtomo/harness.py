@@ -33,16 +33,16 @@ import numpy as np
 from . import __version__ as _VERSION
 from .estimation import EstimatorConfig, solve_cvqt, solve_git, solve_maxlik
 from .measurement import (
-    covered_observables,
     extract_frequencies,
     full_settings,
-    pi_observables,
     pi_settings,
+    record_plan,
     sample_state,
     select_settings,
     unmeasured_records,
 )
 from .metrics import fidelity
+from .operators import _check_number
 from .statesim import (
     CHANNELS,
     NoiseModel,
@@ -123,6 +123,10 @@ class SweepConfig:
             raise ValueError(f"unknown settings plan {self.settings_plan!r}")
         if not self.modes or any(mode not in _MODES for mode in self.modes):
             raise ValueError(f"modes must be a nonempty subset of {_MODES}")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"modes must not repeat, got {list(self.modes)}")
+        if not isinstance(self.estimator, EstimatorConfig):
+            raise ValueError(f"estimator must be an EstimatorConfig, got {self.estimator!r}")
         bad_channels = [c for c in self.channels if c not in CHANNELS]
         if bad_channels:
             raise ValueError(f"unknown channels {bad_channels}")
@@ -155,16 +159,6 @@ class SweepConfig:
         if self.observable_counts is not None and self.modes != ("git",):
             raise ValueError(f"an observable-count study runs git only; modes must be ['git'], "
                              f"got {list(self.modes)}")
-
-
-def _check_number(name: str, value, kind=numbers.Integral, low=None, high=None) -> None:
-    """Reject a config value that is not a ``kind`` number in [low, high], naming its field."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is numbers.Integral else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    if (low is not None and value < low) or (high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -201,6 +195,7 @@ class SweepSummary:
     mean_fidelity_vs_real: float | None
     std_fidelity_vs_real: float | None
     mean_fidelity_git_vs_cvqt: float | None
+    observable_count: int | None     # observable-count study only
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +225,7 @@ def _prepared_states(config: SweepConfig, channel: str, level: float):
 
 
 class _Plan:
-    """Measurement settings and estimator record layouts for a config."""
+    """Measurement settings and each mode's ``record_plan`` for a config."""
 
     def __init__(self, config: SweepConfig):
         n = config.n_qubits
@@ -241,18 +236,18 @@ class _Plan:
             self.settings = full_settings(n)
         else:
             self.settings = select_settings(self.basis, full_settings(n), config.selected_count)
-        self.covered, self.uncovered = covered_observables(self.settings)
-        self.pi_mode = config.symmetry == "permutation"
-        self.git_targets = pi_observables(n) if self.pi_mode else self.covered
+        self.record_plans = {mode: record_plan(mode, config.symmetry, self.settings)
+                             for mode in config.modes}
 
     @cached_property
     def ordered_observables(self) -> list[str]:
-        """The git targets in the order an observable-count study measures them: settings first."""
+        """The git observables in the order an observable-count study measures them: settings first."""
+        measured, _, pooled = self.record_plans["git"]
         settings = self.settings
-        if self.pi_mode:  # every pooled setting, in greedy order
+        if pooled:  # every pooled setting, in greedy order
             n = self.basis.n_qubits
             settings = select_settings(self.basis, pi_settings(n), len(pi_settings(n)))
-        return list(settings) + [o for o in self.git_targets if "I" in o]
+        return list(settings) + [o for o in measured if "I" in o]
 
 
 @lru_cache(maxsize=32)
@@ -260,22 +255,15 @@ def _plan_for(config: SweepConfig) -> _Plan:
     return _Plan(config)
 
 
-def _solve_mode(config: SweepConfig, plan: _Plan, histograms, mode: str):
+def _solve(config: SweepConfig, plan: _Plan, histograms, mode: str, measured, unmeasured):
+    """``mode``'s estimate: frequencies of the ``measured`` observables, penalties on the ``unmeasured``."""
+    records = extract_frequencies(histograms, measured, pi_mode=plan.record_plans[mode][2])
+    records += unmeasured_records(unmeasured)
     if mode == "git":
-        records = extract_frequencies(histograms, plan.git_targets, pi_mode=plan.pi_mode)
         return solve_git(records, plan.basis, config.estimator)
-    records = extract_frequencies(histograms, plan.covered)
     if mode == "cvqt":
-        return solve_cvqt(records + unmeasured_records(plan.uncovered), 2**config.n_qubits, config.estimator)
+        return solve_cvqt(records, 2**config.n_qubits, config.estimator)
     return solve_maxlik(records, config.estimator)
-
-
-def _solve_count(config: SweepConfig, plan: _Plan, histograms, k: int):
-    """Git with the first k ordered observables measured and the rest as unmeasured-mass penalties."""
-    ordered = plan.ordered_observables
-    records = extract_frequencies(histograms, ordered[:k], pi_mode=plan.pi_mode)
-    records += unmeasured_records(ordered[k:])
-    return solve_git(records, plan.basis, config.estimator)
 
 
 def _attempt(solve, *args):
@@ -328,16 +316,20 @@ def _run_cell(args) -> list[SweepRecord]:
         seed=seed,
     )
     if config.observable_counts is not None:
-        full = len(plan.ordered_observables)
-        reference = _solve_count(config, plan, histograms, full).rho_hat
-        rows = []
+        ordered = plan.ordered_observables
+        full = len(ordered)  # the reference: every observable measured
+        results = {full: _attempt(_solve, config, plan, histograms, "git", ordered, [])}
         for k in config.observable_counts:
-            result = _attempt(_solve_count, config, plan, histograms, k)
-            vs_reference = _safe_fidelity(getattr(result, "rho_hat", None), reference)
-            rows.append(_row(dict(common, mode="git", observable_count=int(k)), result,
-                             rho_target, rho_real, fidelity_vs_reference=vs_reference))
-        return rows
-    results = {mode: _attempt(_solve_mode, config, plan, histograms, mode) for mode in config.modes}
+            if k not in results:
+                results[k] = _attempt(_solve, config, plan, histograms, "git", ordered[:k], ordered[k:])
+        reference = getattr(results[full], "rho_hat", None)
+        return [
+            _row(dict(common, mode="git", observable_count=int(k)), results[k], rho_target, rho_real,
+                 fidelity_vs_reference=_safe_fidelity(getattr(results[k], "rho_hat", None), reference))
+            for k in config.observable_counts
+        ]
+    results = {mode: _attempt(_solve, config, plan, histograms, mode, *plan.record_plans[mode][:2])
+               for mode in config.modes}
     cross = _safe_fidelity(
         getattr(results.get("git"), "rho_hat", None), getattr(results.get("cvqt"), "rho_hat", None)
     )
@@ -353,10 +345,11 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
 
     Each cell (channel, level, shots, repetition) samples one data set and
     runs every mode on it.  A config with ``observable_counts`` runs the
-    observable-count study instead: each cell solves git once per count
-    (see ``observable_count_sweep``), and analytic (``shots=None``) entries
-    take a single repetition.  Counts beyond the ordered family raise
-    ``ValueError`` before any cell runs.
+    observable-count study instead: each cell solves git once per count,
+    and once with every observable measured for the reference unless that
+    count is one of them (see ``observable_count_sweep``); analytic
+    (``shots=None``) entries take a single repetition.  Counts beyond the
+    ordered family raise ``ValueError`` before any cell runs.
 
     With ``jobs > 1`` cells run in separate processes; the merged record
     list is identical to a serial run because every cell's randomness comes
@@ -411,12 +404,14 @@ def _mean_std(values):
 
 
 def summarize(records) -> list[SweepSummary]:
-    """Per-(channel, level, shots, mode) means and sample standard deviations."""
+    """Per-(channel, level, shots, mode, observable count) means and sample standard deviations."""
     groups: dict[tuple, list[SweepRecord]] = {}
     for rec in records:
-        groups.setdefault((rec.channel, rec.level, rec.shots, rec.mode), []).append(rec)
+        key = (rec.channel, rec.level, rec.shots, rec.mode, rec.observable_count)
+        groups.setdefault(key, []).append(rec)
     out = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2], k[3])):
+    # unset shots (analytic data) and counts (ordinary sweeps) sort first
+    for key in sorted(groups, key=lambda k: tuple(-1 if v is None else v for v in k)):
         rows = groups[key]
         mt, st = _mean_std([r.fidelity_vs_target for r in rows])
         mr, sr = _mean_std([r.fidelity_vs_real for r in rows])
@@ -434,6 +429,7 @@ def summarize(records) -> list[SweepSummary]:
                 mean_fidelity_vs_real=mr,
                 std_fidelity_vs_real=sr,
                 mean_fidelity_git_vs_cvqt=mc,
+                observable_count=key[4],
             )
         )
     return out
@@ -533,8 +529,5 @@ def sweep_config_from_dict(payload: dict) -> SweepConfig:
         bad = set(est) - {f.name for f in dataclasses.fields(EstimatorConfig)}
         if bad:
             raise ValueError(f"unknown estimator config fields: {sorted(bad)}")
-        try:
-            kwargs["estimator"] = EstimatorConfig(**est)
-        except TypeError as exc:
-            raise ValueError(f"estimator: {exc}") from None
+        kwargs["estimator"] = EstimatorConfig(**est)
     return SweepConfig(**kwargs)

@@ -212,6 +212,22 @@ def covered_observables(settings) -> tuple[list[str], list[str]]:
     return [o for o in everything if o in determined], [o for o in everything if o not in determined]
 
 
+def record_plan(mode: str, symmetry: str, settings) -> tuple[list[str], list[str], bool]:
+    """The observables an estimator gets records for: ``(measured, unmeasured, pooled)``.
+
+    git on the permutation kind measures the pooled family
+    ``pi_observables(n)`` (``pooled`` is then true: pass it to
+    ``extract_frequencies`` as ``pi_mode``).  Every other estimator measures
+    the covered observables, and cvqt also gets the uncovered rest as
+    frequency-free records (``unmeasured_records``).
+    """
+    settings = list(settings)
+    if mode == "git" and symmetry == "permutation":
+        return pi_observables(len(settings[0])), [], True
+    covered, uncovered = covered_observables(settings)
+    return covered, uncovered if mode == "cvqt" else [], False
+
+
 def setting_rotation(setting: str) -> np.ndarray:
     """Unitary rotating the setting's product eigenbasis onto the computational basis."""
     check_setting(setting)

@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,16 @@ def num_qubits(dim: int) -> int:
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"dimension {dim} is not a positive power of two")
     return n
+
+
+def _check_number(name: str, value, kind=numbers.Integral, low=None, high=None) -> None:
+    """Reject a config value that is not a ``kind`` number in [low, high], naming its field."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if (low is not None and not value >= low) or (high is not None and not value <= high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def assert_hermitian(m, atol: float = HERMITICITY_ATOL, name: str = "operator") -> np.ndarray:

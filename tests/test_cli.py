@@ -1,12 +1,15 @@
 """End-to-end runs of the command-line interface against temporary files."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symtomo import cli
+from symtomo import cli, harness
 from symtomo.cli import main
+from symtomo.measurement import save_histograms
 from symtomo.operators import load_matrix, matrix_from_json, matrix_to_json, projector, save_matrix
 from symtomo.statesim import apply_channel, ghz_state, werner_exact
 from symtomo.metrics import fidelity
@@ -458,11 +461,22 @@ def test_sweep_jobs_apply_to_count_studies(tmp_path, monkeypatch):
          "observable counts must lie in [1, 10]"),
         (json.dumps({"family": "ghz", "n_qubits": 2, "modes": ["cvqt"], "observable_counts": [3]}),
          "modes must be ['git'], got ['cvqt']"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "estimator": {"max_iterations": "5"}}),
+         "max_iterations must be an integer, got '5'"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "estimator": {"max_iterations": -1}}),
+         "max_iterations must be >= 0, got -1"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "estimator": {"max_iterations": 2.5}}),
+         "max_iterations must be an integer, got 2.5"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "estimator": {"frequency_floor": "x"}}),
+         "frequency_floor must be a number, got 'x'"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "estimator": {"gamma": True}}),
+         "gamma must be a number, got True"),
     ],
     ids=["malformed", "not-an-object", "unknown-field", "unknown-estimator-field", "bad-value",
          "bad-level", "bad-policy", "bad-family-size", "no-qubits", "werner-p",
          "selected-count", "zero-count", "null-level", "string-repetitions", "count-too-large",
-         "count-study-modes"],
+         "count-study-modes", "string-iterations", "negative-iterations", "fractional-iterations",
+         "string-floor", "boolean-gamma"],
 )
 def test_sweep_rejects_bad_config(tmp_path, content, fault):
     cfg_path = tmp_path / "sweep.json"
@@ -473,6 +487,39 @@ def test_sweep_rejects_bad_config(tmp_path, content, fault):
     assert exc.value.code != 0
     assert str(cfg_path) in str(exc.value.code) and fault in str(exc.value.code)
     assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("ignore:measurement map is rank deficient")
+@pytest.mark.parametrize("symmetry", ["permutation", "collective"])
+def test_estimate_reproduces_a_sweep_cell(tmp_path, monkeypatch, symmetry):
+    # the CLI and the sweep give each estimator the same records, so the same objective
+    sampled, sample_state = [], harness.sample_state
+
+    def keep(*args):
+        sampled.append(sample_state(*args))
+        return sampled[-1]
+
+    monkeypatch.setattr(harness, "sample_state", keep)
+    config = harness.SweepConfig(n_qubits=2, symmetry=symmetry, modes=("git", "cvqt", "maxlik"),
+                                 levels=(0.1,), shots=(512,), repetitions=1, base_seed=5)
+    rows = harness.run_sweep(config)
+    hists = tmp_path / "hists.json"
+    save_histograms(hists, sampled[0], n_qubits=2)
+    for row in rows:
+        out = tmp_path / f"{row.mode}.json"
+        assert run("estimate", "--data", hists, "--mode", row.mode, "--symmetry", symmetry,
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["objective"] == row.objective
+
+
+def test_cli_keeps_every_name_the_traced_benchmark_wraps():
+    # perfbench/cli_traced.py replaces these attributes of symtomo.cli with timed wrappers
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "cli_traced.py").read_text()
+    patches = next(node.value for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(target, "id", None) == "_PATCHES" for target in node.targets))
+    names = [key.value for key in patches.keys]
+    assert names and [name for name in names if not hasattr(cli, name)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -500,7 +500,13 @@ def test_cvqt_unmeasured_penalty_mechanics():
     assert mass_found < mass_truth
 
 
-@pytest.mark.parametrize("field", [{"alpha": 0.0}, {"gamma": -1e-3}, {"objective_tolerance": 0.0}])
+@pytest.mark.parametrize("field", [
+    {"alpha": 0.0}, {"gamma": -1e-3}, {"objective_tolerance": 0.0},
+    # a wrong type or sign must not lift the iteration cap or fail only at solve time
+    {"max_iterations": "5"}, {"max_iterations": -1}, {"max_iterations": 2.5},
+    {"frequency_floor": "x"}, {"frequency_floor": 0.0}, {"gamma": True}, {"alpha": float("nan")},
+    {"beta": "1"}, {"feasibility_tolerance": None}, {"restarts": 1.5}, {"seed": "0"},
+])
 def test_config_rejects_what_the_barrier_solve_cannot_take(field):
     with pytest.raises(ValueError, match=next(iter(field))):
         EstimatorConfig(**field)
@@ -509,6 +515,13 @@ def test_config_rejects_what_the_barrier_solve_cannot_take(field):
 def test_solve_vqt_rejects_empty_measured():
     with pytest.raises((ValueError, IndexError)):
         solve_vqt(EstimationProblem(records=(), basis=None, dim=2), ANALYTIC)
+
+
+def test_solve_vqt_rejects_a_basis_of_another_dimension():
+    recs = analytic_records(projector(ghz_state(3)), 3, pi_mode=True)
+    basis = compute_commutant_basis(SymmetrySpec.permutation(3))
+    with pytest.raises(ValueError, match="basis dimension 8 does not match dim 4"):
+        solve_vqt(EstimationProblem(records=tuple(recs), basis=basis, dim=4), ANALYTIC)
 
 
 SOLVERS = {

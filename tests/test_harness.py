@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symtomo import harness
 from symtomo.estimation import EstimatorConfig
 from symtomo.harness import (
     SweepConfig,
@@ -105,6 +106,8 @@ def test_config_is_frozen_and_normalizes_tuples():
         dict(base_seed=1.5),
         dict(theta="pi"),
         dict(observable_counts=(2,), modes=("git", "cvqt")),
+        dict(modes=("git", "git")),
+        dict(estimator={"gamma": 0.0}),
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
@@ -311,6 +314,44 @@ def test_count_study_reruns_from_its_manifest(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     again = run_sweep(sweep_config_from_dict(manifest["config"]))
     assert records_to_csv(again) == (tmp_path / "records.csv").read_text()
+
+
+@pytest.mark.filterwarnings("ignore:measurement map is rank deficient")
+def test_count_study_summary_has_a_row_per_count():
+    summaries = summarize(run_sweep(dataclasses.replace(SMALL, observable_counts=(1, 4, 10))))
+    assert [(s.observable_count, s.count) for s in summaries] == [(1, 2), (4, 2), (10, 2)]
+    assert summary_to_csv(summaries).splitlines()[0].endswith(",observable_count")
+
+
+@pytest.mark.filterwarnings("ignore:measurement map is rank deficient")
+def test_count_cell_solves_each_count_once(monkeypatch):
+    # the full count is the reference: it is solved once and shared
+    measured_per_solve, real = [], harness.solve_git
+
+    def counted(records, basis, config):
+        measured_per_solve.append(sum(r.frequency is not None for r in records))
+        return real(records, basis, config)
+
+    monkeypatch.setattr(harness, "solve_git", counted)
+    rows = run_sweep(dataclasses.replace(SMALL, repetitions=1, observable_counts=tuple(range(1, 11))))
+    assert len(rows) == 10
+    assert sorted(measured_per_solve) == list(range(1, 11))
+
+
+@pytest.mark.filterwarnings("ignore:measurement map is rank deficient")
+def test_count_study_records_a_failed_reference(monkeypatch):
+    real = harness.solve_git
+
+    def fails_with_every_observable_measured(records, basis, config):
+        if all(r.frequency is not None for r in records):
+            raise RuntimeError("synthetic failure")
+        return real(records, basis, config)
+
+    monkeypatch.setattr(harness, "solve_git", fails_with_every_observable_measured)
+    rows = run_sweep(dataclasses.replace(SMALL, observable_counts=(4, 10)))
+    assert [r.error for r in rows] == [None, "RuntimeError: synthetic failure"] * 2
+    assert [r.fidelity_vs_real is None for r in rows] == [False, True] * 2
+    assert all(r.fidelity_vs_reference is None for r in rows)
 
 
 # ---------------------------------------------------------------------------
