@@ -306,7 +306,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:  # a missing or unreadable file; the message names it
+    # a missing or unreadable file, whose message names it, or input the library rejects
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"symtomo {args.command}: {exc}") from None
 
 

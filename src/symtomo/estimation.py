@@ -9,11 +9,14 @@ The central estimator minimizes, over density matrices,
 i.e. a relative-error data term, a penalty on probability mass assigned to
 observables nobody measured, and an optional log-det barrier pulling the
 estimate toward full rank.  The program is solved over a Hermitian operator
-basis, rho = sum_i c_i S_i: a ``SymmetricBasis`` ("git" mode) or the full
-Pauli basis ("cvqt" mode, the same program with no symmetry restriction,
-practical up to six qubits).  ``solve_maxlik`` instead minimizes the binomial
-negative log-likelihood -sum_i [f_i log p_i + (1 - f_i) log(1 - p_i)],
-p_i = tr(E_i rho), over the full Pauli basis.
+basis, rho = sum_i c_i S_i: a ``SymmetricBasis`` ("git" mode) or the matrix
+units of one d x d block ("cvqt" mode, the same program with no symmetry
+restriction, practical up to six qubits).  That block is the full operator
+space, the commutant of the trivial group, and its units come from the
+builder of the symmetric bases (``symmetry._block_matrix_units``).
+``solve_maxlik`` instead minimizes the binomial negative log-likelihood
+-sum_i [f_i log p_i + (1 - f_i) log(1 - p_i)], p_i = tr(E_i rho), over the
+same matrix units.
 
 Every estimator runs the same log-barrier Newton method (Boyd & Vandenberghe,
 Convex Optimization, ch. 11) on its own data term, a convex function of the
@@ -35,8 +38,8 @@ copy of each block (an s x s matrix, s = 12 instead of d = 32 at five qubits)
 plus the blocks' multiplicities (``symmetry.spin_blocks``).  One ``eigh`` of
 that matrix gives the spectrum, each eigenvalue counted with multiplicity
 sum_a mult_a |U_ak|^2, and with it log det rho, its gradient and its Hessian.
-The full Pauli basis and custom symmetries get the identity as a single block
-of multiplicity one, i.e. the dense computation, through the same code.
+The full space and custom symmetries get the identity as a single block of
+multiplicity one, i.e. the dense computation, through the same code.
 
 ``linear_inversion`` is the plain least-squares fit (no positivity
 guarantee), which tests use as an independent reference.
@@ -44,18 +47,16 @@ guarantee), which tests use as an independent reference.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .measurement import _observable_projectors, check_observable
-from .operators import PAULIS, _check_number, _tensor_stack, num_qubits
-from .symmetry import SpinBlocks, SymmetricBasis, spin_blocks
+from .operators import _check_number, num_qubits
+from .symmetry import SpinBlocks, SymmetricBasis, _block_matrix_units, _compress, _one_block, spin_blocks
 
 _CENTRED = 1e-9             # half the squared Newton decrement that ends a centring stage
 _MU_SHRINK = 10.0           # barrier weight divisor between centring stages
@@ -127,19 +128,6 @@ class EstimationResult:
 # ---------------------------------------------------------------------------
 # small numeric helpers
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _hermitian_basis(n_qubits: int) -> np.ndarray:
-    """Orthonormal Hermitian basis of the full operator space (scaled Pauli strings)."""
-    if n_qubits > 6:
-        raise ValueError(
-            "full-space estimation keeps 4^n dense basis matrices; practical up to 6 qubits"
-        )
-    mats = _tensor_stack(PAULIS, list(itertools.product("IXYZ", repeat=n_qubits)))
-    mats /= np.sqrt(2.0**n_qubits)
-    mats.setflags(write=False)  # cached: every caller shares this array
-    return mats
-
 
 def _split_records(records):
     measured = [r for r in records if r.measured]
@@ -218,14 +206,7 @@ def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | No
     yields the minimum-norm solution.
     """
     measured, _ = _split_records(records)
-    if dim is None:
-        dim = 2 ** len(measured[0].ops)
-    if basis is not None:
-        elements = basis.elements
-        if basis.dim != dim:
-            raise ValueError(f"basis dimension {basis.dim} does not match dim {dim}")
-    else:
-        elements = _hermitian_basis(num_qubits(dim))
+    elements, _ = _search_space(basis, 2 ** len(measured[0].ops) if dim is None else dim)
     design, freq, _ = _record_rows(measured, elements)
     coeff = _trace_one_lstsq(design, freq, elements)
     rho = np.einsum("i,iab->ab", coeff, elements)
@@ -241,24 +222,22 @@ def solve_vqt(problem: EstimationProblem, config: EstimatorConfig = EstimatorCon
 
     With a basis attached the search runs over real symmetry-algebra
     coefficients ("git" mode); without one the same solve runs over the
-    coefficients of the full Pauli basis ("cvqt" mode, up to six qubits).
+    coefficients of the matrix units of one d x d block, the full operator
+    space ("cvqt" mode, up to six qubits).
     Deterministic for fixed problem and config: one barrier Newton solve,
     started from I/d; ``iterations`` counts its Newton steps and
     ``converged`` says that its duality gap fell below the tolerance.
     """
-    if problem.basis is None:
-        return _estimate(problem.records, *_full_space(problem.dim), config, "cvqt")
-    if problem.basis.dim != problem.dim:
-        raise ValueError(f"basis dimension {problem.basis.dim} does not match dim {problem.dim}")
-    return _estimate(problem.records, *_symmetric_space(problem.basis), config, "git")
+    mode = "cvqt" if problem.basis is None else "git"
+    return _estimate(problem.records, *_search_space(problem.basis, problem.dim), config, mode)
 
 
 def solve_git(records, basis: SymmetricBasis, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
-    return _estimate(tuple(records), *_symmetric_space(basis), config, "git")
+    return _estimate(tuple(records), *_search_space(basis, basis.dim), config, "git")
 
 
 def solve_cvqt(records, dim: int, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
-    return _estimate(tuple(records), *_full_space(dim), config, "cvqt")
+    return _estimate(tuple(records), *_search_space(None, dim), config, "cvqt")
 
 
 def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
@@ -271,17 +250,24 @@ def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> Estima
     the records are not informationally complete: the maximum may be non-unique.
     """
     measured, _ = _split_records(records)
-    return _estimate(measured, *_full_space(2 ** len(measured[0].ops)), config, "maxlik")
+    return _estimate(measured, *_search_space(None, 2 ** len(measured[0].ops)), config, "maxlik")
 
 
-def _symmetric_space(basis: SymmetricBasis):
-    """A symmetric basis, with its spin-block decomposition."""
-    return basis.elements, spin_blocks(basis.n_qubits, basis.kind)
+def _search_space(basis: SymmetricBasis | None, dim: int) -> tuple[np.ndarray, SpinBlocks]:
+    """The Hermitian basis an estimator solves over, with its block decomposition.
 
-
-def _full_space(dim: int):
-    """The full Pauli basis, with the identity as its one block."""
-    return _hermitian_basis(num_qubits(dim)), SpinBlocks(np.eye(dim), (dim,), (1,))
+    A symmetric basis comes with its spin blocks.  ``basis=None`` is the full
+    space, the commutant of the trivial group: the matrix units of one d x d
+    identity block, whose d^2 dense d x d elements limit it to six qubits.
+    """
+    if basis is not None:
+        if basis.dim != dim:
+            raise ValueError(f"basis dimension {basis.dim} does not match dim {dim}")
+        return basis.elements, spin_blocks(basis.n_qubits, basis.kind)
+    if num_qubits(dim) > 6:
+        raise ValueError("full-space estimation keeps 4^n dense basis matrices; practical up to 6 qubits")
+    blocks = _one_block(dim)
+    return _block_matrix_units(blocks), _compress(blocks)
 
 
 def _estimate(records, elements: np.ndarray, blocks: SpinBlocks, config: EstimatorConfig,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import HADAMARD, PAULI_I, _tensor_stack, as_matrix, num_qubits
+from .operators import HADAMARD, PAULI_I, _check_number, _tensor_stack, as_matrix, num_qubits
 from .symmetry import SymmetricBasis
 
 RANK_TOL = 1e-9  # singular values below this do not count toward map rank
@@ -84,13 +84,13 @@ class OutcomeHistogram:
         for outcome, count in self.counts.items():
             if len(outcome) != n or any(b not in "01" for b in outcome):
                 raise ValueError(f"invalid outcome {outcome!r} for setting {self.setting!r}")
-            if count < 0:
-                raise ValueError(f"negative count for outcome {outcome!r}")
+            if not count >= 0:  # NaN-safe
+                raise ValueError(f"count {count!r} for outcome {outcome!r} is not a non-negative number")
             if isinstance(count, bool) or (self.shots is not None and count % 1):
                 raise ValueError(f"count {count!r} for outcome {outcome!r} is not a whole number")
             total += count
         if self.shots is None:
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"exact histogram probabilities sum to {total!r}, not 1")
         else:
             whole = isinstance(self.shots, (int, np.integer)) and not isinstance(self.shots, bool)
@@ -436,8 +436,7 @@ def ingest_histograms(path) -> list[OutcomeHistogram]:
     if not isinstance(payload, dict) or "n_qubits" not in payload or "records" not in payload:
         raise ValueError("histogram file must be an object with 'n_qubits' and 'records'")
     n = payload["n_qubits"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n_qubits must be a positive integer, got {n!r}")
+    _check_number("n_qubits", n, low=1)
     records = payload["records"]
     if not isinstance(records, list) or not records:
         raise ValueError("'records' must be a non-empty list of histogram objects")

@@ -66,8 +66,15 @@ def _check_number(name: str, value, kind=numbers.Integral, low=None, high=None) 
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
+def _assert_finite(m: np.ndarray, name: str) -> None:
+    # checked before any deviation is computed: every comparison with NaN is false
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has a non-finite entry")
+
+
 def assert_hermitian(m, atol: float = HERMITICITY_ATOL, name: str = "operator") -> np.ndarray:
     m = as_matrix(m)
+    _assert_finite(m, name)
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
     if dev > atol:
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e} > {atol:.1e})")
@@ -76,6 +83,7 @@ def assert_hermitian(m, atol: float = HERMITICITY_ATOL, name: str = "operator") 
 
 def assert_unitary(u, atol: float = UNITARITY_ATOL, name: str = "operator") -> np.ndarray:
     u = as_matrix(u)
+    _assert_finite(u, name)
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
     if dev > atol:
         raise ValueError(f"{name} is not unitary (max deviation {dev:.3e} > {atol:.1e})")
@@ -261,6 +269,8 @@ def matrix_from_json(payload: dict) -> np.ndarray:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"entry ({i},{j}) is not an [re, im] pair")
             out[i, j] = complex(float(pair[0]), float(pair[1]))
+            if not np.isfinite(out[i, j]):
+                raise ValueError(f"entry ({i},{j}) is not finite: {pair!r}")
     return out
 
 

@@ -337,22 +337,17 @@ def _block_matrix_units(blocks) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
-@lru_cache(maxsize=16)
-def spin_blocks(n_qubits: int, kind: str) -> SpinBlocks:
-    """Isometry onto one copy of each total-spin block of a symmetry algebra.
+def _one_block(d: int) -> list[np.ndarray]:
+    """The full operator space M_d as a block algebra: the identity, one block of d with one copy.
 
-    The built-in kinds take copy 0 of every block of ``_schur_blocks``:
-    permutation blocks are one irrep lowered by J_- from a highest-weight
-    vector, collective blocks the highest-weight space.  Custom kinds get the
-    identity as a single block, so the compressed view equals the dense one.
-    Cached per (n_qubits, kind); the returned arrays are read-only.
+    It is the commutant of the trivial group; its matrix units
+    (``_block_matrix_units``) are an orthonormal basis of all d x d operators.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown symmetry kind {kind!r}")
-    if kind in (KIND_PERMUTATION, KIND_COLLECTIVE):
-        blocks = _schur_blocks(n_qubits, kind)
-    else:
-        blocks = [np.eye(2**n_qubits)[:, :, None]]
+    return [np.eye(d)[:, :, None]]
+
+
+def _compress(blocks) -> SpinBlocks:
+    """Copy 0 of every (d, block, copies) array of ``blocks``, with the block sizes and copy counts."""
     isometry = np.hstack([cols[:, :, 0] for cols in blocks])
     isometry.setflags(write=False)
     return SpinBlocks(
@@ -360,6 +355,24 @@ def spin_blocks(n_qubits: int, kind: str) -> SpinBlocks:
         tuple(cols.shape[1] for cols in blocks),
         tuple(cols.shape[2] for cols in blocks),
     )
+
+
+@lru_cache(maxsize=16)
+def spin_blocks(n_qubits: int, kind: str) -> SpinBlocks:
+    """Isometry onto one copy of each total-spin block of a symmetry algebra.
+
+    The built-in kinds take copy 0 of every block of ``_schur_blocks``:
+    permutation blocks are one irrep lowered by J_- from a highest-weight
+    vector, collective blocks the highest-weight space.  Custom kinds get the
+    identity as a single block (``_one_block``), so the compressed view
+    equals the dense one.  Cached per (n_qubits, kind); the returned arrays
+    are read-only.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"unknown symmetry kind {kind!r}")
+    if kind in (KIND_PERMUTATION, KIND_COLLECTIVE):
+        return _compress(_schur_blocks(n_qubits, kind))
+    return _compress(_one_block(2**n_qubits))
 
 
 def project_onto_basis(rho, basis: SymmetricBasis) -> SymmetricCoefficients:

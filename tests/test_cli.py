@@ -9,7 +9,7 @@ import pytest
 
 from symtomo import cli, harness
 from symtomo.cli import main
-from symtomo.measurement import save_histograms
+from symtomo.measurement import OutcomeHistogram, save_histograms
 from symtomo.operators import load_matrix, matrix_from_json, matrix_to_json, projector, save_matrix
 from symtomo.statesim import apply_channel, ghz_state, werner_exact
 from symtomo.metrics import fidelity
@@ -215,6 +215,18 @@ def test_sample_rejects_bad_settings_file(tmp_path, ghz_file, content, fault):
     assert not out.exists()
 
 
+def test_sample_rejects_a_state_with_a_non_finite_entry(tmp_path):
+    state = tmp_path / "nan.json"
+    payload = matrix_to_json(np.eye(2) / 2)
+    payload["entries"][1][1][0] = float("nan")
+    state.write_text(json.dumps(payload))
+    out = tmp_path / "hists.json"
+    with pytest.raises(SystemExit) as exc:
+        run("sample", "--state", state, "--settings", "pi", "--shots", 10, "--out", out)
+    assert str(state) in str(exc.value.code) and "entry (1,1) is not finite" in str(exc.value.code)
+    assert not out.exists()
+
+
 def test_sample_werner_selection(tmp_path):
     state = tmp_path / "w.json"
     run("prepare", "--state", "werner-exact", "--qubits", 2, "--p", 0.76, "--out", state)
@@ -259,8 +271,10 @@ def test_estimate_and_metrics_round_trip(tmp_path, ghz_file, capsys):
         ("{not json", "Expecting property name"),
         ('{"dim": 2}', "matrix JSON must be an object with 'dim' and 'entries'"),
         (json.dumps(matrix_to_json(np.diag([1.5, -0.5, 0.0, 0.0]))), "negative eigenvalue"),
+        (json.dumps({"dim": 2, "entries": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}),
+         "entry (0,0) is not finite"),
     ],
-    ids=["malformed", "not-a-matrix", "not-a-density-matrix"],
+    ids=["malformed", "not-a-matrix", "not-a-density-matrix", "non-finite"],
 )
 def test_metrics_rejects_a_file_that_is_not_a_state(tmp_path, ghz_file, side, content, fault):
     bad = tmp_path / "bad.json"
@@ -286,8 +300,14 @@ def test_metrics_rejects_a_file_that_is_not_a_state(tmp_path, ghz_file, side, co
         (json.dumps({"n_qubits": 1, "records": [
             {"setting": "Z", "shots": 2, "counts": {"0": 1.9, "1": 1.2}},
         ]}), "records[0] (setting 'Z'): count 1.9 for outcome '0' is not a whole number"),
+        (json.dumps({"n_qubits": 1, "records": [
+            {"setting": "Z", "shots": None, "counts": {"0": float("nan"), "1": 1.0}},
+        ]}), "records[0] (setting 'Z'): count nan for outcome '0'"),
+        (json.dumps({"n_qubits": True, "records": [{"setting": "Z", "shots": 2, "counts": {"0": 2}}]}),
+         "n_qubits must be an integer, got True"),
     ],
-    ids=["malformed", "empty-records", "records-object", "counts-list", "fractional-count"],
+    ids=["malformed", "empty-records", "records-object", "counts-list", "fractional-count",
+         "nan-count", "boolean-qubits"],
 )
 def test_estimate_rejects_bad_histogram_file(tmp_path, content, fault):
     data = tmp_path / "hists.json"
@@ -541,6 +561,61 @@ def test_missing_input_file_exits_naming_it(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         run(*(str(a).format(missing=missing, out=out) for a in argv))
     assert exc.value.code != 0 and str(missing) in str(exc.value.code)
+    assert not out.exists()
+
+
+def werner_data_for_six_settings(tmp_path):
+    # the six settings pin the collective family, not the pooled permutation one
+    state = tmp_path / "werner.json"
+    run("prepare", "--state", "werner-exact", "--qubits", 2, "--p", 0.5, "--out", state)
+    hists = tmp_path / "hists.json"
+    run("sample", "--state", state, "--settings", "werner", "--count", 6, "--shots", 64, "--out", hists)
+    return hists
+
+
+def seven_qubit_data(tmp_path):
+    hists = tmp_path / "hists.json"
+    save_histograms(hists, [OutcomeHistogram("Z" * 7, {"0" * 7: 4}, 4)], n_qubits=7)
+    return hists
+
+
+def ghz3_file(tmp_path):
+    state = tmp_path / "ghz3.json"
+    run("prepare", "--state", "ghz", "--qubits", 3, "--out", state)
+    return state
+
+
+REJECTED_INPUT = {
+    "uncovered-observables": (
+        lambda tmp, ghz, out: ("estimate", "--data", werner_data_for_six_settings(tmp), "--out", out),
+        "no measured setting can estimate observable"),
+    "cvqt-seven-qubits": (
+        lambda tmp, ghz, out: ("estimate", "--data", seven_qubit_data(tmp), "--mode", "cvqt", "--out", out),
+        "practical up to 6 qubits"),
+    "zero-shots": (
+        lambda tmp, ghz, out: ("sample", "--state", ghz, "--shots", 0, "--out", out),
+        "shots must be positive"),
+    "negative-seed": (
+        lambda tmp, ghz, out: ("sample", "--state", ghz, "--shots", 4, "--seed", -1, "--out", out),
+        "non-negative"),
+    "no-qubits": (
+        lambda tmp, ghz, out: ("basis", "--symmetry", "permutation", "--qubits", 0, "--out", out),
+        "n_qubits must be >= 1"),
+    "metrics-of-different-sizes": (
+        lambda tmp, ghz, out: ("metrics", "--a", ghz, "--b", ghz3_file(tmp), "--out", out),
+        "dimension mismatch (4, 4) vs (8, 8)"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_INPUT))
+def test_input_the_library_rejects_exits_with_its_message(tmp_path, ghz_file, case):
+    argv, fault = REJECTED_INPUT[case]
+    out = tmp_path / "out.json"
+    argv = argv(tmp_path, ghz_file, out)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert str(exc.value.code).startswith(f"symtomo {argv[0]}: ")
+    assert fault in str(exc.value.code)
     assert not out.exists()
 
 

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtomo.operators import assert_density_matrix, projector
+from symtomo.operators import assert_density_matrix, pauli_string, projector
 from symtomo.statesim import apply_channel, ghz_state, werner_exact
-from symtomo.symmetry import SymmetrySpec, compute_commutant_basis, spin_blocks, symmetrize
+from symtomo.symmetry import SpinBlocks, SymmetrySpec, compute_commutant_basis, spin_blocks, symmetrize
 from symtomo.measurement import (
     ObservableRecord,
     _observable_projectors,
@@ -34,10 +34,12 @@ from symtomo.estimation import (
     _BlockMaps,
     _design_matrix,
     _element_traces,
-    _hermitian_basis,
+    _estimate,
     _newton_direction,
     _record_rows,
+    _search_space,
     _trace_frame,
+    _trace_one_lstsq,
     linear_inversion,
     solve_cvqt,
     solve_git,
@@ -221,6 +223,11 @@ def cached_basis(n, kind):
     return compute_commutant_basis(SymmetrySpec(n, kind))
 
 
+def full_space(n):
+    """The elements cvqt and maxlik solve over on n qubits."""
+    return _search_space(None, 2**n)[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_permuted_strings_share_a_permutation_design_row(data):
@@ -235,7 +242,7 @@ def test_permuted_strings_share_a_permutation_design_row(data):
 
 @pytest.mark.parametrize("n, kind", [(n, "permutation") for n in range(2, 7)] + [(2, None), (3, None)])
 def test_design_matrix_is_the_real_part_of_the_complex_product(n, kind):
-    elements = _hermitian_basis(n) if kind is None else cached_basis(n, kind).elements
+    elements = full_space(n) if kind is None else cached_basis(n, kind).elements
     proj = _observable_projectors(pi_observables(n) if kind else full_observables(n))
     want = np.real(np.conj(proj.reshape(len(proj), -1)) @ elements.reshape(len(elements), -1).T)
     assert np.abs(_design_matrix(proj, elements) - want).max() <= 1e-13
@@ -305,7 +312,8 @@ def test_block_logdet_custom_kind_matches_dense():
      for n in (2, 3, 4, 5)]
     + [pytest.param(lambda n=n: cached_basis(n, "collective").elements, id=f"collective-{n}")
        for n in (2, 3, 4)]
-    + [pytest.param(lambda n=n: _hermitian_basis(n), id=f"pauli-{n}") for n in (1, 2, 3)]
+    # the full space, which the Pauli strings span
+    + [pytest.param(lambda n=n: full_space(n), id=f"pauli-{n}") for n in (1, 2, 3)]
     + [pytest.param(lambda: compute_commutant_basis(
         SymmetrySpec.custom_unitaries([np.eye(4)[[0, 2, 1, 3]]])).elements, id="custom")],
 )
@@ -398,7 +406,7 @@ def test_objective_meets_an_independent_dual_bound(mode):
     else:
         hists = sample_state(rho, full_settings(2), 256, seed=0)
         recs = extract_frequencies(hists, full_observables(2))
-        elements = _hermitian_basis(2)
+        elements = full_space(2)
         result = solve_cvqt(recs, 4, ANALYTIC)
     # a zero frequency weighs 1/eps and would stall the reference
     assert all(r.frequency > 0.0 for r in recs)
@@ -459,14 +467,57 @@ def test_line_search_stops_when_the_value_stops_falling():
     assert_density_matrix(result.rho_hat)
 
 
-def test_pauli_basis_cache_is_read_only():
-    with pytest.raises(ValueError):
-        _hermitian_basis(2)[0, 0, 0] = 1.0
-
-
 # ---------------------------------------------------------------------------
 # full-space variational estimator
 # ---------------------------------------------------------------------------
+
+def pauli_elements(n):
+    """The full space as the Pauli strings scaled by 1/sqrt(d), an orthonormal basis built independently."""
+    strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+    return np.array([pauli_string(s) for s in strings]) / np.sqrt(2.0**n)
+
+
+def noisy_complete_records(n):
+    rho = depolarize_all(projector(ghz_state(n, theta=0.3)), 0.05)
+    return extract_frequencies(sample_state(rho, full_settings(n), 4096, seed=n), full_observables(n))
+
+
+FULL_SPACE_SOLVES = {
+    "cvqt-0": ("cvqt", ANALYTIC),
+    "cvqt-1e-3": ("cvqt", EstimatorConfig(gamma=1e-3)),
+    "maxlik": ("maxlik", EstimatorConfig()),
+}
+
+
+@pytest.mark.parametrize("solve", sorted(FULL_SPACE_SOLVES))
+@pytest.mark.parametrize("n", [2, 3])
+def test_full_space_solves_match_a_pauli_basis_oracle(n, solve):
+    # Newton's method does not depend on the basis it runs in, so the matrix
+    # units and the scaled Pauli strings take the same steps to the same state
+    recs, d = noisy_complete_records(n), 2**n
+    mode, config = FULL_SPACE_SOLVES[solve]
+    got = solve_cvqt(recs, d, config) if mode == "cvqt" else solve_maxlik(recs, config)
+    want = _estimate(tuple(recs), pauli_elements(n), SpinBlocks(np.eye(d), (d,), (1,)), config, mode)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
+    assert np.abs(got.rho_hat - want.rho_hat).max() <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_full_space_linear_inversion_matches_a_pauli_basis_oracle(n):
+    recs, elements = noisy_complete_records(n), pauli_elements(n)
+    design, freq, _ = _record_rows(recs, elements)
+    want = dense_state(_trace_one_lstsq(design, freq, elements), elements)
+    assert np.abs(linear_inversion(recs) - 0.5 * (want + want.conj().T)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("fit", [lambda recs: solve_cvqt(recs, 2**7), solve_maxlik, linear_inversion],
+                         ids=["cvqt", "maxlik", "linv"])
+def test_full_space_stops_at_six_qubits(fit):
+    recs = [ObservableRecord("ZZZZZZZ", 0.5), ObservableRecord("XXXXXXX", 0.5)]
+    with pytest.raises(ValueError, match="practical up to 6 qubits"):
+        fit(recs)
+
 
 def test_cvqt_analytic_ghz():
     rho = projector(ghz_state(2))

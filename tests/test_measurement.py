@@ -244,6 +244,17 @@ def test_histogram_validation():
     OutcomeHistogram("Z", {"0": 3, "1": 7}, 10)
 
 
+@pytest.mark.parametrize("shots, counts", [
+    (None, {"0": float("nan"), "1": 1.0}),
+    (None, {"0": float("nan")}),
+    (None, {"0": float("inf")}),
+    (4, {"0": float("nan"), "1": 4}),
+], ids=["exact-nan", "exact-nan-alone", "exact-inf", "sampled-nan"])
+def test_histogram_refuses_a_non_finite_count(shots, counts):
+    with pytest.raises(ValueError):
+        OutcomeHistogram("Z", counts, shots)
+
+
 def test_bit_labels_are_big_endian():
     assert bit_labels(2) == ["00", "01", "10", "11"]
 

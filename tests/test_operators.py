@@ -184,6 +184,24 @@ def test_validators_accept_and_reject():
         assert_pure_state(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("validator", [assert_hermitian, assert_unitary, assert_density_matrix])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_validators_reject_a_non_finite_matrix(validator, bad):
+    # every comparison with NaN is false, so a deviation test alone lets it through
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite entry"):
+        validator(m, name="m")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_matrix_json_refuses_a_non_finite_entry(bad):
+    payload = json.loads(json.dumps(matrix_to_json(np.eye(2) / 2)))
+    payload["entries"][1][0][1] = bad
+    with pytest.raises(ValueError, match=r"entry \(1,0\) is not finite"):
+        matrix_from_json(payload)
+
+
 def test_matrix_json_round_trip(tmp_path):
     rng = np.random.default_rng(29)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
