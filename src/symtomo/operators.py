@@ -155,16 +155,30 @@ def _tensor_stack(factors: dict, strings) -> np.ndarray:
     return out
 
 
+def _on_qubits(m, op, qubits) -> np.ndarray:
+    """``op`` applied to ``qubits`` of the row index of ``m``, the identity on the other qubits.
+
+    ``op`` is 2^k x 2^k with its tensor factors in the order of ``qubits``;
+    ``m`` has 2^n rows.  One ``tensordot`` contracts the column axes of ``op``
+    with those qubits' axes of the (2,)*n + (columns,) view of ``m``, and one
+    ``moveaxis`` puts the new axes back in their place, so no 2^n x 2^n
+    operator is formed.
+    """
+    n = num_qubits(m.shape[0])
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n} qubits")
+    k = len(qubits)
+    out = np.tensordot(op.reshape((2,) * (2 * k)), m.reshape((2,) * n + (-1,)), (range(k, 2 * k), qubits))
+    return np.moveaxis(out, range(k), qubits).reshape(m.shape)
+
+
 def embed_one_qubit(op, qubit: int, n: int) -> np.ndarray:
     """Embed a single-qubit operator at position ``qubit`` of an n-qubit register."""
     op = as_matrix(op)
     if op.shape != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got {op.shape}")
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    factors = [PAULI_I] * n
-    factors[qubit] = op
-    return tensor(*factors)
+    return _on_qubits(np.eye(2**n, dtype=complex), op, (qubit,))
 
 
 def pauli_string(ops: str) -> np.ndarray:

@@ -7,6 +7,12 @@ families used throughout the package -- phase-tagged GHZ states, their
 Hadamard-transformed ("twisted") relatives, and circuit or closed-form
 mixtures of a singlet with white noise (Werner states).
 
+Every gate and Kraus operator acts on its own qubits: rho is conjugated by
+the gate's own 2 x 2 or 4 x 4 matrix, or by each single-qubit Kraus operator,
+through one tensor contraction on those qubits (``operators._on_qubits``), so
+no 2^n x 2^n operator is formed to apply it.  ``gate_unitary`` builds the
+full unitary only for callers that ask for it.
+
 Noise policies
 --------------
 ``"post"``     apply the channel once to every qubit after the final gate.
@@ -26,13 +32,12 @@ from .operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _on_qubits,
     as_matrix,
     basis_ket,
-    embed_one_qubit,
     num_qubits,
     partial_trace,
     projector,
-    tensor,
 )
 
 KRAUS_COMPLETENESS_ATOL = 1e-12
@@ -121,30 +126,33 @@ class NoiseModel:
         return cls()
 
 
-def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n unitary for a gate acting on an n-qubit register."""
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def _gate_matrix(gate: Gate) -> np.ndarray:
+    """The gate's own 2 x 2 matrix, or 4 x 4 on (control, target) for a CNOT."""
     if gate.kind == "h":
-        return embed_one_qubit(HADAMARD, gate.qubit, n_qubits)
+        return HADAMARD
     if gate.kind == "ry":
         half = gate.theta / 2.0
-        u = np.array(
-            [[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]], dtype=complex
-        )
-        return embed_one_qubit(u, gate.qubit, n_qubits)
+        return np.array([[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]], dtype=complex)
     if gate.kind == "rz":
         half = gate.theta / 2.0
-        u = np.array([[np.exp(-1j * half), 0.0], [0.0, np.exp(1j * half)]], dtype=complex)
-        return embed_one_qubit(u, gate.qubit, n_qubits)
+        return np.array([[np.exp(-1j * half), 0.0], [0.0, np.exp(1j * half)]], dtype=complex)
     if gate.kind == "cnot":
-        p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        term0 = [PAULI_I] * n_qubits
-        term1 = [PAULI_I] * n_qubits
-        term0[gate.control] = p0
-        term1[gate.control] = p1
-        term1[gate.qubit] = PAULI_X
-        return tensor(*term0) + tensor(*term1)
+        return _CNOT
     raise ValueError(f"unknown gate kind {gate.kind!r}")
+
+
+def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
+    """Full 2^n x 2^n unitary for a gate acting on an n-qubit register."""
+    return _on_qubits(np.eye(2**n_qubits, dtype=complex), _gate_matrix(gate), gate.qubits)
+
+
+def _conjugate(rho: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
+    """op rho op^dag with ``op`` acting on ``qubits``: op rho, then (conj(op) (op rho)^T)^T."""
+    left = _on_qubits(rho, op, qubits)
+    return _on_qubits(left.T, op.conj(), qubits).T
 
 
 def kraus_operators(channel: str, level: float) -> list[np.ndarray]:
@@ -179,11 +187,9 @@ def kraus_operators(channel: str, level: float) -> list[np.ndarray]:
 def apply_channel(rho, channel: str, level: float, qubit: int) -> np.ndarray:
     """Apply a single-qubit channel to one qubit of a register state."""
     rho = as_matrix(rho)
-    n = num_qubits(rho.shape[0])
     out = np.zeros_like(rho)
     for k in kraus_operators(channel, level):
-        full = embed_one_qubit(k, qubit, n)
-        out += full @ rho @ full.conj().T
+        out += _conjugate(rho, k, (qubit,))
     return out
 
 
@@ -200,8 +206,7 @@ def run_circuit(circuit: Circuit, noise: NoiseModel = NoiseModel.none()) -> np.n
     n = circuit.n_qubits
     rho = projector(basis_ket("0" * n))
     for gate in circuit.gates:
-        u = gate_unitary(gate, n)
-        rho = u @ rho @ u.conj().T
+        rho = _conjugate(rho, _gate_matrix(gate), gate.qubits)
         if noise.policy == POLICY_PER_GATE and noise.channel != CHANNEL_NONE:
             for q in gate.qubits:
                 rho = apply_channel(rho, noise.channel, noise.level, q)

@@ -39,6 +39,7 @@ from .operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _on_qubits,
     as_matrix,
     assert_hermitian,
     assert_unitary,
@@ -248,19 +249,16 @@ class SpinBlocks(NamedTuple):
     multiplicities: tuple
 
 
+_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+
 def _lowering_operator(n: int) -> np.ndarray:
     """Collective J_- = sum_q sigma_-^(q) as a dense real d x d matrix.
 
     sigma_- maps |0> (spin up, qubit 0 most significant) to |1>.
     """
-    d = 2**n
-    idx = np.arange(d)
-    out = np.zeros((d, d))
-    for q in range(n):
-        bit = 1 << (n - 1 - q)
-        src = idx[(idx & bit) == 0]
-        out[src | bit, src] = 1.0
-    return out
+    eye = np.eye(2**n)
+    return sum(_on_qubits(eye, _SIGMA_MINUS, (q,)) for q in range(n))
 
 
 def _highest_weights(n: int, lowering: np.ndarray, j2: int) -> np.ndarray:
@@ -322,19 +320,25 @@ def _block_matrix_units(blocks) -> np.ndarray:
 
     With E_ij = sum_c |i, c><j, c| / sqrt(copies), the elements E_ii,
     (E_ij + E_ji)/sqrt(2) and i(E_ij - E_ji)/sqrt(2) for i < j are
-    orthonormal by construction and span the block algebra.
+    orthonormal by construction and span the block algebra.  They are written
+    into one preallocated array, one row i of pairs i <= j at a time; E_ji is
+    read as the transpose of E_ij, which holds because the block columns are
+    real (the Schur transform and the identity).
     """
-    out = []
+    d = blocks[0].shape[0]
+    out = np.empty((sum(cols.shape[1] ** 2 for cols in blocks), d, d), dtype=complex)
+    k = 0
     for cols in blocks:
         size, copies = cols.shape[1:]
         rows = cols.transpose(1, 0, 2)  # (block, d, copies)
-        units = (rows[:, None] @ rows[None].transpose(0, 1, 3, 2)) / np.sqrt(copies)
         for i in range(size):
-            out.append(units[i, i])
-            for j in range(i + 1, size):
-                out.append((units[i, j] + units[j, i]) / np.sqrt(2.0))
-                out.append(1j * (units[i, j] - units[j, i]) / np.sqrt(2.0))
-    return np.array(out, dtype=complex)
+            units = (rows[i] @ rows[i:].transpose(0, 2, 1)) / np.sqrt(copies)  # E_ij for j >= i
+            upper, flipped = units[1:], units[1:].transpose(0, 2, 1)
+            out[k] = units[0]
+            out[k + 1:k + 2 * len(upper):2] = (upper + flipped) / np.sqrt(2.0)
+            out[k + 2:k + 1 + 2 * len(upper):2] = 1j * (upper - flipped) / np.sqrt(2.0)
+            k += 1 + 2 * len(upper)
+    return out
 
 
 def _one_block(d: int) -> list[np.ndarray]:

@@ -11,7 +11,8 @@ from symtomo import cli, harness
 from symtomo.cli import main
 from symtomo.measurement import OutcomeHistogram, save_histograms
 from symtomo.operators import load_matrix, matrix_from_json, matrix_to_json, projector, save_matrix
-from symtomo.statesim import apply_channel, ghz_state, werner_exact
+from symtomo.statesim import NoiseModel, apply_channel, build_twisted, ghz_state, run_circuit, werner_exact
+from symtomo.symmetry import SymmetrySpec, group_generators
 from symtomo.metrics import fidelity
 
 
@@ -68,6 +69,30 @@ def test_basis_custom_rejects_bad_generators(tmp_path, content, fault):
     assert not out.exists()
 
 
+@pytest.fixture()
+def collective_generators(tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([matrix_to_json(g) for g in group_generators(SymmetrySpec.collective(2))]))
+    return gens
+
+
+def test_basis_custom_lie_generators(tmp_path, collective_generators):
+    out = tmp_path / "b.json"
+    assert run("basis", "--symmetry", "custom", "--generator-kind", "lie", "--qubits", 2,
+               "--generators", collective_generators, "--out", out) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["symmetry"], payload["n_qubits"], payload["size"]) == ("custom_lie", 2, 2)
+
+
+def test_basis_custom_rejects_a_qubit_count_the_generators_do_not_have(tmp_path, collective_generators):
+    out = tmp_path / "b.json"
+    with pytest.raises(SystemExit) as exc:
+        run("basis", "--symmetry", "custom", "--generator-kind", "lie", "--qubits", 3,
+            "--generators", collective_generators, "--out", out)
+    assert exc.value.code == "generator dimension does not match --qubits"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------
@@ -119,6 +144,22 @@ def test_prepare_werner_circuit_default_angles(tmp_path):
                "--theta-a", 0.33, "--theta-b", 2.50, "--out", out) == 0
     rho = load_matrix(out)
     assert np.isclose(np.trace(rho).real, 1.0)
+
+
+def test_prepare_twisted_writes_the_simulated_state(tmp_path):
+    out = tmp_path / "tw.json"
+    assert run("prepare", "--state", "twisted", "--qubits", 3, "--theta", 0.4, "--noise", "ad",
+               "--level", 0.1, "--policy", "pergate", "--out", out) == 0
+    want = run_circuit(build_twisted(3, 0.4), NoiseModel("amplitude_damping", 0.1, "pergate"))
+    assert np.array_equal(load_matrix(out), want)
+
+
+def test_prepare_rejects_bad_werner_exact_qubits(tmp_path):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        run("prepare", "--state", "werner-exact", "--qubits", 3, "--out", out)
+    assert exc.value.code == "werner-exact needs --qubits 2, or 4 (--p2 sets the second pair)"
+    assert not out.exists()
 
 
 def test_prepare_rejects_bad_werner_qubits(tmp_path):
@@ -234,6 +275,14 @@ def test_sample_werner_selection(tmp_path):
     assert run("sample", "--state", state, "--settings", "werner", "--count", 2,
                "--shots", 400, "--out", out) == 0
     assert len(json.loads(out.read_text())["records"]) == 2
+
+
+def test_sample_werner_rejects_a_count_it_cannot_pick(tmp_path, ghz_file):
+    out = tmp_path / "h.json"
+    with pytest.raises(SystemExit) as exc:
+        run("sample", "--state", ghz_file, "--settings", "werner", "--count", 0, "--shots", 10, "--out", out)
+    assert exc.value.code == "--count: cannot pick 0 settings from 9 candidates"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ tolerances.  Sampled cases pin fidelity floors measured from the seeds used.
 """
 
 import itertools
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -226,6 +227,16 @@ def cached_basis(n, kind):
 def full_space(n):
     """The elements cvqt and maxlik solve over on n qubits."""
     return _search_space(None, 2**n)[0]
+
+
+def test_full_space_build_peaks_near_its_result():
+    tracemalloc.start()
+    try:
+        elements, _ = _search_space(None, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * elements.nbytes
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symtomo.operators import basis_ket, partial_trace, pauli_string, projector
+from symtomo.operators import PAULI_I, PAULI_X, basis_ket, embed_one_qubit, partial_trace, pauli_string, projector
 from symtomo.statesim import (
     CHANNELS,
     Circuit,
@@ -54,6 +58,16 @@ def test_gate_validation():
         NoiseModel(channel="bit_flip", level=1.5)
     with pytest.raises(ValueError):
         NoiseModel(channel="depolarizing_pauli", level=0.8)  # cap at 3/4
+
+
+def test_apply_channel_rejects_a_qubit_outside_the_register():
+    with pytest.raises(ValueError, match="qubit 2 out of range for 2 qubits"):
+        apply_channel(np.eye(4) / 4, "bit_flip", 0.1, 2)
+
+
+def test_run_circuit_rejects_an_unknown_gate_kind():
+    with pytest.raises(ValueError, match="unknown gate kind 'swap'"):
+        run_circuit(Circuit(1, (Gate("swap", 0),)))
 
 
 @pytest.mark.parametrize("channel", [c for c in CHANNELS if c != "none"])
@@ -240,3 +254,96 @@ def test_singlet_expectations():
     s = projector(singlet_state())
     for ops in ("XX", "YY", "ZZ"):
         assert np.isclose(np.trace(pauli_string(ops) @ s).real, -1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Dense reference: every operator built on the full register with np.kron
+# ---------------------------------------------------------------------------
+
+def dense_one(op, qubit, n):
+    factors = [PAULI_I] * n
+    factors[qubit] = op
+    return reduce(np.kron, factors)
+
+
+def dense_gate(gate, n):
+    if gate.kind == "cnot":
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        term0, term1 = [PAULI_I] * n, [PAULI_I] * n
+        term0[gate.control] = p0
+        term1[gate.control] = p1
+        term1[gate.qubit] = PAULI_X
+        return reduce(np.kron, term0) + reduce(np.kron, term1)
+    if gate.kind == "h":
+        local = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    elif gate.kind == "ry":
+        c, s = np.cos(gate.theta / 2.0), np.sin(gate.theta / 2.0)
+        local = np.array([[c, -s], [s, c]])
+    else:
+        local = np.diag([np.exp(-0.5j * gate.theta), np.exp(0.5j * gate.theta)])
+    return dense_one(local, gate.qubit, n)
+
+
+def dense_channel(rho, channel, level, qubit):
+    n = int(np.log2(len(rho)))
+    out = np.zeros_like(rho)
+    for k in kraus_operators(channel, level):
+        full = dense_one(k, qubit, n)
+        out += full @ rho @ full.conj().T
+    return out
+
+
+def dense_run(circuit, noise):
+    n = circuit.n_qubits
+    rho = projector(basis_ket("0" * n))
+    noisy = noise.channel != "none"
+    for gate in circuit.gates:
+        u = dense_gate(gate, n)
+        rho = u @ rho @ u.conj().T
+        if noisy and noise.policy == "pergate":
+            for q in gate.qubits:
+                rho = dense_channel(rho, noise.channel, noise.level, q)
+    if noisy and noise.policy == "post":
+        for q in range(n):
+            rho = dense_channel(rho, noise.channel, noise.level, q)
+    return 0.5 * (rho + rho.conj().T)
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 5))
+    kinds = ["h", "ry", "rz"] + (["cnot"] if n > 1 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "cnot":
+            control, target = draw(st.permutations(range(n)))[:2]
+            gates.append(Gate.cnot(control, target))
+        else:
+            qubit = draw(st.integers(0, n - 1))
+            gates.append(Gate(kind, qubit) if kind == "h" else Gate(kind, qubit, theta=draw(st.floats(-7.0, 7.0))))
+    return Circuit(n, tuple(gates))
+
+
+@st.composite
+def noise_models(draw):
+    channel = draw(st.sampled_from(CHANNELS))
+    level = draw(st.floats(0.0, 0.75 if channel == "depolarizing_pauli" else 1.0))
+    return NoiseModel(channel, level, draw(st.sampled_from(["post", "pergate"])))
+
+
+@settings(max_examples=60)
+@given(circuit=circuits(), noise=noise_models(), seed=st.integers(0, 2**32 - 1))
+def test_local_operators_match_the_dense_reference(circuit, noise, seed):
+    n = circuit.n_qubits
+    assert np.abs(run_circuit(circuit, noise) - dense_run(circuit, noise)).max() <= 1e-12
+    for gate in circuit.gates:
+        assert np.abs(gate_unitary(gate, n) - dense_gate(gate, n)).max() <= 1e-12
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+    op = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    qubit = int(rng.integers(n))
+    assert np.abs(embed_one_qubit(op, qubit, n) - dense_one(op, qubit, n)).max() <= 1e-12
+    got = apply_channel(rho, noise.channel, noise.level, qubit)
+    assert np.abs(got - dense_channel(rho, noise.channel, noise.level, qubit)).max() <= 1e-12

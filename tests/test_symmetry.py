@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from symtomo.operators import hilbert_schmidt_inner, pauli_string
 from symtomo.symmetry import (
     SymmetrySpec,
+    _lowering_operator,
     compute_commutant_basis,
     group_generators,
     permutation_basis_size,
@@ -97,6 +98,20 @@ def test_elements_commute_with_generators():
             else:
                 for s in basis.elements:
                     assert np.allclose(g @ s - s @ g, 0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lowering_operator_equals_the_bit_built_one(n):
+    # sigma_- on qubit q (the bit of weight 2^(n-1-q)) sends every state with that bit clear to the state with it set
+    d = 2**n
+    idx = np.arange(d)
+    want = np.zeros((d, d))
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        src = idx[(idx & bit) == 0]
+        want[src | bit, src] = 1.0
+    got = _lowering_operator(n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", ["permutation", "collective"])
