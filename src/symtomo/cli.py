@@ -217,6 +217,8 @@ def _load_settings(path, n: int) -> list[str]:
 
 
 def _cmd_sample(args) -> int:
+    if args.count is not None and args.settings != "werner":
+        raise SystemExit("--count applies only to --settings werner")
     rho, n = _load_state(args.state)
     if args.settings == "pi":
         settings = pi_settings(n)

@@ -35,10 +35,11 @@ that the objective is within ``objective_tolerance`` (relative) of the optimum.
 The log-det terms never form the d x d state: both built-in symmetry algebras
 are block diagonal in the total-spin decomposition, so rho is held as one
 copy of each block (an s x s matrix, s = 12 instead of d = 32 at five qubits)
-plus the blocks' multiplicities (``symmetry.spin_blocks``).  One ``eigh`` of
-that matrix gives the spectrum, each eigenvalue counted with multiplicity
-sum_a mult_a |U_ak|^2, and with it log det rho, its gradient and its Hessian.
-The full space and custom symmetries get the identity as a single block of
+plus the blocks' multiplicities, read off the blocks the basis was built from
+(``SymmetricBasis.blocks``).  One ``eigh`` of that matrix gives the spectrum,
+each eigenvalue counted with multiplicity sum_a mult_a |U_ak|^2, and with it
+log det rho, its gradient and its Hessian.  The full space, custom symmetries
+and bases given by their elements alone get the identity as a single block of
 multiplicity one, i.e. the dense computation, through the same code.
 
 ``linear_inversion`` is the plain least-squares fit (no positivity
@@ -56,7 +57,7 @@ import numpy as np
 
 from .measurement import _observable_projectors, check_observable
 from .operators import _check_number, num_qubits
-from .symmetry import SpinBlocks, SymmetricBasis, _block_matrix_units, _compress, _one_block, spin_blocks
+from .symmetry import SymmetricBasis, _block_matrix_units, _one_block
 
 _CENTRED = 1e-9             # half the squared Newton decrement that ends a centring stage
 _MU_SHRINK = 10.0           # barrier weight divisor between centring stages
@@ -253,29 +254,31 @@ def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> Estima
     return _estimate(measured, *_search_space(None, 2 ** len(measured[0].ops)), config, "maxlik")
 
 
-def _search_space(basis: SymmetricBasis | None, dim: int) -> tuple[np.ndarray, SpinBlocks]:
-    """The Hermitian basis an estimator solves over, with its block decomposition.
+def _search_space(basis: SymmetricBasis | None, dim: int) -> tuple[np.ndarray, tuple]:
+    """The Hermitian basis an estimator solves over, with its (d, block, copies) block arrays.
 
-    A symmetric basis comes with its spin blocks.  ``basis=None`` is the full
-    space, the commutant of the trivial group: the matrix units of one d x d
-    identity block, whose d^2 dense d x d elements limit it to six qubits.
+    A symmetric basis comes with the blocks it was built from, or, when it has
+    none, the identity as one block.  ``basis=None`` is the full space, the
+    commutant of the trivial group: the matrix units of one d x d identity
+    block, whose d^2 dense d x d elements limit it to six qubits.
     """
     if basis is not None:
         if basis.dim != dim:
             raise ValueError(f"basis dimension {basis.dim} does not match dim {dim}")
-        return basis.elements, spin_blocks(basis.n_qubits, basis.kind)
+        return basis.elements, basis.blocks or _one_block(dim)
     if num_qubits(dim) > 6:
         raise ValueError("full-space estimation keeps 4^n dense basis matrices; practical up to 6 qubits")
     blocks = _one_block(dim)
-    return _block_matrix_units(blocks), _compress(blocks)
+    return _block_matrix_units(blocks), blocks
 
 
-def _estimate(records, elements: np.ndarray, blocks: SpinBlocks, config: EstimatorConfig,
+def _estimate(records, elements: np.ndarray, blocks, config: EstimatorConfig,
               mode: str) -> EstimationResult:
     """Solve ``mode``'s program over the real coefficients of the Hermitian basis ``elements``.
 
-    ``blocks`` is a block decomposition of the algebra the elements span, for
-    the log-det terms; a single identity block stands for no decomposition.
+    ``blocks`` are (d, block, copies) arrays of a block decomposition of the
+    algebra the elements span, for the log-det terms; a single identity block
+    stands for no decomposition.
     """
     design, freq, unmeasured_row = _record_rows(records, elements)
     traces = _element_traces(elements)
@@ -389,11 +392,14 @@ class _Likelihood(NamedTuple):
 class _BlockMaps(NamedTuple):
     """Maps between trace-one coordinates z and the block compression of a basis's algebra.
 
-    With V the isometry of ``spin_blocks`` and c = base + P z (``_trace_frame``),
-    ``offset + z @ forward`` is the s x s matrix V^dag (sum_i c_i S_i) V masked
-    to its diagonal blocks.  Both are real views of the complex arrays, so
-    each application is one real matrix-vector product.  ``column_mult`` is
-    the multiplicity of each of the s columns.
+    ``blocks`` are the algebra's (d, block, copies) arrays (``_search_space``).
+    V stacks copy 0 of each, so a member X of the algebra satisfies
+    tr f(X) = sum_b copies_b tr f(V_b^dag X V_b).  With c = base + P z
+    (``_trace_frame``), ``offset + z @ forward`` is the s x s matrix
+    V^dag (sum_i c_i S_i) V masked to its diagonal blocks.  Both are real
+    views of the complex arrays, so each application is one real
+    matrix-vector product.  ``column_mult`` is the multiplicity (the copy
+    count of its block) of each of the s columns.
     """
 
     offset: np.ndarray
@@ -401,12 +407,11 @@ class _BlockMaps(NamedTuple):
     column_mult: np.ndarray
 
     @classmethod
-    def of(cls, elements: np.ndarray, blocks: SpinBlocks, base: np.ndarray,
-           tangent: np.ndarray) -> "_BlockMaps":
-        isometry, sizes, mults = blocks
-        block_of = np.repeat(np.arange(len(sizes)), sizes)
+    def of(cls, elements: np.ndarray, blocks, base: np.ndarray, tangent: np.ndarray) -> "_BlockMaps":
+        isometry = np.hstack([cols[:, :, 0] for cols in blocks])
+        block_of = np.repeat(np.arange(len(blocks)), [cols.shape[1] for cols in blocks])
         mask = block_of[:, None] == block_of[None, :]
-        column_mult = np.asarray(mults, dtype=float)[block_of]
+        column_mult = np.array([cols.shape[2] for cols in blocks], dtype=float)[block_of]
         compressed = isometry.conj().T @ (elements @ isometry) * mask
         flat = compressed.view(float).reshape(len(elements), -1)
         return cls(base @ flat, tangent.T @ flat, column_mult)
@@ -466,7 +471,7 @@ def _newton_direction(hess, grad):
     return vecs[:, keep] @ ((rhs @ vecs[:, keep]) / vals[keep]) * scale
 
 
-def _barrier_newton(term, elements: np.ndarray, blocks: SpinBlocks, frame, config: EstimatorConfig):
+def _barrier_newton(term, elements: np.ndarray, blocks, frame, config: EstimatorConfig):
     """Minimize a data term minus gamma log det rho over the states rho = sum_i c_i S_i.
 
     Works in the coordinates c = base + P z of ``frame``, from z = 0 (I/d).

@@ -115,6 +115,8 @@ class SweepConfig:
                 object.__setattr__(self, name, tuple(value))
             except TypeError:
                 raise ValueError(f"{name} must be a list, got {value!r}") from None
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be a nonempty list")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown state family {self.family!r}")
         if self.symmetry not in ("permutation", "collective"):
@@ -370,7 +372,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> list[SweepRecord]:
     if jobs <= 1:
         nested = [_run_cell(cell) for cell in cells]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forking pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             nested = list(pool.map(_run_cell, cells, chunksize=4))
     return [row for rows in nested for row in rows]
 

@@ -22,16 +22,16 @@ Two construction routes are used:
   under the Hilbert-Schmidt inner product by a second, real SVD.  The test
   suite uses it as the reference for the Schur route.
 
-``spin_blocks`` gives the solver the compressed view of the same transform:
-one copy of every block, plus the number of copies, represents any member of
-the algebra exactly.
+A basis built by the Schur route keeps the blocks its elements were made
+from (``SymmetricBasis.blocks``): one copy of every block, plus the number of
+copies, represents any member of the algebra exactly, which is the compressed
+view the solver's log-det terms work on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -126,11 +126,18 @@ class SymmetricBasis:
     ``elements`` has shape (r, d, d); every element commutes with all group
     generators and ``<S_i, S_j> = delta_ij`` under the Hilbert-Schmidt inner
     product.
+
+    ``blocks`` is set only by ``compute_commutant_basis`` for the built-in
+    kinds: the read-only (d, block, copies) arrays of the algebra's total-spin
+    blocks, whose matrix units are exactly the elements
+    (``_block_matrix_units(blocks)``).  It is None for custom kinds and for a
+    basis built from its elements alone, whatever its ``kind`` label says.
     """
 
     n_qubits: int
     kind: str
     elements: np.ndarray
+    blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -228,25 +235,12 @@ def compute_commutant_basis(spec: SymmetrySpec) -> SymmetricBasis:
     accuracy.  The built-in kinds are read off the total-spin transform; custom
     kinds go through the SVD null space of their commutation constraints.
     """
-    if spec.kind in (KIND_PERMUTATION, KIND_COLLECTIVE):
-        elements = _block_matrix_units(_schur_blocks(spec.n_qubits, spec.kind))
-    else:
-        elements = _null_space_basis(spec)
-    return SymmetricBasis(spec.n_qubits, spec.kind, elements)
-
-
-class SpinBlocks(NamedTuple):
-    """Block compression of a symmetry algebra.
-
-    ``isometry`` (d x s, orthonormal columns) holds one copy of each diagonal
-    block, consecutive blocks of ``sizes`` columns; block b occurs
-    ``multiplicities[b]`` times in the full space, so a member X of the
-    algebra satisfies tr f(X) = sum_b multiplicities[b] tr f(V_b^dag X V_b).
-    """
-
-    isometry: np.ndarray
-    sizes: tuple
-    multiplicities: tuple
+    if spec.kind not in (KIND_PERMUTATION, KIND_COLLECTIVE):
+        return SymmetricBasis(spec.n_qubits, spec.kind, _null_space_basis(spec))
+    blocks = _schur_blocks(spec.n_qubits, spec.kind)
+    basis = SymmetricBasis(spec.n_qubits, spec.kind, _block_matrix_units(blocks))
+    object.__setattr__(basis, "blocks", blocks)
+    return basis
 
 
 _SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -303,16 +297,16 @@ def _schur_transform(n_qubits: int) -> tuple:
     return tuple(out)
 
 
-def _schur_blocks(n_qubits: int, kind: str) -> list[np.ndarray]:
-    """(d, block, copies) arrays of a built-in algebra's total-spin blocks.
+def _schur_blocks(n_qubits: int, kind: str) -> tuple:
+    """Read-only (d, block, copies) arrays of a built-in algebra's total-spin blocks.
 
     Permutation kind: blocks of 2J+1, m_J copies each.  Collective kind: the
     same arrays with the last two axes swapped, blocks of m_J in 2J+1 copies.
     """
     arrays = _schur_transform(n_qubits)
     if kind == KIND_COLLECTIVE:
-        return [cols.swapaxes(1, 2) for cols in arrays]
-    return list(arrays)
+        return tuple(cols.swapaxes(1, 2) for cols in arrays)
+    return arrays
 
 
 def _block_matrix_units(blocks) -> np.ndarray:
@@ -348,35 +342,6 @@ def _one_block(d: int) -> list[np.ndarray]:
     (``_block_matrix_units``) are an orthonormal basis of all d x d operators.
     """
     return [np.eye(d)[:, :, None]]
-
-
-def _compress(blocks) -> SpinBlocks:
-    """Copy 0 of every (d, block, copies) array of ``blocks``, with the block sizes and copy counts."""
-    isometry = np.hstack([cols[:, :, 0] for cols in blocks])
-    isometry.setflags(write=False)
-    return SpinBlocks(
-        isometry,
-        tuple(cols.shape[1] for cols in blocks),
-        tuple(cols.shape[2] for cols in blocks),
-    )
-
-
-@lru_cache(maxsize=16)
-def spin_blocks(n_qubits: int, kind: str) -> SpinBlocks:
-    """Isometry onto one copy of each total-spin block of a symmetry algebra.
-
-    The built-in kinds take copy 0 of every block of ``_schur_blocks``:
-    permutation blocks are one irrep lowered by J_- from a highest-weight
-    vector, collective blocks the highest-weight space.  Custom kinds get the
-    identity as a single block (``_one_block``), so the compressed view
-    equals the dense one.  Cached per (n_qubits, kind); the returned arrays
-    are read-only.
-    """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown symmetry kind {kind!r}")
-    if kind in (KIND_PERMUTATION, KIND_COLLECTIVE):
-        return _compress(_schur_blocks(n_qubits, kind))
-    return _compress(_one_block(2**n_qubits))
 
 
 def project_onto_basis(rho, basis: SymmetricBasis) -> SymmetricCoefficients:

@@ -285,6 +285,14 @@ def test_sample_werner_rejects_a_count_it_cannot_pick(tmp_path, ghz_file):
     assert not out.exists()
 
 
+def test_sample_refuses_a_count_without_werner_settings(tmp_path, ghz_file):
+    out = tmp_path / "h.json"
+    with pytest.raises(SystemExit) as exc:
+        run("sample", "--state", ghz_file, "--settings", "pi", "--count", 3, "--shots", 10, "--out", out)
+    assert exc.value.code == "--count applies only to --settings werner"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate + metrics
 # ---------------------------------------------------------------------------
@@ -540,12 +548,13 @@ def test_sweep_jobs_apply_to_count_studies(tmp_path, monkeypatch):
          "frequency_floor must be a number, got 'x'"),
         (json.dumps({"family": "ghz", "n_qubits": 2, "estimator": {"gamma": True}}),
          "gamma must be a number, got True"),
+        (json.dumps({"family": "ghz", "n_qubits": 2, "levels": []}), "levels must be a nonempty list"),
     ],
     ids=["malformed", "not-an-object", "unknown-field", "unknown-estimator-field", "bad-value",
          "bad-level", "bad-policy", "bad-family-size", "no-qubits", "werner-p",
          "selected-count", "zero-count", "null-level", "string-repetitions", "count-too-large",
          "count-study-modes", "string-iterations", "negative-iterations", "fractional-iterations",
-         "string-floor", "boolean-gamma"],
+         "string-floor", "boolean-gamma", "empty-levels"],
 )
 def test_sweep_rejects_bad_config(tmp_path, content, fault):
     cfg_path = tmp_path / "sweep.json"

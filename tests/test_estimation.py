@@ -12,12 +12,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symtomo.operators import assert_density_matrix, pauli_string, projector
 from symtomo.statesim import apply_channel, ghz_state, werner_exact
-from symtomo.symmetry import SpinBlocks, SymmetrySpec, compute_commutant_basis, spin_blocks, symmetrize
+from symtomo.symmetry import SymmetricBasis, SymmetrySpec, _one_block, compute_commutant_basis, symmetrize
 from symtomo.measurement import (
     ObservableRecord,
     _observable_projectors,
@@ -26,6 +26,7 @@ from symtomo.measurement import (
     full_settings,
     pi_observables,
     pi_settings,
+    record_plan,
     sample_state,
     unmeasured_records,
 )
@@ -262,8 +263,7 @@ def test_design_matrix_is_the_real_part_of_the_complex_product(n, kind):
 def block_maps(basis):
     # base 0 and tangent I: the maps act on the coefficients c themselves
     r = basis.size
-    return _BlockMaps.of(basis.elements, spin_blocks(basis.n_qubits, basis.kind),
-                         np.zeros(r), np.eye(r))
+    return _BlockMaps.of(basis.elements, basis.blocks or _one_block(basis.dim), np.zeros(r), np.eye(r))
 
 
 def dense_state(c, elements):
@@ -450,6 +450,44 @@ def test_default_solve_converges_on_pooled_data(n, gamma):
     assert result.iterations < EstimatorConfig().max_iterations
 
 
+@lru_cache(maxsize=None)
+def git_records(n, kind):
+    """Sampled noisy GHZ records of the git plan for a built-in algebra: pooled for permutations."""
+    settings_ = pi_settings(n) if kind == "permutation" else full_settings(n)
+    measured, _, pooled = record_plan("git", kind, settings_)
+    hists = sample_state(depolarize_all(projector(ghz_state(n)), 0.05), settings_, 4096, seed=1)
+    return tuple(extract_frequencies(hists, measured, pi_mode=pooled))
+
+
+@lru_cache(maxsize=None)
+def built_git_objective(n, kind, gamma):
+    result = solve_git(git_records(n, kind), cached_basis(n, kind), EstimatorConfig(gamma=gamma))
+    assert result.converged
+    return result.objective
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    algebra=st.sampled_from(["permutation", "collective"]),
+    label=st.sampled_from(["permutation", "collective"]),
+    gamma=st.sampled_from([0.0, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, algebra="permutation", label="collective", gamma=0.0, seed=0)
+@example(n=3, algebra="collective", label="permutation", gamma=0.0, seed=0)
+def test_a_hand_built_basis_solves_whatever_its_label(n, algebra, label, gamma, seed):
+    # a basis given by its elements alone takes the dense route: its kind
+    # label names no block structure the solver could trust
+    built = cached_basis(n, algebra)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((built.size, built.size)))
+    basis = SymmetricBasis(n, label, np.einsum("ij,jab->iab", q, built.elements))
+    result = solve_git(git_records(n, algebra), basis, EstimatorConfig(gamma=gamma))
+    assert_density_matrix(result.rho_hat)
+    want = built_git_objective(n, algebra, gamma)
+    assert abs(result.objective - want) <= 1e-8 * max(1.0, abs(want))
+
+
 def relative_error_objective(records, rho, floor=1e-6):
     """The alpha = beta = 1, gamma = 0 objective of rho, from the dense record projectors."""
     total = 0.0
@@ -508,7 +546,7 @@ def test_full_space_solves_match_a_pauli_basis_oracle(n, solve):
     recs, d = noisy_complete_records(n), 2**n
     mode, config = FULL_SPACE_SOLVES[solve]
     got = solve_cvqt(recs, d, config) if mode == "cvqt" else solve_maxlik(recs, config)
-    want = _estimate(tuple(recs), pauli_elements(n), SpinBlocks(np.eye(d), (d,), (1,)), config, mode)
+    want = _estimate(tuple(recs), pauli_elements(n), _one_block(d), config, mode)
     assert (got.iterations, got.converged) == (want.iterations, want.converged)
     assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
     assert np.abs(got.rho_hat - want.rho_hat).max() <= 1e-8

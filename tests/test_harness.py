@@ -115,6 +115,13 @@ def test_config_rejects_bad_fields(kwargs):
         SweepConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["channels", "levels", "shots", "observable_counts"])
+def test_config_rejects_an_empty_grid(name):
+    # an empty grid would run no cell and write empty files
+    with pytest.raises(ValueError, match=f"^{name} must be a nonempty list"):
+        SweepConfig(**{name: []})
+
+
 def test_werner_exact_noise_acts_on_every_qubit():
     cfg = SweepConfig(family="werner_exact", n_qubits=4, p=0.6, p2=0.3,
                       channels=("amplitude_damping",), levels=(0.2,))
@@ -182,6 +189,28 @@ def test_run_sweep_serial_parallel_and_rerun_identical():
     b = run_sweep(SMALL)
     c = run_sweep(SMALL, jobs=2)
     assert records_to_csv(a) == records_to_csv(b) == records_to_csv(c)
+
+
+def test_run_sweep_asks_for_no_more_workers_than_cells(monkeypatch):
+    # a forking pool starts every worker it may use at its first submit
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells, chunksize=1):
+            return map(fn, cells)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    assert records_to_csv(run_sweep(SMALL, jobs=8)) == records_to_csv(run_sweep(SMALL))
+    assert sizes == [2]
 
 
 def test_run_sweep_survives_solver_failure(monkeypatch):

@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 
 from symtomo.operators import hilbert_schmidt_inner, pauli_string
 from symtomo.symmetry import (
+    SymmetricBasis,
     SymmetrySpec,
+    _block_matrix_units,
     _lowering_operator,
     compute_commutant_basis,
     group_generators,
     permutation_basis_size,
     project_onto_basis,
     reconstruct,
-    spin_blocks,
     symmetrize,
     transposition_permutation,
 )
@@ -232,10 +233,16 @@ def test_coefficients_are_real_for_hermitian_input():
 # total-spin block compression
 # ---------------------------------------------------------------------------
 
+def copy_zero(blocks):
+    """The isometry onto copy 0 of every block, the block sizes and the copy counts."""
+    return (np.hstack([cols[:, :, 0] for cols in blocks]),
+            tuple(cols.shape[1] for cols in blocks), tuple(cols.shape[2] for cols in blocks))
+
+
 @pytest.mark.parametrize("kind", ["permutation", "collective"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_spin_blocks_sizes_and_isometry(n, kind):
-    isometry, sizes, mults = spin_blocks(n, kind)
+    isometry, sizes, mults = copy_zero(compute_commutant_basis(SymmetrySpec(n, kind)).blocks)
     assert isometry.shape == (2**n, sum(sizes))
     assert np.allclose(isometry.conj().T @ isometry, np.eye(sum(sizes)), atol=1e-12)
     assert sum(b * m for b, m in zip(sizes, mults)) == 2**n
@@ -251,10 +258,10 @@ def test_spin_blocks_sizes_and_isometry(n, kind):
 )
 def test_spin_blocks_reproduce_the_spectrum_of_algebra_members(spec):
     # every eigenvalue of a member is an eigenvalue of one compressed block,
-    # repeated as often as that block's multiplicity
+    # repeated as often as that block's copy count
     basis = compute_commutant_basis(spec)
     member = random_member(basis, seed=5)
-    isometry, sizes, mults = spin_blocks(spec.n_qubits, spec.kind)
+    isometry, sizes, mults = copy_zero(basis.blocks)
     want = []
     start = 0
     for size, mult in zip(sizes, mults):
@@ -264,14 +271,23 @@ def test_spin_blocks_reproduce_the_spectrum_of_algebra_members(spec):
     assert np.allclose(np.sort(want), np.linalg.eigvalsh(member), atol=1e-10)
 
 
-def test_spin_blocks_custom_kind_is_one_identity_block():
-    isometry, sizes, mults = spin_blocks(2, "custom_unitaries")
-    assert np.array_equal(isometry, np.eye(4))
-    assert (sizes, mults) == ((4,), (1,))
+def test_custom_and_hand_built_bases_carry_no_blocks():
+    swap = group_generators(SymmetrySpec.permutation(2))[0]
+    assert compute_commutant_basis(SymmetrySpec.custom_unitaries([swap])).blocks is None
+    built = compute_commutant_basis(SymmetrySpec.permutation(2))
+    # the label does not make a basis block-structured: only its builder does
+    assert SymmetricBasis(2, "permutation", built.elements).blocks is None
 
 
-def test_spin_blocks_are_cached_and_read_only():
-    blocks = spin_blocks(3, "permutation")
-    assert spin_blocks(3, "permutation") is blocks
-    with pytest.raises(ValueError):
-        blocks.isometry[0, 0] = 2.0
+def test_spin_blocks_are_read_only():
+    for kind in ("permutation", "collective"):
+        for cols in compute_commutant_basis(SymmetrySpec(3, kind)).blocks:
+            with pytest.raises(ValueError):
+                cols[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize("kind, n", [("permutation", n) for n in range(1, 8)]
+                         + [("collective", n) for n in range(1, 7)])
+def test_basis_elements_are_the_matrix_units_of_its_blocks(kind, n):
+    basis = compute_commutant_basis(SymmetrySpec(n, kind))
+    assert np.array_equal(_block_matrix_units(basis.blocks), basis.elements)
