@@ -99,7 +99,8 @@ class EstimatorConfig:
             _check_number(name, getattr(self, name))
         # the barrier solve needs a convex barrier, an iteration cap, a data
         # term, a gap to reach and finite relative weights
-        _check_number("gamma", self.gamma, numbers.Real, low=0)
+        for name in ("beta", "gamma"):
+            _check_number(name, getattr(self, name), numbers.Real, low=0)
         _check_number("max_iterations", self.max_iterations, low=0)
         for name in ("alpha", "objective_tolerance", "frequency_floor"):
             if not getattr(self, name) > 0:
@@ -258,14 +259,28 @@ def _search_space(basis: SymmetricBasis | None, dim: int) -> tuple[np.ndarray, t
     """The Hermitian basis an estimator solves over, with its (d, block, copies) block arrays.
 
     A symmetric basis comes with the blocks it was built from, or, when it has
-    none, the identity as one block.  ``basis=None`` is the full space, the
-    commutant of the trivial group: the matrix units of one d x d identity
-    block, whose d^2 dense d x d elements limit it to six qubits.
+    none, the identity as one block; such a basis, given by its elements
+    alone, must be Hermitian, orthonormal and span the identity, to 1e-9.
+    ``basis=None`` is the full space, the commutant of the trivial group: the
+    matrix units of one d x d identity block, whose d^2 dense d x d elements
+    limit it to six qubits.
     """
     if basis is not None:
         if basis.dim != dim:
             raise ValueError(f"basis dimension {basis.dim} does not match dim {dim}")
-        return basis.elements, basis.blocks or _one_block(dim)
+        if basis.blocks is not None:
+            return basis.elements, basis.blocks
+        elements = basis.elements
+        flat = elements.reshape(len(elements), -1)
+        traces = np.trace(elements, axis1=1, axis2=2)
+        for fault, deviation in (
+            ("are not Hermitian", np.abs(elements - elements.conj().transpose(0, 2, 1)).max()),
+            ("are not orthonormal", np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max()),
+            ("do not span the identity", np.linalg.norm(np.einsum("i,iab->ab", traces, elements) - np.eye(dim))),
+        ):
+            if not deviation <= 1e-9:
+                raise ValueError(f"basis elements {fault} (deviation {deviation:.1e} > 1e-9)")
+        return elements, _one_block(dim)
     if num_qubits(dim) > 6:
         raise ValueError("full-space estimation keeps 4^n dense basis matrices; practical up to 6 qubits")
     blocks = _one_block(dim)

@@ -465,16 +465,9 @@ def summary_to_csv(summaries) -> str:
     return _rows_to_csv(summaries, [f.name for f in dataclasses.fields(SweepSummary)])
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _dumps(payload) -> str:
+    # a numpy scalar (a config's levels or shots entry) is written as the Python number it holds
+    return json.dumps(payload, indent=1, sort_keys=True, default=lambda v: v.item()) + "\n"
 
 
 def export(records, out_dir, fmt: str = "csv", config: SweepConfig | None = None) -> list[Path]:
@@ -499,19 +492,19 @@ def export(records, out_dir, fmt: str = "csv", config: SweepConfig | None = None
             written.append(path)
     if fmt in ("json", "both"):
         for name, payload in (
-            ("records.json", [_jsonable(r) for r in records]),
-            ("summary.json", [_jsonable(s) for s in summaries]),
+            ("records.json", [dataclasses.asdict(r) for r in records]),
+            ("summary.json", [dataclasses.asdict(s) for s in summaries]),
         ):
             path = out / name
-            path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+            path.write_text(_dumps(payload))
             written.append(path)
     manifest = {
         "version": _VERSION,
         "n_records": len(records),
-        "config": None if config is None else _jsonable(config),
+        "config": None if config is None else dataclasses.asdict(config),
     }
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    path.write_text(_dumps(manifest))
     written.append(path)
     return written
 

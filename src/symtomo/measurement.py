@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,11 @@ def check_observable(ops: str, n_qubits: int | None = None) -> str:
     return ops
 
 
+def _check_shots(shots) -> None:
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots <= 0:
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeHistogram:
     """Counts per outcome bitstring for one measurement setting.
@@ -93,9 +99,7 @@ class OutcomeHistogram:
             if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"exact histogram probabilities sum to {total!r}, not 1")
         else:
-            whole = isinstance(self.shots, (int, np.integer)) and not isinstance(self.shots, bool)
-            if not whole or self.shots <= 0:
-                raise ValueError(f"shots must be a positive integer, got {self.shots!r}")
+            _check_shots(self.shots)
             if total != self.shots:
                 raise ValueError(f"counts sum {total!r} does not match shots {self.shots}")
 
@@ -108,8 +112,10 @@ class OutcomeHistogram:
 class ObservableRecord:
     """One observable string, with its estimated frequency if it was measured.
 
-    ``frequency=None`` marks an observable that carries no data.  The string
-    determines the operator: ``projector`` builds the dense d x d
+    ``frequency=None`` marks an observable that carries no data; otherwise
+    it is a finite real in [0, 1], up to the 1e-9 that an analytic
+    histogram's probabilities may miss their sum by.  The string determines
+    the operator: ``projector`` builds the dense d x d
     ``observable_projector(ops)`` on each read, so a record stores no matrix.
     """
 
@@ -118,6 +124,8 @@ class ObservableRecord:
 
     def __post_init__(self):
         check_observable(self.ops)
+        if self.frequency is not None:
+            _check_number(f"frequency of {self.ops!r}", self.frequency, numbers.Real, low=-1e-9, high=1 + 1e-9)
 
     @property
     def measured(self) -> bool:
@@ -134,8 +142,7 @@ def pi_settings(n_qubits: int) -> list[str]:
     One representative per multiset of axes: the letters sorted with
     X < Y < Z.  There are (n+1)(n+2)/2 of them.
     """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
+    _check_number("n_qubits", n_qubits, low=1)
     return [
         "".join(combo)
         for combo in itertools.combinations_with_replacement(_AXES, n_qubits)
@@ -144,8 +151,7 @@ def pi_settings(n_qubits: int) -> list[str]:
 
 def full_settings(n_qubits: int) -> list[str]:
     """All 3^n product settings, lexicographic."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
+    _check_number("n_qubits", n_qubits, low=1)
     return ["".join(p) for p in itertools.product(_AXES, repeat=n_qubits)]
 
 
@@ -167,8 +173,7 @@ def pi_observables(n_qubits: int) -> list[str]:
     lexicographically.  The family has (n+1)(n+2)(n+3)/6 members, matching
     the dimension of the permutation symmetry algebra.
     """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
+    _check_number("n_qubits", n_qubits, low=1)
     return _by_identity_count(
         _pooled_key(combo)
         for combo in itertools.combinations_with_replacement("XYZI", n_qubits)
@@ -177,8 +182,7 @@ def pi_observables(n_qubits: int) -> list[str]:
 
 def full_observables(n_qubits: int) -> list[str]:
     """All 4^n observable strings, ordered by identity count then lexicographically."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
+    _check_number("n_qubits", n_qubits, low=1)
     return _by_identity_count(
         "".join(p) for p in itertools.product(_OBS_LETTERS, repeat=n_qubits)
     )
@@ -271,9 +275,8 @@ def sample_histogram(probs, shots: int, seed, setting: str) -> OutcomeHistogram:
     ``seed`` may be an integer or a ``numpy.random.Generator`` (passed by
     value in the sense that an integer always reproduces the same draw).
     """
+    _check_shots(shots)
     probs = np.asarray(probs, dtype=float)
-    if shots <= 0:
-        raise ValueError("shots must be positive")
     if probs.ndim != 1 or abs(probs.sum() - 1.0) > 1e-9 or probs.min() < -1e-12:
         raise ValueError("probs must be a nonnegative vector summing to 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from pathlib import Path
 
@@ -57,10 +58,12 @@ def num_qubits(dim: int) -> int:
 
 
 def _check_number(name: str, value, kind=numbers.Integral, low=None, high=None) -> None:
-    """Reject a config value that is not a ``kind`` number in [low, high], naming its field."""
+    """Reject a value that is not a (finite) ``kind`` number in [low, high], naming its field."""
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is numbers.Integral else "a number"
         raise ValueError(f"{name} must be {what}, got {value!r}")
+    if kind is not numbers.Integral and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if (low is not None and not value >= low) or (high is not None and not value <= high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be {bound}, got {value}")

@@ -22,6 +22,7 @@ Noise policies
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _check_number,
     _on_qubits,
     as_matrix,
     basis_ket,
@@ -68,6 +70,10 @@ class Gate:
     qubit: int             # target qubit
     theta: float | None = None
     control: int | None = None
+
+    def __post_init__(self):
+        if self.kind in ("ry", "rz"):
+            _check_number("theta", self.theta, numbers.Real)
 
     @classmethod
     def h(cls, qubit: int) -> "Gate":
@@ -221,8 +227,8 @@ def run_circuit(circuit: Circuit, noise: NoiseModel = NoiseModel.none()) -> np.n
 
 def ghz_state(n_qubits: int, theta: float = 0.0) -> np.ndarray:
     """(|0...0> + e^{i theta} |1...1>) / sqrt(2) as a state vector."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
+    _check_number("n_qubits", n_qubits, low=1)
+    _check_number("theta", theta, numbers.Real)
     vec = np.zeros(2**n_qubits, dtype=complex)
     vec[0] = 1.0 / np.sqrt(2.0)
     vec[-1] = np.exp(1j * theta) / np.sqrt(2.0)
@@ -235,8 +241,8 @@ def twisted_state(n_qubits: int, theta: float = 0.0) -> np.ndarray:
     Amplitudes are (1 + (-1)^{parity(x)} e^{i theta}) / sqrt(2^{n+1}); for
     theta = 0 on one qubit this reduces to |0>.
     """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
+    _check_number("n_qubits", n_qubits, low=1)
+    _check_number("theta", theta, numbers.Real)
     d = 2**n_qubits
     parity = np.array([bin(x).count("1") % 2 for x in range(d)])
     amps = (1.0 + (-1.0) ** parity * np.exp(1j * theta)) / np.sqrt(2.0 ** (n_qubits + 1))

@@ -39,11 +39,11 @@ from .operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _check_number,
     _on_qubits,
     as_matrix,
     assert_hermitian,
     assert_unitary,
-    embed_one_qubit,
     num_qubits,
 )
 
@@ -76,8 +76,7 @@ class SymmetrySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown symmetry kind {self.kind!r}")
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
+        _check_number("n_qubits", self.n_qubits, low=1)
         if self.kind in (KIND_CUSTOM_UNITARIES, KIND_CUSTOM_LIE):
             if not self.operators:
                 raise ValueError(f"{self.kind} spec needs at least one operator")
@@ -156,45 +155,32 @@ class SymmetricCoefficients:
     alpha: np.ndarray
 
 
-def transposition_permutation(n: int, k: int) -> np.ndarray:
-    """Index map of basis states under swapping qubits k and k+1 (length 2^n)."""
-    if not 0 <= k < n - 1:
-        raise ValueError(f"transposition index {k} out of range for {n} qubits")
-    d = 2**n
-    idx = np.arange(d)
-    # qubit 0 is the most significant bit
-    bit_a = (idx >> (n - 1 - k)) & 1
-    bit_b = (idx >> (n - 2 - k)) & 1
-    swapped = idx & ~((1 << (n - 1 - k)) | (1 << (n - 2 - k)))
-    swapped |= bit_b << (n - 1 - k)
-    swapped |= bit_a << (n - 2 - k)
-    return swapped
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # |0> (spin up) -> |1>
+
+
+def _collective(op: np.ndarray, n: int) -> np.ndarray:
+    """The collective sum sum_q op^(q) of a one-qubit operator, a dense d x d matrix of op's dtype."""
+    eye = np.eye(2**n, dtype=op.dtype)
+    return sum(_on_qubits(eye, op, (q,)) for q in range(n))
 
 
 def group_generators(spec: SymmetrySpec) -> list[np.ndarray]:
     """Concrete generator matrices for a symmetry spec.
 
-    Permutation: one matrix per adjacent transposition (n-1 of them; none for
-    a single qubit, whose permutation group is trivial).  Collective: the
-    three total-spin components sum_i sigma_k^(i) / 2.  Custom kinds return
-    the caller's operators unchanged.
+    Permutation: adjacent transposition k is the two-qubit SWAP on qubits
+    (k, k + 1) (n-1 of them; none for a single qubit, whose permutation group
+    is trivial).  Collective: the three total-spin components
+    sum_q sigma_k^(q) / 2.  Both are built by ``operators._on_qubits`` as
+    complex d x d matrices.  Custom kinds return the caller's operators
+    unchanged.
     """
     n = spec.n_qubits
     if spec.kind == KIND_PERMUTATION:
-        d = 2**n
-        gens = []
-        for k in range(n - 1):
-            perm = transposition_permutation(n, k)
-            mat = np.zeros((d, d), dtype=complex)
-            mat[perm, np.arange(d)] = 1.0
-            gens.append(mat)
-        return gens
+        eye = np.eye(2**n, dtype=complex)
+        return [_on_qubits(eye, _SWAP, (k, k + 1)) for k in range(n - 1)]
     if spec.kind == KIND_COLLECTIVE:
-        gens = []
-        for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
-            total = sum(embed_one_qubit(sigma / 2.0, q, n) for q in range(n))
-            gens.append(total)
-        return gens
+        return [_collective(sigma / 2.0, n) for sigma in (PAULI_X, PAULI_Y, PAULI_Z)]
     return [np.array(op) for op in spec.operators]
 
 
@@ -243,18 +229,6 @@ def compute_commutant_basis(spec: SymmetrySpec) -> SymmetricBasis:
     return basis
 
 
-_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])
-
-
-def _lowering_operator(n: int) -> np.ndarray:
-    """Collective J_- = sum_q sigma_-^(q) as a dense real d x d matrix.
-
-    sigma_- maps |0> (spin up, qubit 0 most significant) to |1>.
-    """
-    eye = np.eye(2**n)
-    return sum(_on_qubits(eye, _SIGMA_MINUS, (q,)) for q in range(n))
-
-
 def _highest_weights(n: int, lowering: np.ndarray, j2: int) -> np.ndarray:
     """Orthonormal basis (d x m_J) of the spin-J highest-weight space, J = j2 / 2.
 
@@ -284,7 +258,7 @@ def _schur_transform(n_qubits: int) -> tuple:
     is an isometry carrying M_{2J+1} (x) 1 onto the permutation algebra and
     1 (x) M_{m_J} onto the collective one.  Cached per n; read-only.
     """
-    lowering = _lowering_operator(n_qubits)
+    lowering = _collective(_SIGMA_MINUS, n_qubits)  # J_-, real
     out = []
     for j2 in range(n_qubits, -1, -2):
         levels = [_highest_weights(n_qubits, lowering, j2)]

@@ -175,8 +175,11 @@ def test_prepare_rejects_bad_werner_qubits(tmp_path):
         (("--state", "ghz", "--qubits", 2, "--noise", "dep", "--level", 1.5),
          "noise level 1.5 outside [0, 1.0]"),
         (("--state", "ghz", "--qubits", 0), "out of range for 0 qubits"),
+        # a non-finite angle made an all-NaN state, written as bare NaN tokens that are not JSON
+        (("--state", "ghz", "--qubits", 2, "--theta", "inf"), "theta must be finite, got inf"),
+        (("--state", "werner", "--qubits", 2, "--theta-a", "nan"), "theta must be finite, got nan"),
     ],
-    ids=["p", "p2", "level", "qubits"],
+    ids=["p", "p2", "level", "qubits", "infinite-theta", "nan-theta-a"],
 )
 def test_prepare_rejects_out_of_range_values(tmp_path, argv, fault):
     out = tmp_path / "x.json"
@@ -652,7 +655,7 @@ REJECTED_INPUT = {
         "practical up to 6 qubits"),
     "zero-shots": (
         lambda tmp, ghz, out: ("sample", "--state", ghz, "--shots", 0, "--out", out),
-        "shots must be positive"),
+        "shots must be a positive integer"),
     "negative-seed": (
         lambda tmp, ghz, out: ("sample", "--state", ghz, "--shots", 4, "--seed", -1, "--out", out),
         "non-negative"),

@@ -30,3 +30,5 @@ def test_readme_quick_start_runs():
     assert block, "README has no Quick start python block"
     proc = run_python(["-c", block.group(1)])
     assert proc.returncode == 0, proc.stderr
+    # it prints the fidelity of a git estimate of noisy GHZ at n = 3 (0.980 with seed 1)
+    assert 0.95 < float(proc.stdout) <= 1.0

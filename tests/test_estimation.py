@@ -606,6 +606,9 @@ def test_cvqt_unmeasured_penalty_mechanics():
     {"max_iterations": "5"}, {"max_iterations": -1}, {"max_iterations": 2.5},
     {"frequency_floor": "x"}, {"frequency_floor": 0.0}, {"gamma": True}, {"alpha": float("nan")},
     {"beta": "1"}, {"feasibility_tolerance": None}, {"restarts": 1.5}, {"seed": "0"},
+    # each was accepted, and then gave a false converged=True or a LinAlgError in the solve
+    {"objective_tolerance": float("inf")}, {"frequency_floor": float("inf")}, {"alpha": float("inf")},
+    {"beta": -1.0},
 ])
 def test_config_rejects_what_the_barrier_solve_cannot_take(field):
     with pytest.raises(ValueError, match=next(iter(field))):
@@ -622,6 +625,21 @@ def test_solve_vqt_rejects_a_basis_of_another_dimension():
     basis = compute_commutant_basis(SymmetrySpec.permutation(3))
     with pytest.raises(ValueError, match="basis dimension 8 does not match dim 4"):
         solve_vqt(EstimationProblem(records=tuple(recs), basis=basis, dim=4), ANALYTIC)
+
+
+ZZ, XX = pauli_string("ZZ"), pauli_string("XX")
+
+
+@pytest.mark.parametrize("elements, fault", [
+    ([ZZ / 2, (np.eye(4) + XX) / np.sqrt(8)], "do not span the identity"),
+    ([ZZ / 2, 1j * ZZ / 2], "not Hermitian"),
+    ([ZZ / 2, (ZZ + np.eye(4)) / np.sqrt(8)], "not orthonormal"),
+], ids=["no-identity", "not-hermitian", "not-orthonormal"])
+def test_a_basis_given_by_its_elements_is_checked_before_a_solve(elements, fault):
+    recs = analytic_records(projector(ghz_state(2)), 2, pi_mode=True)
+    basis = SymmetricBasis(2, "permutation", np.array(elements, dtype=complex))
+    with pytest.raises(ValueError, match=fault):
+        solve_git(recs, basis, ANALYTIC)
 
 
 SOLVERS = {

@@ -108,6 +108,10 @@ def test_config_is_frozen_and_normalizes_tuples():
         dict(observable_counts=(2,), modes=("git", "cvqt")),
         dict(modes=("git", "git")),
         dict(estimator={"gamma": 0.0}),
+        dict(theta=float("inf")),
+        dict(theta_a=float("nan")),
+        dict(theta_b=float("inf")),
+        dict(p=float("inf")),
     ],
 )
 def test_config_rejects_bad_fields(kwargs):

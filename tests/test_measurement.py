@@ -433,6 +433,18 @@ def test_record_rejects_a_bad_string(ops):
         ObservableRecord(ops, 0.5)
 
 
+@pytest.mark.parametrize("frequency", [float("nan"), float("inf"), 1.5, -0.1, True, "0.5"],
+                         ids=["nan", "inf", "above-one", "negative", "bool", "str"])
+def test_record_refuses_a_frequency_that_is_not_in_the_unit_interval(frequency):
+    with pytest.raises(ValueError, match="frequency of 'XI'"):
+        ObservableRecord("XI", frequency)
+
+
+def test_record_takes_a_frequency_within_rounding_of_the_unit_interval():
+    for frequency in (None, 0, 1, np.float64(0.5), -5e-10, 1 + 5e-10):
+        assert ObservableRecord("XI", frequency).frequency is frequency
+
+
 def test_records_are_built_without_operators(monkeypatch):
     def refuse(ops):
         raise AssertionError(f"built the operator of {ops!r}")
@@ -610,3 +622,15 @@ def test_ingest_reports_bad_records(tmp_path):
     path.write_text('{"n_qubits": 2, "records": [{"setting": "Q!", "shots": 5, "counts": {}}]}')
     with pytest.raises(ValueError):
         ingest_histograms(path)
+
+
+@pytest.mark.parametrize("shots", [10.5, True], ids=["fractional", "bool"])
+def test_sampling_refuses_shots_that_are_not_a_positive_integer(shots):
+    with pytest.raises(ValueError, match=f"shots must be a positive integer, got {shots!r}"):
+        sample_state(np.eye(2) / 2, ["Z"], shots)
+
+
+@pytest.mark.parametrize("family", [pi_settings, full_settings, pi_observables, full_observables])
+def test_families_refuse_a_qubit_count_that_is_not_an_integer(family):
+    with pytest.raises(ValueError, match="n_qubits must be an integer, got 2.0"):
+        family(2.0)

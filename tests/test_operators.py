@@ -1,4 +1,5 @@
 import json
+import numbers
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from symtomo.operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _check_number,
     as_matrix,
     assert_density_matrix,
     assert_hermitian,
@@ -218,3 +220,10 @@ def test_matrix_json_round_trip(tmp_path):
 def test_matrix_json_round_trip_is_exact(m):
     again = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
     assert again.tobytes() == m.tobytes()  # bit for bit, signed zeros included
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"), np.float64("inf")],
+                         ids=["inf", "-inf", "nan", "numpy-inf"])
+def test_check_number_refuses_a_non_finite_real(value):
+    with pytest.raises(ValueError, match="weight must be finite"):
+        _check_number("weight", value, numbers.Real)

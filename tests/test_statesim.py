@@ -347,3 +347,23 @@ def test_local_operators_match_the_dense_reference(circuit, noise, seed):
     assert np.abs(embed_one_qubit(op, qubit, n) - dense_one(op, qubit, n)).max() <= 1e-12
     got = apply_channel(rho, noise.channel, noise.level, qubit)
     assert np.abs(got - dense_channel(rho, noise.channel, noise.level, qubit)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family", [ghz_state, twisted_state])
+def test_states_refuse_a_qubit_count_that_is_not_an_integer(family):
+    with pytest.raises(ValueError, match="n_qubits must be an integer, got 2.0"):
+        family(2.0)
+
+
+@pytest.mark.parametrize("family", [ghz_state, twisted_state])
+def test_states_refuse_a_non_finite_phase(family):
+    # it gave NaN amplitudes
+    with pytest.raises(ValueError, match="theta must be finite, got inf"):
+        family(2, float("inf"))
+
+
+@pytest.mark.parametrize("gate", [lambda: Gate.ry(float("inf"), 0), lambda: Gate.rz(float("nan"), 0),
+                                  lambda: Gate("rz", 0)], ids=["infinite-ry", "nan-rz", "no-angle"])
+def test_rotation_gates_refuse_an_angle_that_is_not_a_finite_number(gate):
+    with pytest.raises(ValueError, match="theta must be"):
+        gate()

@@ -20,15 +20,15 @@ from symtomo.operators import hilbert_schmidt_inner, pauli_string
 from symtomo.symmetry import (
     SymmetricBasis,
     SymmetrySpec,
+    _SIGMA_MINUS,
     _block_matrix_units,
-    _lowering_operator,
+    _collective,
     compute_commutant_basis,
     group_generators,
     permutation_basis_size,
     project_onto_basis,
     reconstruct,
     symmetrize,
-    transposition_permutation,
 )
 
 
@@ -111,7 +111,7 @@ def test_lowering_operator_equals_the_bit_built_one(n):
         bit = 1 << (n - 1 - q)
         src = idx[(idx & bit) == 0]
         want[src | bit, src] = 1.0
-    got = _lowering_operator(n)
+    got = _collective(_SIGMA_MINUS, n)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -202,14 +202,25 @@ def test_symmetrize_is_an_invariant_projection(index, seed):
         assert np.allclose(gen @ sym, sym @ gen, atol=1e-10)
 
 
+def bit_swap(n, k):
+    """Index map of basis states under swapping qubits k and k+1 (qubit 0 the most significant bit)."""
+    idx = np.arange(2**n)
+    hi, lo = 1 << (n - 1 - k), 1 << (n - 2 - k)
+    bit_a, bit_b = (idx & hi) > 0, (idx & lo) > 0
+    return (idx & ~(hi | lo)) | np.where(bit_b, hi, 0) | np.where(bit_a, lo, 0)
+
+
 def test_transposition_permutation_swaps_bits():
-    perm = transposition_permutation(3, 0)  # swap qubits 0 and 1 of three
-    # |011> (qubit0=0, qubit1=1, qubit2=1) maps to |101>
-    assert perm[int("011", 2)] == int("101", 2)
-    assert perm[int("000", 2)] == int("000", 2)
-    assert perm[int("111", 2)] == int("111", 2)
-    with pytest.raises(ValueError):
-        transposition_permutation(3, 2)
+    # |011> (qubit0=0, qubit1=1, qubit2=1) maps to |101> under the swap of qubits 0 and 1
+    assert bit_swap(3, 0)[int("011", 2)] == int("101", 2)
+    for n in range(2, 6):
+        d = 2**n
+        gens = group_generators(SymmetrySpec.permutation(n))
+        assert len(gens) == n - 1
+        for k, gen in enumerate(gens):
+            want = np.zeros((d, d), dtype=complex)
+            want[bit_swap(n, k), np.arange(d)] = 1.0
+            assert gen.dtype == want.dtype and np.array_equal(gen, want)
 
 
 def test_deterministic_output():
@@ -291,3 +302,8 @@ def test_spin_blocks_are_read_only():
 def test_basis_elements_are_the_matrix_units_of_its_blocks(kind, n):
     basis = compute_commutant_basis(SymmetrySpec(n, kind))
     assert np.array_equal(_block_matrix_units(basis.blocks), basis.elements)
+
+
+def test_spec_refuses_a_qubit_count_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="n_qubits must be an integer, got 2.0"):
+        SymmetrySpec(2.0, "permutation")
