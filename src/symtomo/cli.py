@@ -44,6 +44,7 @@ from .operators import (
 )
 from .statesim import (
     NoiseModel,
+    _check_family,
     apply_channel_to_all,
     build_ghz_phase,
     build_twisted,
@@ -159,25 +160,17 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_prepare(args) -> int:
+    _check_family(args.state, args.qubits, args.p2)
     channel = _CHANNEL_ALIASES[args.noise]
-    try:
-        noise = NoiseModel(channel=channel, level=args.level, policy=args.policy)
-        if args.state == "ghz":
-            rho = run_circuit(build_ghz_phase(args.qubits, args.theta), noise)
-        elif args.state == "twisted":
-            rho = run_circuit(build_twisted(args.qubits, args.theta), noise)
-        elif args.state == "werner":
-            if args.qubits != 2:
-                raise SystemExit("the werner circuit prepares a 2-qubit state")
-            rho = run_werner_pair(args.theta_a, args.theta_b, noise)
-        else:
-            if args.qubits != 4 and (args.qubits, args.p2) != (2, None):
-                raise SystemExit("werner-exact needs --qubits 2, or 4 (--p2 sets the second pair)")
-            rho = werner_exact(args.p, n_pairs=args.qubits // 2, p2=args.p2)
-            if channel != "none" and args.level > 0.0:
-                rho = apply_channel_to_all(rho, channel, args.level)
-    except ValueError as exc:
-        raise SystemExit(f"prepare: {exc}") from None
+    noise = NoiseModel(channel=channel, level=args.level, policy=args.policy)
+    if args.state in ("ghz", "twisted"):
+        build = build_ghz_phase if args.state == "ghz" else build_twisted
+        rho = run_circuit(build(args.qubits, args.theta), noise)
+    elif args.state == "werner":
+        rho = run_werner_pair(args.theta_a, args.theta_b, noise)
+    else:
+        rho = werner_exact(args.p, n_pairs=args.qubits // 2, p2=args.p2)
+        rho = apply_channel_to_all(rho, channel, args.level)
     save_matrix(args.out, rho)
     print(f"wrote {args.qubits}-qubit state to {args.out}")
     return 0
@@ -241,10 +234,7 @@ def _cmd_estimate(args) -> int:
         hists = ingest_histograms(args.data)
     except ValueError as exc:
         raise SystemExit(f"{args.data}: {exc}") from None
-    try:
-        config = EstimatorConfig(alpha=args.alpha, beta=args.beta, gamma=args.gamma)
-    except ValueError as exc:
-        raise SystemExit(f"estimate: {exc}") from None
+    config = EstimatorConfig(alpha=args.alpha, beta=args.beta, gamma=args.gamma)
     n = hists[0].n_qubits
     measured, unmeasured, pooled = record_plan(args.mode, args.symmetry, (h.setting for h in hists))
     records = extract_frequencies(hists, measured, pi_mode=pooled) + unmeasured_records(unmeasured)

@@ -44,8 +44,8 @@ from .measurement import (
 from .metrics import fidelity
 from .operators import _check_number
 from .statesim import (
-    CHANNELS,
     NoiseModel,
+    _check_family,
     apply_channel_to_all,
     build_ghz_phase,
     build_twisted,
@@ -129,9 +129,6 @@ class SweepConfig:
             raise ValueError(f"modes must not repeat, got {list(self.modes)}")
         if not isinstance(self.estimator, EstimatorConfig):
             raise ValueError(f"estimator must be an EstimatorConfig, got {self.estimator!r}")
-        bad_channels = [c for c in self.channels if c not in CHANNELS]
-        if bad_channels:
-            raise ValueError(f"unknown channels {bad_channels}")
         _check_number("n_qubits", self.n_qubits, low=1)
         for name in ("theta", "theta_a", "theta_b", "p"):
             _check_number(name, getattr(self, name), numbers.Real)
@@ -142,12 +139,8 @@ class SweepConfig:
         for channel in self.channels:
             for level in self.levels:
                 NoiseModel(channel, float(level), self.noise_policy)
-        if self.family == "werner" and self.n_qubits != 2:
-            raise ValueError("the werner circuit family prepares a two-qubit state")
+        _check_family(self.family, self.n_qubits, self.p2)
         if self.family == "werner_exact":
-            one_pair = self.n_qubits == 2 and self.p2 is None
-            if not (one_pair or self.n_qubits == 4):
-                raise ValueError("werner_exact supports 2 qubits (one pair) or 4 (two pairs)")
             werner_exact(self.p, n_pairs=self.n_qubits // 2, p2=self.p2)
         _check_number("repetitions", self.repetitions, low=1)
         _check_number("base_seed", self.base_seed)
@@ -208,11 +201,9 @@ class SweepSummary:
 def _prepared_states(config: SweepConfig, channel: str, level: float):
     """(rho_target, rho_real) for one noise grid point."""
     noise = NoiseModel(channel=channel, level=float(level), policy=config.noise_policy)
-    if config.family == "ghz":
-        circuit = build_ghz_phase(config.n_qubits, config.theta)
-        return run_circuit(circuit), run_circuit(circuit, noise)
-    if config.family == "twisted":
-        circuit = build_twisted(config.n_qubits, config.theta)
+    if config.family in ("ghz", "twisted"):
+        build = build_ghz_phase if config.family == "ghz" else build_twisted
+        circuit = build(config.n_qubits, config.theta)
         return run_circuit(circuit), run_circuit(circuit, noise)
     if config.family == "werner":
         return (
@@ -221,9 +212,7 @@ def _prepared_states(config: SweepConfig, channel: str, level: float):
         )
     # closed-form werner state(s); noise is applied post-preparation per qubit
     rho = werner_exact(config.p, n_pairs=config.n_qubits // 2, p2=config.p2)
-    if channel != "none" and level > 0.0:
-        return rho, apply_channel_to_all(rho, channel, level)
-    return rho, rho
+    return rho, apply_channel_to_all(rho, channel, level)
 
 
 class _Plan:

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import HADAMARD, PAULI_I, _check_number, _tensor_stack, as_matrix, num_qubits
+from .operators import (EIG_FLOOR, HADAMARD, PAULI_I, TRACE_ATOL, _check_number, _tensor_stack,
+                        as_matrix, num_qubits)
 from .symmetry import SymmetricBasis
 
 RANK_TOL = 1e-9  # singular values below this do not count toward map rank
@@ -203,6 +204,14 @@ def marginal_observables(settings) -> list[str]:
     })
 
 
+def _nonempty(settings) -> list[str]:
+    """The settings as a list; refuses none at all, which name no qubit count."""
+    settings = list(settings)
+    if not settings:
+        raise ValueError("no measurement settings were given")
+    return settings
+
+
 def covered_observables(settings) -> tuple[list[str], list[str]]:
     """Split ``full_observables(n)``, in order, by whether the settings determine each frequency.
 
@@ -210,7 +219,7 @@ def covered_observables(settings) -> tuple[list[str], list[str]]:
     marginals: exactly the strings ``extract_frequencies`` can estimate from
     these settings' histograms without pooling.
     """
-    settings = list(settings)
+    settings = _nonempty(settings)
     determined = set(settings) | set(marginal_observables(settings))
     everything = full_observables(len(settings[0]))
     return [o for o in everything if o in determined], [o for o in everything if o not in determined]
@@ -225,7 +234,7 @@ def record_plan(mode: str, symmetry: str, settings) -> tuple[list[str], list[str
     the covered observables, and cvqt also gets the uncovered rest as
     frequency-free records (``unmeasured_records``).
     """
-    settings = list(settings)
+    settings = _nonempty(settings)
     if mode == "git" and symmetry == "permutation":
         return pi_observables(len(settings[0])), [], True
     covered, uncovered = covered_observables(settings)
@@ -252,7 +261,10 @@ def born_probabilities(rho, setting: str) -> np.ndarray:
     """Outcome distribution of measuring ``rho`` in the given product basis.
 
     Entry ``b`` is tr(P_b rho) for the rank-one product projector labeled by
-    bitstring ``b``; tiny negative values from roundoff are clipped and the
+    bitstring ``b``.  A distribution no state gives -- an entry below
+    ``EIG_FLOOR`` or a total off 1 by more than ``TRACE_ATOL``, the
+    tolerances of ``assert_density_matrix`` -- raises ``ValueError`` naming
+    the setting; tiny negative values from roundoff are clipped and the
     vector is renormalized.  With u the setting's rotation, entry b is
     (u rho u^dag)_bb = sum_k (u rho)_bk conj(u_bk): one matrix product and a
     row sum.
@@ -261,6 +273,9 @@ def born_probabilities(rho, setting: str) -> np.ndarray:
     check_setting(setting, num_qubits(rho.shape[0]))
     u = setting_rotation(setting)
     probs = np.real(((u @ rho) * u.conj()).sum(-1))
+    if not (probs.min() >= EIG_FLOOR and abs(probs.sum() - 1.0) <= TRACE_ATOL):
+        raise ValueError(f"setting {setting}: outcome probabilities of a non-state "
+                         f"(lowest {probs.min():.3e}, total {probs.sum():.12g})")
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 

@@ -13,6 +13,13 @@ through one tensor contraction on those qubits (``operators._on_qubits``), so
 no 2^n x 2^n operator is formed to apply it.  ``gate_unitary`` builds the
 full unitary only for callers that ask for it.
 
+Each preparation rule is written once, here: ``_check_channel`` refuses an
+unknown channel or an out-of-range level for ``NoiseModel`` and for every
+function that applies a channel, and ``_check_family`` holds the qubit
+counts the Werner families can prepare, for the command line and the sweep
+config alike.  The identity channel (``none``, or level 0) leaves a state
+untouched.
+
 Noise policies
 --------------
 ``"post"``     apply the channel once to every qubit after the final gate.
@@ -62,6 +69,29 @@ CHANNELS = (
 
 POLICY_POST = "post"
 POLICY_PER_GATE = "pergate"
+
+
+def _check_channel(channel: str, level: float) -> None:
+    """Refuse an unknown channel, or a level outside its range (the level of ``none`` is ignored)."""
+    if channel not in CHANNELS:
+        raise ValueError(f"unknown channel {channel!r}")
+    hi = 0.75 if channel == CHANNEL_DEPOLARIZING_PAULI else 1.0
+    if channel != CHANNEL_NONE and not 0.0 <= level <= hi:
+        raise ValueError(f"noise level {level} outside [0, {hi}]")
+
+
+def _check_family(family: str, n_qubits: int, p2: float | None) -> None:
+    """Refuse a qubit count the Werner families cannot prepare.
+
+    ``family`` is spelled as in a sweep config (``werner_exact``) or on the
+    command line (``werner-exact``); other families take any count.
+    """
+    family = family.replace("-", "_")
+    if family == "werner" and n_qubits != 2:
+        raise ValueError("the werner circuit family prepares a two-qubit state")
+    if family == "werner_exact" and n_qubits != 4 and (n_qubits, p2) != (2, None):
+        raise ValueError("the werner_exact family prepares one pair (2 qubits, no p2) "
+                         "or two pairs (4 qubits, p2 sets the second)")
 
 
 @dataclass(frozen=True)
@@ -119,13 +149,9 @@ class NoiseModel:
     policy: str = POLICY_POST
 
     def __post_init__(self):
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel {self.channel!r}")
+        _check_channel(self.channel, self.level)
         if self.policy not in (POLICY_POST, POLICY_PER_GATE):
             raise ValueError(f"unknown noise policy {self.policy!r}")
-        hi = 0.75 if self.channel == CHANNEL_DEPOLARIZING_PAULI else 1.0
-        if self.channel != CHANNEL_NONE and not 0.0 <= self.level <= hi:
-            raise ValueError(f"noise level {self.level} outside [0, {hi}]")
 
     @classmethod
     def none(cls) -> "NoiseModel":
@@ -164,10 +190,13 @@ def _conjugate(rho: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
 def kraus_operators(channel: str, level: float) -> list[np.ndarray]:
     """Single-qubit Kraus set for a named channel at the given level.
 
-    Every returned set satisfies sum_k K_k^dag K_k = 1 exactly (within
-    floating-point roundoff), which ``apply_channel`` relies on to preserve
-    the trace.
+    An unknown channel, or a level outside the channel's range (NaN
+    included), raises ``ValueError`` in ``NoiseModel``'s wording, so no noise
+    path returns a NaN set.  Every returned set satisfies
+    sum_k K_k^dag K_k = 1 exactly (within floating-point roundoff), which
+    ``apply_channel`` relies on to preserve the trace.
     """
+    _check_channel(channel, level)
     if channel == CHANNEL_NONE or level == 0.0:
         return [PAULI_I.copy()]
     if channel == CHANNEL_AMPLITUDE_DAMPING:
@@ -178,16 +207,13 @@ def kraus_operators(channel: str, level: float) -> list[np.ndarray]:
         return [np.sqrt(1.0 - level) * PAULI_I, np.sqrt(level) * PAULI_X]
     if channel == CHANNEL_DEPOLARIZING_PAULI:
         level = 4.0 * level / 3.0  # reparametrize to the replacement form
-        channel = CHANNEL_DEPOLARIZING
-    if channel == CHANNEL_DEPOLARIZING:
-        # replacement form: rho -> (1-p) rho + p * (1/2) tr_qubit(rho)
-        return [
-            np.sqrt(1.0 - 0.75 * level) * PAULI_I,
-            np.sqrt(level / 4.0) * PAULI_X,
-            np.sqrt(level / 4.0) * PAULI_Y,
-            np.sqrt(level / 4.0) * PAULI_Z,
-        ]
-    raise ValueError(f"unknown channel {channel!r}")
+    # depolarizing, replacement form: rho -> (1-p) rho + p * (1/2) tr_qubit(rho)
+    return [
+        np.sqrt(1.0 - 0.75 * level) * PAULI_I,
+        np.sqrt(level / 4.0) * PAULI_X,
+        np.sqrt(level / 4.0) * PAULI_Y,
+        np.sqrt(level / 4.0) * PAULI_Z,
+    ]
 
 
 def apply_channel(rho, channel: str, level: float, qubit: int) -> np.ndarray:
@@ -200,8 +226,14 @@ def apply_channel(rho, channel: str, level: float, qubit: int) -> np.ndarray:
 
 
 def apply_channel_to_all(rho, channel: str, level: float) -> np.ndarray:
-    """Apply a single-qubit channel to every qubit of a register state, qubit 0 first."""
+    """Apply a single-qubit channel to every qubit of a register state, qubit 0 first.
+
+    The identity channel (``none``, or level 0) returns ``rho`` untouched.
+    """
+    _check_channel(channel, level)
     rho = as_matrix(rho)
+    if channel == CHANNEL_NONE or level == 0.0:
+        return rho
     for q in range(num_qubits(rho.shape[0])):
         rho = apply_channel(rho, channel, level, q)
     return rho
@@ -216,7 +248,7 @@ def run_circuit(circuit: Circuit, noise: NoiseModel = NoiseModel.none()) -> np.n
         if noise.policy == POLICY_PER_GATE and noise.channel != CHANNEL_NONE:
             for q in gate.qubits:
                 rho = apply_channel(rho, noise.channel, noise.level, q)
-    if noise.policy == POLICY_POST and noise.channel != CHANNEL_NONE:
+    if noise.policy == POLICY_POST:
         rho = apply_channel_to_all(rho, noise.channel, noise.level)
     return 0.5 * (rho + rho.conj().T)
 

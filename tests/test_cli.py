@@ -158,7 +158,8 @@ def test_prepare_rejects_bad_werner_exact_qubits(tmp_path):
     out = tmp_path / "x.json"
     with pytest.raises(SystemExit) as exc:
         run("prepare", "--state", "werner-exact", "--qubits", 3, "--out", out)
-    assert exc.value.code == "werner-exact needs --qubits 2, or 4 (--p2 sets the second pair)"
+    assert exc.value.code == ("symtomo prepare: the werner_exact family prepares one pair "
+                              "(2 qubits, no p2) or two pairs (4 qubits, p2 sets the second)")
     assert not out.exists()
 
 
@@ -186,8 +187,29 @@ def test_prepare_rejects_out_of_range_values(tmp_path, argv, fault):
     with pytest.raises(SystemExit) as exc:
         run("prepare", *argv, "--out", out)
     assert exc.value.code != 0
-    assert str(exc.value.code).startswith("prepare: ") and fault in str(exc.value.code)
+    assert str(exc.value.code).startswith("symtomo prepare: ") and fault in str(exc.value.code)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["werner", "werner_exact"])
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p2", [None, 0.4])
+def test_prepare_and_the_sweep_config_accept_the_same_families(tmp_path, family, qubits, p2):
+    # one rule, statesim._check_family, decides both
+    argv = ["prepare", "--state", family.replace("_", "-"), "--qubits", qubits, "--out", tmp_path / "x.json"]
+    try:
+        run(*argv, *(() if p2 is None else ("--p2", p2)))
+        cli_accepts = True
+    except SystemExit:
+        cli_accepts = False
+    try:
+        harness.SweepConfig(family=family, n_qubits=qubits, p2=p2)
+        config_accepts = True
+    except ValueError:
+        config_accepts = False
+    assert cli_accepts == config_accepts
+    assert cli_accepts == ((family, qubits) == ("werner", 2)
+                           or family == "werner_exact" and (qubits == 4 or (qubits, p2) == (2, None)))
 
 
 # ---------------------------------------------------------------------------

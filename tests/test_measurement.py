@@ -630,6 +630,36 @@ def test_sampling_refuses_shots_that_are_not_a_positive_integer(shots):
         sample_state(np.eye(2) / 2, ["Z"], shots)
 
 
+@pytest.mark.parametrize(
+    "rho, fault",
+    [
+        (np.diag([1.3, -0.3, 0.0, 0.0]), "lowest -3.000e-01"),  # not to be clipped to |00>
+        (np.eye(4) / 2, "total 2"),  # trace 2, not to be renormalized
+    ],
+    ids=["negative", "trace-2"],
+)
+def test_sampling_refuses_a_matrix_that_is_not_a_state(rho, fault):
+    for shots in (1000, None):
+        with pytest.raises(ValueError, match=re.escape(f"setting ZZ: ") + ".*" + re.escape(fault)):
+            sample_state(rho, ["ZZ"], shots, seed=1)
+
+
+def test_sampling_accepts_roundoff_within_the_density_matrix_tolerances():
+    rho = np.diag([1.0 + 5e-10, -5e-10, 0.0, 0.0])
+    assert sample_state(rho, ["ZZ"], 100, seed=1)[0].counts == {"00": 100}
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [covered_observables, lambda s: measurement.record_plan("git", "permutation", s),
+     lambda s: measurement.record_plan("cvqt", "permutation", s)],
+    ids=["covered", "git-plan", "cvqt-plan"],
+)
+def test_empty_settings_are_refused(plan):
+    with pytest.raises(ValueError, match="no measurement settings were given"):
+        plan([])
+
+
 @pytest.mark.parametrize("family", [pi_settings, full_settings, pi_observables, full_observables])
 def test_families_refuse_a_qubit_count_that_is_not_an_integer(family):
     with pytest.raises(ValueError, match="n_qubits must be an integer, got 2.0"):

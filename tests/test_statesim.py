@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from symtomo.operators import PAULI_I, PAULI_X, basis_ket, embed_one_qubit, partial_trace, pauli_string, projector
 from symtomo.statesim import (
     CHANNELS,
+    KRAUS_COMPLETENESS_ATOL,
     Circuit,
     Gate,
     NoiseModel,
@@ -75,7 +76,40 @@ def test_run_circuit_rejects_an_unknown_gate_kind():
 def test_kraus_completeness(channel, level):
     ops = kraus_operators(channel, level)
     acc = sum(k.conj().T @ k for k in ops)
-    assert np.allclose(acc, np.eye(2), atol=1e-12)
+    assert np.allclose(acc, np.eye(2), atol=KRAUS_COMPLETENESS_ATOL)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    channel=st.sampled_from(CHANNELS + ("bogus",)),
+    level=st.one_of(st.sampled_from([np.nan, -0.1, 0.0, 0.75, 1.0, 1.5]), st.floats(-0.5, 1.5)),
+)
+def test_every_noise_path_keeps_the_one_channel_rule(channel, level):
+    # NoiseModel, kraus_operators and both channel appliers all refuse, or all give finite results
+    rho = projector(ghz_state(2))
+    paths = [
+        lambda: NoiseModel(channel, level),
+        lambda: kraus_operators(channel, level),
+        lambda: apply_channel(rho, channel, level, 1),
+        lambda: apply_channel_to_all(rho, channel, level),
+    ]
+    outcomes = []
+    for path in paths:
+        try:
+            outcomes.append(path())
+        except ValueError:
+            outcomes.append(None)
+    refused = [o is None for o in outcomes]
+    assert refused == [refused[0]] * 4
+    if not refused[0]:
+        assert all(np.isfinite(k).all() for k in outcomes[1])
+        assert np.isfinite(outcomes[2]).all() and np.isfinite(outcomes[3]).all()
+
+
+@pytest.mark.parametrize("channel, level", [("none", 0.3), ("bit_flip", 0.0), ("depolarizing", 0.0)])
+def test_the_identity_channel_returns_its_input(channel, level):
+    rho = werner_exact(0.4)
+    assert apply_channel_to_all(rho, channel, level) is rho
 
 
 def test_amplitude_damping_fixes_ground_state():
