@@ -12,8 +12,7 @@ estimate toward full rank.  The program is solved over a Hermitian operator
 basis, rho = sum_i c_i S_i: a ``SymmetricBasis`` ("git" mode) or the matrix
 units of one d x d block ("cvqt" mode, the same program with no symmetry
 restriction, practical up to six qubits).  That block is the full operator
-space, the commutant of the trivial group, and its units come from the
-builder of the symmetric bases (``symmetry._block_matrix_units``).
+space, the commutant of the trivial group.
 ``solve_maxlik`` instead minimizes the binomial negative log-likelihood
 -sum_i [f_i log p_i + (1 - f_i) log(1 - p_i)], p_i = tr(E_i rho), over the
 same matrix units.
@@ -32,15 +31,28 @@ most mu*(b + d), with d = 2^n and b the data term's barrier parameter (2m
 for m measured records, 0 for the likelihood), so ``converged`` certifies
 that the objective is within ``objective_tolerance`` (relative) of the optimum.
 
-The log-det terms never form the d x d state: both built-in symmetry algebras
-are block diagonal in the total-spin decomposition, so rho is held as one
-copy of each block (an s x s matrix, s = 12 instead of d = 32 at five qubits)
-plus the blocks' multiplicities, read off the blocks the basis was built from
-(``SymmetricBasis.blocks``).  One ``eigh`` of that matrix gives the spectrum,
-each eigenvalue counted with multiplicity sum_a mult_a |U_ak|^2, and with it
-log det rho, its gradient and its Hessian.  The full space, custom symmetries
-and bases given by their elements alone get the identity as a single block of
-multiplicity one, i.e. the dense computation, through the same code.
+No solve forms a dense basis element or record projector of a symmetric
+basis.  Both built-in symmetry algebras are block diagonal in the total-spin
+decomposition, and the solve works on the blocks the basis was built from
+(``SymmetricBasis.blocks``), in the coordinates of their matrix units
+(``symmetry._unit_coordinates``):
+
+* a record's design row is tr(E S_i) = tr(W_b h_i), W_b the sum over a
+  block's copies of V_c^dag E V_c; E is a product of +1 eigenprojectors and
+  identities, so the records are grouped by their identity slots and W_b is
+  a Gram matrix of one product of eigenvector tensors with the block columns;
+* the traces tr(S_i) are sqrt(copies) on the diagonal units, 0 elsewhere;
+* the log-det terms hold rho as one copy of each block (an s x s matrix, s =
+  12 instead of d = 32 at five qubits) plus the blocks' multiplicities, and
+  one ``eigh`` of it gives the spectrum, each eigenvalue counted with
+  multiplicity sum_a mult_a |U_ak|^2, and with it log det rho, its gradient
+  and its Hessian;
+* the estimate is assembled block by block, rho = sum_b V_b (X_b (x) 1) V_b^dag.
+
+The full space is one identity block of multiplicity one, whose design rows
+are the record projectors' own entries.  A basis given by its elements alone,
+such as a custom symmetry's, is the full space composed with the unit
+coordinates of its elements, so every estimator runs through the same code.
 
 ``linear_inversion`` is the plain least-squares fit (no positivity
 guarantee), which tests use as an independent reference.
@@ -55,9 +67,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measurement import _observable_projectors, check_observable
+from .measurement import _PLUS_STATES, _observable_projectors, check_observable
 from .operators import _check_number, num_qubits
-from .symmetry import SymmetricBasis, _block_matrix_units, _one_block
+from .symmetry import (SymmetricBasis, _block_operator, _block_sizes, _column_mult, _copy_blocks, _one_block,
+                       _unit_coordinates)
 
 _CENTRED = 1e-9             # half the squared Newton decrement that ends a centring stage
 _MU_SHRINK = 10.0           # barrier weight divisor between centring stages
@@ -139,30 +152,101 @@ def _split_records(records):
     return measured, unmeasured
 
 
-def _record_rows(records, elements):
+class _Space(NamedTuple):
+    """The space an estimator solves over: a block algebra, and the basis in its unit coordinates.
+
+    ``blocks`` are the algebra's (d, block, copies) arrays: a built-in
+    basis's own (``SymmetricBasis.blocks``), or the full space's one identity
+    block.  ``coords`` is None when the basis is the blocks' matrix units
+    themselves; a basis given by its elements alone is the full space's
+    units composed with ``coords``, the (d^2, r) unit coordinates of its
+    elements.  Rows and traces are pulled back through ``coords``, and
+    coefficients pushed forward, so no d x d element is formed.
+    """
+
+    blocks: tuple
+    coords: np.ndarray | None
+
+    def rows(self, strings) -> np.ndarray:
+        """The (m, r) design rows tr(E S_i) of the record operators E of checked ``strings``."""
+        rows = _unit_rows(strings, self.blocks)
+        return rows if self.coords is None else rows @ self.coords
+
+    def traces(self) -> np.ndarray:
+        """tr(S_i): sqrt(copies) on the diagonal units of each block, 0 on the others."""
+        root = np.diag(np.sqrt(_column_mult(self.blocks)))
+        traces = _unit_coordinates(root, _block_sizes(self.blocks))
+        return traces if self.coords is None else traces @ self.coords
+
+    def units(self, c: np.ndarray) -> np.ndarray:
+        """The unit coordinates of (..., r) basis coefficients."""
+        return c if self.coords is None else c @ self.coords.T
+
+    def state(self, c: np.ndarray) -> np.ndarray:
+        """The Hermitian d x d matrix sum_i c_i S_i, assembled block by block."""
+        rho = _block_operator(self.units(c), self.blocks)
+        return 0.5 * (rho + rho.conj().T)
+
+
+def _record_rows(records, space: _Space):
     """Design rows and frequencies of the measured records, and the summed row of the unmeasured ones."""
     measured, unmeasured = _split_records(records)
-    n = num_qubits(elements.shape[1])
-    proj = _observable_projectors([check_observable(r.ops, n) for r in measured + unmeasured])
+    n = num_qubits(space.blocks[0].shape[0])
+    rows = space.rows([check_observable(r.ops, n) for r in measured + unmeasured])
     freq = np.array([r.frequency for r in measured], dtype=float)
-    rows = _design_matrix(proj, elements)
     return rows[:len(measured)], freq, rows[len(measured):].sum(axis=0)
 
 
-def _design_matrix(proj: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Rows Re tr(E_m^dag S_i) = sum_ab (Re E Re S + Im E Im S)_ab: one real matmul
-    of the (m, 2d^2) and (r, 2d^2) float views of the flattened complex arrays."""
-    flat = np.ascontiguousarray(elements).view(float).reshape(len(elements), -1)
-    return np.ascontiguousarray(proj).view(float).reshape(len(proj), -1) @ flat.T
+# +1 eigenvectors by letter index in "IXYZ"; row 0, for I, is never read
+_PLUS_TABLE = np.array([np.zeros(2), _PLUS_STATES["X"], _PLUS_STATES["Y"], _PLUS_STATES["Z"]])
+
+
+def _unit_rows(strings, blocks) -> np.ndarray:
+    """Rows tr(E S_k) = tr(W_b h_k) of the record operators E of checked ``strings`` on the units of ``blocks``.
+
+    E = A A^dag, with A the +1 eigenvectors on the slots of the string that
+    are not ``I`` and the identity on its ``I`` slots, so
+    W_b = sum_c Y_c^dag Y_c / sqrt(copies_b) with Y_c = A^dag V_c.  Records
+    are grouped by their ``I`` slots: for each group, those qubits' axes of
+    the block columns (real, the Schur transform) go to the back, one real
+    product with the eigenvector tensors gives every record's Y, and W_b is
+    one batched Gram matrix per block.  The full space, one identity block,
+    has W = E: its rows are E's own entries, gathered from the projectors.
+    """
+    d = blocks[0].shape[0]
+    sizes = _block_sizes(blocks)
+    if sizes == (d,) and np.array_equal(blocks[0][:, :, 0], np.eye(d)):  # one copy of one identity block
+        return _unit_coordinates(_observable_projectors(strings), sizes)
+    n = num_qubits(d)
+    letters = np.array([["IXYZ".index(c) for c in ops] for ops in strings], dtype=np.intp)
+    traced = letters == 0
+    group_of = traced @ (1 << np.arange(n))
+    columns = np.hstack([cols.reshape(d, -1) for cols in blocks]).reshape((2,) * n + (d,))
+    w = np.zeros((len(strings), sum(sizes), sum(sizes)), dtype=complex)
+    for group in sorted(set(group_of.tolist())):
+        rows = np.flatnonzero(group_of == group)
+        kept, free = np.flatnonzero(~traced[rows[0]]), np.flatnonzero(traced[rows[0]])
+        psi = np.ones((len(rows), 1), dtype=complex)
+        for q in kept:
+            psi = (psi[:, :, None] * _PLUS_TABLE[letters[rows, q]][:, None, :]).reshape(len(rows), -1)
+        v = columns.transpose(*kept, *free, n).reshape(psi.shape[1], -1)
+        y = np.vstack([psi.real, -psi.imag]) @ v  # conj(psi) @ v, in real and imaginary parts
+        y = (y[:len(rows)] + 1j * y[len(rows):]).reshape(len(rows), 2 ** len(free), d)
+        offset = column = 0
+        for cols in blocks:
+            _, size, copies = cols.shape
+            part = y[:, :, column:column + size * copies].reshape(len(rows), -1, size, copies)
+            z = part.transpose(0, 2, 1, 3).reshape(len(rows), size, -1)
+            gram = z.conj() @ z.transpose(0, 2, 1)
+            w[rows, offset:offset + size, offset:offset + size] = gram / np.sqrt(copies)
+            offset += size
+            column += size * copies
+    return _unit_coordinates(w, sizes)
 
 
 # ---------------------------------------------------------------------------
 # linear inversion
 # ---------------------------------------------------------------------------
-
-def _element_traces(elements: np.ndarray) -> np.ndarray:
-    return np.real(np.einsum("iaa->i", elements))
-
 
 def _trace_frame(traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(base, P): the unit-trace coefficients are c = base + P z, with base = traces/|traces|^2
@@ -185,13 +269,13 @@ def _warn_if_rank_deficient(design: np.ndarray) -> None:
         )
 
 
-def _trace_one_lstsq(design: np.ndarray, target: np.ndarray, elements: np.ndarray) -> np.ndarray:
+def _trace_one_lstsq(design: np.ndarray, target: np.ndarray, traces: np.ndarray) -> np.ndarray:
     """Least squares min ||D c - f|| subject to tr(sum_i c_i S_i) = 1.
 
     Solved as min ||D P z - (f - D base)|| in trace-one coordinates.  Returns
     the minimum-norm solution, with a warning when the data do not pin it down.
     """
-    base, tangent = _trace_frame(_element_traces(elements))
+    base, tangent = _trace_frame(traces)
     reduced = design @ tangent
     z, *_ = np.linalg.lstsq(reduced, target - design @ base, rcond=None)
     _warn_if_rank_deficient(reduced)
@@ -208,11 +292,9 @@ def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | No
     yields the minimum-norm solution.
     """
     measured, _ = _split_records(records)
-    elements, _ = _search_space(basis, 2 ** len(measured[0].ops) if dim is None else dim)
-    design, freq, _ = _record_rows(measured, elements)
-    coeff = _trace_one_lstsq(design, freq, elements)
-    rho = np.einsum("i,iab->ab", coeff, elements)
-    return 0.5 * (rho + rho.conj().T)
+    space = _search_space(basis, 2 ** len(measured[0].ops) if dim is None else dim)
+    design, freq, _ = _record_rows(measured, space)
+    return space.state(_trace_one_lstsq(design, freq, space.traces()))
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +313,15 @@ def solve_vqt(problem: EstimationProblem, config: EstimatorConfig = EstimatorCon
     ``converged`` says that its duality gap fell below the tolerance.
     """
     mode = "cvqt" if problem.basis is None else "git"
-    return _estimate(problem.records, *_search_space(problem.basis, problem.dim), config, mode)
+    return _estimate(problem.records, _search_space(problem.basis, problem.dim), config, mode)
 
 
 def solve_git(records, basis: SymmetricBasis, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
-    return _estimate(tuple(records), *_search_space(basis, basis.dim), config, "git")
+    return _estimate(tuple(records), _search_space(basis, basis.dim), config, "git")
 
 
 def solve_cvqt(records, dim: int, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
-    return _estimate(tuple(records), *_search_space(None, dim), config, "cvqt")
+    return _estimate(tuple(records), _search_space(None, dim), config, "cvqt")
 
 
 def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> EstimationResult:
@@ -252,51 +334,44 @@ def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> Estima
     the records are not informationally complete: the maximum may be non-unique.
     """
     measured, _ = _split_records(records)
-    return _estimate(measured, *_search_space(None, 2 ** len(measured[0].ops)), config, "maxlik")
+    return _estimate(measured, _search_space(None, 2 ** len(measured[0].ops)), config, "maxlik")
 
 
-def _search_space(basis: SymmetricBasis | None, dim: int) -> tuple[np.ndarray, tuple]:
-    """The Hermitian basis an estimator solves over, with its (d, block, copies) block arrays.
+def _search_space(basis: SymmetricBasis | None, dim: int) -> _Space:
+    """The space an estimator solves over.
 
-    A symmetric basis comes with the blocks it was built from, or, when it has
-    none, the identity as one block; such a basis, given by its elements
-    alone, must be Hermitian, orthonormal and span the identity, to 1e-9.
-    ``basis=None`` is the full space, the commutant of the trivial group: the
-    matrix units of one d x d identity block, whose d^2 dense d x d elements
-    limit it to six qubits.
+    A symmetric basis comes with the blocks it was built from.  One given by
+    its elements alone must be Hermitian, orthonormal and span the identity,
+    to 1e-9, and becomes the full space composed with its elements' unit
+    coordinates.  ``basis=None`` is the full space, the commutant of the
+    trivial group: the matrix units of one d x d identity block, 4^n
+    coefficients, which limits it to six qubits.
     """
     if basis is not None:
         if basis.dim != dim:
             raise ValueError(f"basis dimension {basis.dim} does not match dim {dim}")
         if basis.blocks is not None:
-            return basis.elements, basis.blocks
+            return _Space(basis.blocks, None)
         elements = basis.elements
-        flat = elements.reshape(len(elements), -1)
-        traces = np.trace(elements, axis1=1, axis2=2)
+        coords = _unit_coordinates(elements, (dim,)).T
+        identity = _unit_coordinates(np.eye(dim), (dim,))
         for fault, deviation in (
             ("are not Hermitian", np.abs(elements - elements.conj().transpose(0, 2, 1)).max()),
-            ("are not orthonormal", np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max()),
-            ("do not span the identity", np.linalg.norm(np.einsum("i,iab->ab", traces, elements) - np.eye(dim))),
+            ("are not orthonormal", np.abs(coords.T @ coords - np.eye(len(elements))).max()),
+            ("do not span the identity", np.linalg.norm(coords @ (identity @ coords) - identity)),
         ):
             if not deviation <= 1e-9:
                 raise ValueError(f"basis elements {fault} (deviation {deviation:.1e} > 1e-9)")
-        return elements, _one_block(dim)
+        return _Space(_one_block(dim), coords)
     if num_qubits(dim) > 6:
-        raise ValueError("full-space estimation keeps 4^n dense basis matrices; practical up to 6 qubits")
-    blocks = _one_block(dim)
-    return _block_matrix_units(blocks), blocks
+        raise ValueError("full-space estimation solves for 4^n coefficients; practical up to 6 qubits")
+    return _Space(_one_block(dim), None)
 
 
-def _estimate(records, elements: np.ndarray, blocks, config: EstimatorConfig,
-              mode: str) -> EstimationResult:
-    """Solve ``mode``'s program over the real coefficients of the Hermitian basis ``elements``.
-
-    ``blocks`` are (d, block, copies) arrays of a block decomposition of the
-    algebra the elements span, for the log-det terms; a single identity block
-    stands for no decomposition.
-    """
-    design, freq, unmeasured_row = _record_rows(records, elements)
-    traces = _element_traces(elements)
+def _estimate(records, space: _Space, config: EstimatorConfig, mode: str) -> EstimationResult:
+    """Solve ``mode``'s program over the real coefficients of the basis of ``space``."""
+    design, freq, unmeasured_row = _record_rows(records, space)
+    traces = space.traces()
     frame = _trace_frame(traces)
     _warn_if_rank_deficient(design @ frame[1])
     weight = 1.0 / np.maximum(np.abs(freq), config.frequency_floor)
@@ -305,9 +380,8 @@ def _estimate(records, elements: np.ndarray, blocks, config: EstimatorConfig,
     else:
         term = _RelativeError(np.vstack([design, unmeasured_row]), freq, config.alpha * weight,
                               config.beta, config.gamma)
-    c, objective, iterations, converged = _barrier_newton(term, elements, blocks, frame, config)
-    rho = np.einsum("i,iab->ab", c, elements)
-    rho = 0.5 * (rho + rho.conj().T)
+    c, objective, iterations, converged = _barrier_newton(term, _BlockMaps.of(space, *frame), frame, config)
+    rho = space.state(c)
     lowest = float(np.linalg.eigvalsh(rho)[0])
     return EstimationResult(
         rho_hat=rho,
@@ -407,12 +481,12 @@ class _Likelihood(NamedTuple):
 class _BlockMaps(NamedTuple):
     """Maps between trace-one coordinates z and the block compression of a basis's algebra.
 
-    ``blocks`` are the algebra's (d, block, copies) arrays (``_search_space``).
-    V stacks copy 0 of each, so a member X of the algebra satisfies
-    tr f(X) = sum_b copies_b tr f(V_b^dag X V_b).  With c = base + P z
-    (``_trace_frame``), ``offset + z @ forward`` is the s x s matrix
-    V^dag (sum_i c_i S_i) V masked to its diagonal blocks.  Both are real
-    views of the complex arrays, so each application is one real
+    V stacks copy 0 of each of the space's blocks (``_Space``), so a member
+    X of the algebra satisfies tr f(X) = sum_b copies_b tr f(V_b^dag X V_b).
+    With c = base + P z (``_trace_frame``), ``offset + z @ forward`` is the
+    s x s matrix V^dag (sum_i c_i S_i) V masked to its diagonal blocks; both
+    are scattered from unit coordinates, with no d x d element.  Both are
+    real views of the complex arrays, so each application is one real
     matrix-vector product.  ``column_mult`` is the multiplicity (the copy
     count of its block) of each of the s columns.
     """
@@ -422,14 +496,11 @@ class _BlockMaps(NamedTuple):
     column_mult: np.ndarray
 
     @classmethod
-    def of(cls, elements: np.ndarray, blocks, base: np.ndarray, tangent: np.ndarray) -> "_BlockMaps":
-        isometry = np.hstack([cols[:, :, 0] for cols in blocks])
-        block_of = np.repeat(np.arange(len(blocks)), [cols.shape[1] for cols in blocks])
-        mask = block_of[:, None] == block_of[None, :]
-        column_mult = np.array([cols.shape[2] for cols in blocks], dtype=float)[block_of]
-        compressed = isometry.conj().T @ (elements @ isometry) * mask
-        flat = compressed.view(float).reshape(len(elements), -1)
-        return cls(base @ flat, tangent.T @ flat, column_mult)
+    def of(cls, space: _Space, base: np.ndarray, tangent: np.ndarray) -> "_BlockMaps":
+        def compressed(c):  # the (..., 2 s^2) real views of the copy-0 blocks of sum_i c_i S_i
+            return _copy_blocks(space.units(c), space.blocks).view(float).reshape(c.shape[:-1] + (-1,))
+
+        return cls(compressed(base), compressed(tangent.T), _column_mult(space.blocks))
 
     def spectrum(self, z):
         """Eigenvalues (ascending), eigenvectors and multiplicities of the state of z.
@@ -486,7 +557,7 @@ def _newton_direction(hess, grad):
     return vecs[:, keep] @ ((rhs @ vecs[:, keep]) / vals[keep]) * scale
 
 
-def _barrier_newton(term, elements: np.ndarray, blocks, frame, config: EstimatorConfig):
+def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
     """Minimize a data term minus gamma log det rho over the states rho = sum_i c_i S_i.
 
     Works in the coordinates c = base + P z of ``frame``, from z = 0 (I/d).
@@ -495,8 +566,7 @@ def _barrier_newton(term, elements: np.ndarray, blocks, frame, config: Estimator
     """
     base, tangent = frame
     offset, design = term.design @ base, term.design @ tangent
-    maps = _BlockMaps.of(elements, blocks, base, tangent)
-    gap_per_mu = term.barrier_parameter + elements.shape[1]
+    gap_per_mu = term.barrier_parameter + maps.column_mult.sum()  # the multiplicities sum to d
 
     # ``spectrum`` is maps.spectrum(z), computed once per point and shared by all three
     def objective(z, spectrum):

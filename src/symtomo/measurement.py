@@ -50,6 +50,13 @@ _PLUS_PROJECTORS = {
     "Z": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
 }
 
+# +1 eigenvectors of the three Pauli axes: each projector above is v v^dag.
+_PLUS_STATES = {
+    "X": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    "Y": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
+    "Z": np.array([1.0, 0.0], dtype=complex),
+}
+
 
 def check_setting(setting: str, n_qubits: int | None = None) -> str:
     if not setting or any(c not in _AXES for c in setting):

@@ -72,9 +72,13 @@ POLICY_PER_GATE = "pergate"
 
 
 def _check_channel(channel: str, level: float) -> None:
-    """Refuse an unknown channel, or a level outside its range (the level of ``none`` is ignored)."""
+    """Refuse an unknown channel, a level that is not a finite real, or one outside the channel's range.
+
+    The level of ``none`` must be a finite real too, but may take any value.
+    """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
+    _check_number("noise level", level, numbers.Real)
     hi = 0.75 if channel == CHANNEL_DEPOLARIZING_PAULI else 1.0
     if channel != CHANNEL_NONE and not 0.0 <= level <= hi:
         raise ValueError(f"noise level {level} outside [0, {hi}]")

@@ -23,15 +23,19 @@ Two construction routes are used:
   suite uses it as the reference for the Schur route.
 
 A basis built by the Schur route keeps the blocks its elements were made
-from (``SymmetricBasis.blocks``): one copy of every block, plus the number of
-copies, represents any member of the algebra exactly, which is the compressed
-view the solver's log-det terms work on.
+from (``SymmetricBasis.blocks``) and builds its dense elements only when they
+are read: one copy of every block, plus the number of copies, represents any
+member of the algebra exactly.  Operators meet the algebra through the real
+coordinates of its matrix units (``_unit_coordinates``): the coefficients of
+an operator (``project_onto_basis``), the operator of coefficients
+(``reconstruct``), and the estimators' design rows, traces and states are
+read off s x s blocks, s the sum of the block sizes, with no d x d element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -118,28 +122,50 @@ class SymmetrySpec:
         return self.kind in (KIND_PERMUTATION, KIND_CUSTOM_UNITARIES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SymmetricBasis:
     """Orthonormal Hermitian operators spanning a symmetry algebra.
 
     ``elements`` has shape (r, d, d); every element commutes with all group
     generators and ``<S_i, S_j> = delta_ij`` under the Hilbert-Schmidt inner
-    product.
+    product.  ``SymmetricBasis(n_qubits, kind, elements)`` makes a basis from
+    its elements alone.
 
     ``blocks`` is set only by ``compute_commutant_basis`` for the built-in
     kinds: the read-only (d, block, copies) arrays of the algebra's total-spin
     blocks, whose matrix units are exactly the elements
-    (``_block_matrix_units(blocks)``).  It is None for custom kinds and for a
-    basis built from its elements alone, whatever its ``kind`` label says.
+    (``_block_matrix_units(blocks)``).  Such a basis builds its dense
+    elements on first read, and ``size`` is the sum of the squared block
+    sizes.  ``blocks`` is None for custom kinds and for a basis built from
+    its elements alone, whatever its ``kind`` label says.
     """
 
     n_qubits: int
     kind: str
-    elements: np.ndarray
-    blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    blocks: tuple | None = field(default=None, repr=False)
+
+    def __init__(self, n_qubits: int, kind: str, elements: np.ndarray):
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "blocks", None)
+        self.__dict__["elements"] = elements
+
+    @classmethod
+    def _of_blocks(cls, n_qubits: int, kind: str, blocks: tuple) -> "SymmetricBasis":
+        basis = cls.__new__(cls)
+        object.__setattr__(basis, "n_qubits", n_qubits)
+        object.__setattr__(basis, "kind", kind)
+        object.__setattr__(basis, "blocks", blocks)
+        return basis
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        return _block_matrix_units(self.blocks)
 
     @property
     def size(self) -> int:
+        if self.blocks is not None:
+            return sum(cols.shape[1] ** 2 for cols in self.blocks)
         return self.elements.shape[0]
 
     @property
@@ -223,10 +249,7 @@ def compute_commutant_basis(spec: SymmetrySpec) -> SymmetricBasis:
     """
     if spec.kind not in (KIND_PERMUTATION, KIND_COLLECTIVE):
         return SymmetricBasis(spec.n_qubits, spec.kind, _null_space_basis(spec))
-    blocks = _schur_blocks(spec.n_qubits, spec.kind)
-    basis = SymmetricBasis(spec.n_qubits, spec.kind, _block_matrix_units(blocks))
-    object.__setattr__(basis, "blocks", blocks)
-    return basis
+    return SymmetricBasis._of_blocks(spec.n_qubits, spec.kind, _schur_blocks(spec.n_qubits, spec.kind))
 
 
 def _highest_weights(n: int, lowering: np.ndarray, j2: int) -> np.ndarray:
@@ -318,23 +341,145 @@ def _one_block(d: int) -> list[np.ndarray]:
     return [np.eye(d)[:, :, None]]
 
 
+# ---------------------------------------------------------------------------
+# unit coordinates: a block algebra without its dense elements
+# ---------------------------------------------------------------------------
+#
+# A block-diagonal s x s Hermitian matrix, s the sum of the block sizes, has
+# one real coordinate per matrix unit h_k of ``_block_matrix_units``, in its
+# order: tr(X h_k) is X_ii, sqrt(2) Re X_ij or sqrt(2) Im X_ij (i < j).  For
+# a member sum_k u_k S_k of the algebra, the block of copy 0 is
+# X_b = sum_{k in b} u_k h_k / sqrt(copies_b); for any operator A,
+# tr(A S_k) = tr(W_b h_k) with W_b = sum_c V_c^dag A V_c / sqrt(copies_b),
+# V_c the block's columns of copy c.  So coordinates, traces and states of
+# the algebra are gathers and scatters of s x s matrices, and no d x d
+# element is formed.
+
+def _block_sizes(blocks) -> tuple:
+    return tuple(cols.shape[1] for cols in blocks)
+
+
+def _column_mult(blocks) -> np.ndarray:
+    """The copy count of the block of each of the s columns of copy 0."""
+    return np.repeat([float(cols.shape[2]) for cols in blocks], _block_sizes(blocks))
+
+
+@lru_cache(maxsize=64)
+def _unit_positions(sizes: tuple) -> tuple:
+    """Where the matrix units of blocks of ``sizes`` sit in the real view of a block-diagonal s x s matrix.
+
+    Unit k has ``entry[k]`` (1 on the diagonal, 1/sqrt(2) off it) at float
+    ``upper[k]``, the real or imaginary part of an entry on or above the
+    diagonal, and ``sign[k]`` times it at ``lower[k]``, the same part of the
+    transposed entry (-1 for an imaginary part).  A Hermitian X holds the
+    same pattern, so tr(X h_k) is X's float at ``upper[k]`` times
+    ``weight[k]``: ``entry`` on the diagonal, twice it off the diagonal.
+    Read-only, cached per block sizes.
+    """
+    s = sum(sizes)
+    upper, lower, sign = [], [], []
+    offset = 0
+    for size in sizes:
+        for i in range(offset, offset + size):
+            upper.append(2 * (i * s + i))
+            lower.append(2 * (i * s + i))
+            sign.append(1.0)
+            for j in range(i + 1, offset + size):
+                upper += [2 * (i * s + j), 2 * (i * s + j) + 1]
+                lower += [2 * (j * s + i), 2 * (j * s + i) + 1]
+                sign += [1.0, -1.0]
+        offset += size
+    upper, lower, sign = np.array(upper), np.array(lower), np.array(sign)
+    entry = np.where(upper == lower, 1.0, 1.0 / np.sqrt(2.0))
+    weight = np.where(upper == lower, 1.0, 2.0 * entry)
+    for a in (upper, lower, sign, entry, weight):
+        a.setflags(write=False)
+    return upper, lower, sign, entry, weight
+
+
+def _unit_coordinates(x: np.ndarray, sizes: tuple) -> np.ndarray:
+    """The (..., r) real coordinates tr(X h_k) of a stack of Hermitian block-diagonal s x s matrices."""
+    upper, _, _, _, weight = _unit_positions(sizes)
+    flat = np.ascontiguousarray(x, dtype=complex).view(float).reshape(x.shape[:-2] + (-1,))
+    return flat.take(upper, axis=-1) * weight
+
+
+def _from_unit_coordinates(u: np.ndarray, sizes: tuple) -> np.ndarray:
+    """The (..., s, s) Hermitian block-diagonal matrices sum_k u_k h_k of (..., r) real coordinates."""
+    upper, lower, sign, entry, _ = _unit_positions(sizes)
+    s = sum(sizes)
+    out = np.zeros(u.shape[:-1] + (2 * s * s,))
+    out[..., lower] = u * (sign * entry)
+    out[..., upper] = u * entry
+    return out.view(complex).reshape(u.shape[:-1] + (s, s))
+
+
+def _block_coordinates(op: np.ndarray, blocks) -> np.ndarray:
+    """Coordinates Re tr(op S_k) of a d x d operator on the matrix units S_k of ``blocks``.
+
+    W_b = sum_c V_c^dag op V_c / sqrt(copies_b) is one product with all of
+    the block's columns and one batched product over its copies.
+    """
+    s = sum(_block_sizes(blocks))
+    w = np.zeros((s, s), dtype=complex)
+    offset = 0
+    for cols in blocks:
+        d, size, copies = cols.shape
+        half = (op @ cols.reshape(d, -1)).reshape(d, size, copies)
+        block = (cols.conj().transpose(2, 1, 0) @ half.transpose(2, 0, 1)).sum(axis=0)
+        w[offset:offset + size, offset:offset + size] = block / np.sqrt(copies)
+        offset += size
+    return _unit_coordinates(0.5 * (w + w.conj().T), _block_sizes(blocks))
+
+
+def _copy_blocks(u: np.ndarray, blocks) -> np.ndarray:
+    """The (..., s, s) block-diagonal V^dag (sum_k u_k S_k) V, V the columns of copy 0 of ``blocks``."""
+    return _from_unit_coordinates(u, _block_sizes(blocks)) / np.sqrt(_column_mult(blocks))[:, None]
+
+
+def _block_operator(u: np.ndarray, blocks) -> np.ndarray:
+    """The d x d operator sum_k u_k S_k of real coordinates u on the matrix units of ``blocks``.
+
+    Each block is V_b (X_b (x) 1_copies) V_b^dag, X_b its block of copy 0:
+    one product with X_b and one with all of the block's columns.
+    """
+    x = _copy_blocks(u, blocks)
+    d = blocks[0].shape[0]
+    out = np.zeros((d, d), dtype=complex)
+    offset = 0
+    for cols in blocks:
+        size = cols.shape[1]
+        by_copy = cols.transpose(0, 2, 1)  # (d, copies, block)
+        half = by_copy @ x[offset:offset + size, offset:offset + size]
+        out += half.reshape(d, -1) @ by_copy.reshape(d, -1).conj().T
+        offset += size
+    return out
+
+
 def project_onto_basis(rho, basis: SymmetricBasis) -> SymmetricCoefficients:
-    """Expansion coefficients alpha_i = <S_i, rho> (real for Hermitian rho)."""
+    """Expansion coefficients alpha_i = Re <S_i, rho> (real for Hermitian rho).
+
+    A basis with blocks reads them off its blocks, with no dense element.
+    """
     rho = as_matrix(rho)
     d = basis.dim
     if rho.shape != (d, d):
         raise ValueError(f"operator shape {rho.shape} does not match basis dim {d}")
+    if basis.blocks is not None:
+        return SymmetricCoefficients(basis, _block_coordinates(rho, basis.blocks))
     alpha = np.einsum("iab,ab->i", basis.elements.conj(), rho).real
     return SymmetricCoefficients(basis, alpha)
 
 
 def reconstruct(coeffs: SymmetricCoefficients) -> np.ndarray:
-    """Assemble sum_i alpha_i S_i (Hermitian since alpha is real)."""
+    """Assemble sum_i alpha_i S_i (Hermitian since alpha is real), from the blocks when the basis has them."""
     alpha = np.asarray(coeffs.alpha, dtype=float)
     if alpha.shape != (coeffs.basis.size,):
         raise ValueError(
             f"coefficient length {alpha.shape} does not match basis size {coeffs.basis.size}"
         )
+    if coeffs.basis.blocks is not None:
+        return _block_operator(alpha, coeffs.basis.blocks)
     return np.einsum("i,iab->ab", alpha, coeffs.basis.elements)
 
 

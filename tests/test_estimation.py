@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from symtomo.operators import assert_density_matrix, pauli_string, projector
 from symtomo.statesim import apply_channel, ghz_state, werner_exact
-from symtomo.symmetry import SymmetricBasis, SymmetrySpec, _one_block, compute_commutant_basis, symmetrize
+from symtomo.symmetry import (
+    SymmetricBasis,
+    SymmetrySpec,
+    _block_matrix_units,
+    _one_block,
+    compute_commutant_basis,
+    symmetrize,
+)
 from symtomo.measurement import (
     ObservableRecord,
     _observable_projectors,
@@ -34,14 +41,13 @@ from symtomo.estimation import (
     EstimationProblem,
     EstimatorConfig,
     _BlockMaps,
-    _design_matrix,
-    _element_traces,
     _estimate,
     _newton_direction,
     _record_rows,
     _search_space,
     _trace_frame,
     _trace_one_lstsq,
+    _unit_rows,
     linear_inversion,
     solve_cvqt,
     solve_git,
@@ -227,13 +233,13 @@ def cached_basis(n, kind):
 
 def full_space(n):
     """The elements cvqt and maxlik solve over on n qubits."""
-    return _search_space(None, 2**n)[0]
+    return _block_matrix_units(_one_block(2**n))
 
 
 def test_full_space_build_peaks_near_its_result():
     tracemalloc.start()
     try:
-        elements, _ = _search_space(None, 32)
+        elements = _block_matrix_units(_one_block(32))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -246,24 +252,83 @@ def test_permuted_strings_share_a_permutation_design_row(data):
     # why a pooled record may stand for its canonical string
     n = data.draw(st.integers(1, 4))
     ops = data.draw(st.text("IXYZ", min_size=n, max_size=n))
-    elements = cached_basis(n, "permutation").elements
+    space = _search_space(cached_basis(n, "permutation"), 2**n)
     rows, _, _ = _record_rows([ObservableRecord("".join(p), 0.5)
-                               for p in itertools.permutations(ops)], elements)
+                               for p in itertools.permutations(ops)], space)
     assert np.allclose(rows, rows[0], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, kind", [(n, "permutation") for n in range(2, 7)] + [(2, None), (3, None)])
 def test_design_matrix_is_the_real_part_of_the_complex_product(n, kind):
-    elements = full_space(n) if kind is None else cached_basis(n, kind).elements
-    proj = _observable_projectors(pi_observables(n) if kind else full_observables(n))
+    basis = None if kind is None else cached_basis(n, kind)
+    elements = full_space(n) if kind is None else basis.elements
+    strings = pi_observables(n) if kind else full_observables(n)
+    proj = _observable_projectors(strings)
     want = np.real(np.conj(proj.reshape(len(proj), -1)) @ elements.reshape(len(elements), -1).T)
-    assert np.abs(_design_matrix(proj, elements) - want).max() <= 1e-13
+    assert np.abs(_search_space(basis, 2**n).rows(strings) - want).max() <= 1e-13
+
+
+ROW_QUBITS = {"permutation": (1, 5), "collective": (2, 5), "full": (1, 3)}
+
+
+def space_blocks(kind, n):
+    return _one_block(2**n) if kind == "full" else cached_basis(n, kind).blocks
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_block_rows_equal_the_dense_rows(data):
+    # rows from the blocks, grouped by identity slots, against the dense
+    # projectors times the dense elements
+    kind = data.draw(st.sampled_from(sorted(ROW_QUBITS)))
+    n = data.draw(st.integers(*ROW_QUBITS[kind]))
+    strings = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=12))
+    blocks = space_blocks(kind, n)
+    elements = _block_matrix_units(blocks)
+    proj = _observable_projectors(strings)
+    want = np.real(np.conj(proj.reshape(len(proj), -1)) @ elements.reshape(len(elements), -1).T)
+    assert np.abs(_unit_rows(strings, blocks) - want).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["permutation", "collective", "full", "custom"]), n=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_state_assembled_from_the_blocks_is_the_dense_sum(kind, n, seed):
+    if kind == "full":
+        basis, elements = None, full_space(n)
+    elif kind == "custom":  # given by its elements: the full space's units composed with its coordinates
+        basis = compute_commutant_basis(SymmetrySpec.custom_unitaries([np.eye(4)[[0, 2, 1, 3]]]))
+        n, elements = 2, basis.elements
+    else:
+        basis = cached_basis(n, kind)
+        elements = basis.elements
+    c = np.random.default_rng(seed).standard_normal(len(elements))
+    want = np.einsum("i,iab->ab", c, elements)
+    got = _search_space(basis, 2**n).state(c)
+    assert np.abs(got - 0.5 * (want + want.conj().T)).max() <= 1e-12
+
+
+def test_linear_inversion_at_eight_qubits_forms_no_dense_stack():
+    # the 165 dense elements and the 165 record projectors would take 173 MB each
+    n = 8
+    basis = compute_commutant_basis(SymmetrySpec.permutation(n))
+    rho = projector(ghz_state(n))
+    recs = analytic_records(rho, n, pi_mode=True)
+    tracemalloc.start()
+    try:
+        est = linear_inversion(recs, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256e6
+    assert "elements" not in vars(basis)  # the solve did not form the lazy dense elements
+    assert np.abs(est - rho).max() <= 1e-9
 
 
 def block_maps(basis):
     # base 0 and tangent I: the maps act on the coefficients c themselves
     r = basis.size
-    return _BlockMaps.of(basis.elements, basis.blocks or _one_block(basis.dim), np.zeros(r), np.eye(r))
+    return _BlockMaps.of(_search_space(basis, basis.dim), np.zeros(r), np.eye(r))
 
 
 def dense_state(c, elements):
@@ -330,7 +395,7 @@ def test_block_logdet_custom_kind_matches_dense():
 )
 def test_trace_frame_spans_the_unit_trace_states(elements):
     elements = elements()
-    traces = _element_traces(elements)
+    traces = np.real(np.trace(elements, axis1=1, axis2=2))
     base, tangent = _trace_frame(traces)
     r, d = len(elements), elements.shape[1]
     assert tangent.shape == (r, r - 1)
@@ -546,7 +611,8 @@ def test_full_space_solves_match_a_pauli_basis_oracle(n, solve):
     recs, d = noisy_complete_records(n), 2**n
     mode, config = FULL_SPACE_SOLVES[solve]
     got = solve_cvqt(recs, d, config) if mode == "cvqt" else solve_maxlik(recs, config)
-    want = _estimate(tuple(recs), pauli_elements(n), _one_block(d), config, mode)
+    pauli = SymmetricBasis(n, "custom_unitaries", pauli_elements(n))
+    want = _estimate(tuple(recs), _search_space(pauli, d), config, mode)
     assert (got.iterations, got.converged) == (want.iterations, want.converged)
     assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
     assert np.abs(got.rho_hat - want.rho_hat).max() <= 1e-8
@@ -555,8 +621,11 @@ def test_full_space_solves_match_a_pauli_basis_oracle(n, solve):
 @pytest.mark.parametrize("n", [2, 3])
 def test_full_space_linear_inversion_matches_a_pauli_basis_oracle(n):
     recs, elements = noisy_complete_records(n), pauli_elements(n)
-    design, freq, _ = _record_rows(recs, elements)
-    want = dense_state(_trace_one_lstsq(design, freq, elements), elements)
+    proj = _observable_projectors([r.ops for r in recs])
+    design = np.real(np.conj(proj.reshape(len(proj), -1)) @ elements.reshape(len(elements), -1).T)
+    freq = np.array([r.frequency for r in recs])
+    traces = np.real(np.trace(elements, axis1=1, axis2=2))
+    want = dense_state(_trace_one_lstsq(design, freq, traces), elements)
     assert np.abs(linear_inversion(recs) - 0.5 * (want + want.conj().T)).max() <= 1e-12
 
 

@@ -401,3 +401,25 @@ def test_states_refuse_a_non_finite_phase(family):
 def test_rotation_gates_refuse_an_angle_that_is_not_a_finite_number(gate):
     with pytest.raises(ValueError, match="theta must be"):
         gate()
+
+
+@pytest.mark.parametrize("channel, level, message", [
+    ("depolarizing", "0.1", "noise level must be a number, got '0.1'"),
+    ("depolarizing", True, "noise level must be a number, got True"),
+    ("none", "abc", "noise level must be a number, got 'abc'"),
+    ("none", None, "noise level must be a number, got None"),
+    ("none", float("nan"), "noise level must be finite, got nan"),
+    ("bit_flip", float("inf"), "noise level must be finite, got inf"),
+    ("bit_flip", 1.5, r"noise level 1.5 outside \[0, 1.0\]"),
+    ("depolarizing_pauli", 0.8, r"noise level 0.8 outside \[0, 0.75\]"),
+])
+def test_noise_model_refuses_a_level_that_is_not_a_real_in_range(channel, level, message):
+    # a string level raised TypeError from a comparison; "none" took any object
+    with pytest.raises(ValueError, match=message):
+        NoiseModel(channel, level)
+
+
+@pytest.mark.parametrize("channel, level", [("none", 0), ("none", 7.5), ("depolarizing", np.float32(0.1)),
+                                            ("amplitude_damping", 1)])
+def test_noise_model_takes_any_real_level_in_range(channel, level):
+    assert NoiseModel(channel, level).level == level

@@ -9,6 +9,7 @@ built-in bases are also checked against the generic SVD route, which builds
 the same algebras from their generators as custom kinds.
 """
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -19,10 +20,12 @@ from hypothesis import strategies as st
 from symtomo.operators import hilbert_schmidt_inner, pauli_string
 from symtomo.symmetry import (
     SymmetricBasis,
+    SymmetricCoefficients,
     SymmetrySpec,
     _SIGMA_MINUS,
     _block_matrix_units,
     _collective,
+    _schur_transform,
     compute_commutant_basis,
     group_generators,
     permutation_basis_size,
@@ -307,3 +310,42 @@ def test_basis_elements_are_the_matrix_units_of_its_blocks(kind, n):
 def test_spec_refuses_a_qubit_count_that_is_not_an_integer():
     with pytest.raises(ValueError, match="n_qubits must be an integer, got 2.0"):
         SymmetrySpec(2.0, "permutation")
+
+
+@pytest.mark.parametrize("kind, size", [("permutation", 56), ("collective", 42)])
+def test_a_built_basis_forms_its_elements_on_first_read(kind, size):
+    basis = compute_commutant_basis(SymmetrySpec(5, kind))
+    assert basis.size == size
+    assert "elements" not in vars(basis)  # the size is read off the blocks
+    elements = basis.elements
+    assert basis.elements is elements
+    assert np.array_equal(elements, _block_matrix_units(basis.blocks))
+
+
+def test_a_ten_qubit_basis_builds_without_its_dense_elements():
+    # the 286 dense elements would take 4.8 GB
+    _schur_transform.cache_clear()
+    tracemalloc.start()
+    try:
+        size = compute_commutant_basis(SymmetrySpec.permutation(10)).size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 286
+    assert peak < 64e6
+
+
+@pytest.mark.parametrize("kind", ["permutation", "collective"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_block_projection_and_assembly_match_the_dense_elements(kind, n):
+    basis = compute_commutant_basis(SymmetrySpec(n, kind))
+    elements = basis.elements
+    rng = np.random.default_rng(n)
+    op = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    for target in (op, op + op.conj().T):
+        dense = np.einsum("iab,ab->i", elements.conj(), target).real
+        assert np.abs(project_onto_basis(target, basis).alpha - dense).max() <= 1e-12
+        assert np.abs(symmetrize(target, basis) - np.einsum("i,iab->ab", dense, elements)).max() <= 1e-12
+    alpha = rng.standard_normal(basis.size)
+    want = np.einsum("i,iab->ab", alpha, elements)
+    assert np.abs(reconstruct(SymmetricCoefficients(basis, alpha)) - want).max() <= 1e-12
