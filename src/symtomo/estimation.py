@@ -37,10 +37,9 @@ decomposition, and the solve works on the blocks the basis was built from
 (``SymmetricBasis.blocks``), in the coordinates of their matrix units
 (``symmetry._unit_coordinates``):
 
-* a record's design row is tr(E S_i) = tr(W_b h_i), W_b the sum over a
-  block's copies of V_c^dag E V_c; E is a product of +1 eigenprojectors and
-  identities, so the records are grouped by their identity slots and W_b is
-  a Gram matrix of one product of eigenvector tensors with the block columns;
+* a record's design row is tr(E S_i), read off the blocks by
+  ``measurement._Space.rows``, the row builder that also gives setting
+  selection its outcome rows;
 * the traces tr(S_i) are sqrt(copies) on the diagonal units, 0 elsewhere;
 * the log-det terms hold rho as one copy of each block (an s x s matrix, s =
   12 instead of d = 32 at five qubits) plus the blocks' multiplicities, and
@@ -52,7 +51,10 @@ decomposition, and the solve works on the blocks the basis was built from
 The full space is one identity block of multiplicity one, whose design rows
 are the record projectors' own entries.  A basis given by its elements alone,
 such as a custom symmetry's, is the full space composed with the unit
-coordinates of its elements, so every estimator runs through the same code.
+coordinates of its elements (``measurement._search_space``), so every
+estimator runs through the same code.  A space of one element, the identity
+alone, holds one unit-trace state, I/d: the solve returns it with no
+Newton step, and linear inversion returns it.
 
 ``linear_inversion`` is the plain least-squares fit (no positivity
 guarantee), which tests use as an independent reference.
@@ -67,10 +69,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measurement import _PLUS_STATES, _observable_projectors, check_observable
+from .measurement import _Space, _search_space, check_observable
 from .operators import _check_number, num_qubits
-from .symmetry import (SymmetricBasis, _block_operator, _block_sizes, _column_mult, _copy_blocks, _one_block,
-                       _unit_coordinates)
+from .symmetry import SymmetricBasis, _column_mult, _copy_blocks
 
 _CENTRED = 1e-9             # half the squared Newton decrement that ends a centring stage
 _MU_SHRINK = 10.0           # barrier weight divisor between centring stages
@@ -152,42 +153,6 @@ def _split_records(records):
     return measured, unmeasured
 
 
-class _Space(NamedTuple):
-    """The space an estimator solves over: a block algebra, and the basis in its unit coordinates.
-
-    ``blocks`` are the algebra's (d, block, copies) arrays: a built-in
-    basis's own (``SymmetricBasis.blocks``), or the full space's one identity
-    block.  ``coords`` is None when the basis is the blocks' matrix units
-    themselves; a basis given by its elements alone is the full space's
-    units composed with ``coords``, the (d^2, r) unit coordinates of its
-    elements.  Rows and traces are pulled back through ``coords``, and
-    coefficients pushed forward, so no d x d element is formed.
-    """
-
-    blocks: tuple
-    coords: np.ndarray | None
-
-    def rows(self, strings) -> np.ndarray:
-        """The (m, r) design rows tr(E S_i) of the record operators E of checked ``strings``."""
-        rows = _unit_rows(strings, self.blocks)
-        return rows if self.coords is None else rows @ self.coords
-
-    def traces(self) -> np.ndarray:
-        """tr(S_i): sqrt(copies) on the diagonal units of each block, 0 on the others."""
-        root = np.diag(np.sqrt(_column_mult(self.blocks)))
-        traces = _unit_coordinates(root, _block_sizes(self.blocks))
-        return traces if self.coords is None else traces @ self.coords
-
-    def units(self, c: np.ndarray) -> np.ndarray:
-        """The unit coordinates of (..., r) basis coefficients."""
-        return c if self.coords is None else c @ self.coords.T
-
-    def state(self, c: np.ndarray) -> np.ndarray:
-        """The Hermitian d x d matrix sum_i c_i S_i, assembled block by block."""
-        rho = _block_operator(self.units(c), self.blocks)
-        return 0.5 * (rho + rho.conj().T)
-
-
 def _record_rows(records, space: _Space):
     """Design rows and frequencies of the measured records, and the summed row of the unmeasured ones."""
     measured, unmeasured = _split_records(records)
@@ -195,53 +160,6 @@ def _record_rows(records, space: _Space):
     rows = space.rows([check_observable(r.ops, n) for r in measured + unmeasured])
     freq = np.array([r.frequency for r in measured], dtype=float)
     return rows[:len(measured)], freq, rows[len(measured):].sum(axis=0)
-
-
-# +1 eigenvectors by letter index in "IXYZ"; row 0, for I, is never read
-_PLUS_TABLE = np.array([np.zeros(2), _PLUS_STATES["X"], _PLUS_STATES["Y"], _PLUS_STATES["Z"]])
-
-
-def _unit_rows(strings, blocks) -> np.ndarray:
-    """Rows tr(E S_k) = tr(W_b h_k) of the record operators E of checked ``strings`` on the units of ``blocks``.
-
-    E = A A^dag, with A the +1 eigenvectors on the slots of the string that
-    are not ``I`` and the identity on its ``I`` slots, so
-    W_b = sum_c Y_c^dag Y_c / sqrt(copies_b) with Y_c = A^dag V_c.  Records
-    are grouped by their ``I`` slots: for each group, those qubits' axes of
-    the block columns (real, the Schur transform) go to the back, one real
-    product with the eigenvector tensors gives every record's Y, and W_b is
-    one batched Gram matrix per block.  The full space, one identity block,
-    has W = E: its rows are E's own entries, gathered from the projectors.
-    """
-    d = blocks[0].shape[0]
-    sizes = _block_sizes(blocks)
-    if sizes == (d,) and np.array_equal(blocks[0][:, :, 0], np.eye(d)):  # one copy of one identity block
-        return _unit_coordinates(_observable_projectors(strings), sizes)
-    n = num_qubits(d)
-    letters = np.array([["IXYZ".index(c) for c in ops] for ops in strings], dtype=np.intp)
-    traced = letters == 0
-    group_of = traced @ (1 << np.arange(n))
-    columns = np.hstack([cols.reshape(d, -1) for cols in blocks]).reshape((2,) * n + (d,))
-    w = np.zeros((len(strings), sum(sizes), sum(sizes)), dtype=complex)
-    for group in sorted(set(group_of.tolist())):
-        rows = np.flatnonzero(group_of == group)
-        kept, free = np.flatnonzero(~traced[rows[0]]), np.flatnonzero(traced[rows[0]])
-        psi = np.ones((len(rows), 1), dtype=complex)
-        for q in kept:
-            psi = (psi[:, :, None] * _PLUS_TABLE[letters[rows, q]][:, None, :]).reshape(len(rows), -1)
-        v = columns.transpose(*kept, *free, n).reshape(psi.shape[1], -1)
-        y = np.vstack([psi.real, -psi.imag]) @ v  # conj(psi) @ v, in real and imaginary parts
-        y = (y[:len(rows)] + 1j * y[len(rows):]).reshape(len(rows), 2 ** len(free), d)
-        offset = column = 0
-        for cols in blocks:
-            _, size, copies = cols.shape
-            part = y[:, :, column:column + size * copies].reshape(len(rows), -1, size, copies)
-            z = part.transpose(0, 2, 1, 3).reshape(len(rows), size, -1)
-            gram = z.conj() @ z.transpose(0, 2, 1)
-            w[rows, offset:offset + size, offset:offset + size] = gram / np.sqrt(copies)
-            offset += size
-            column += size * copies
-    return _unit_coordinates(w, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +176,7 @@ def _trace_frame(traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _warn_if_rank_deficient(design: np.ndarray) -> None:
     """Warn when the design D P, with the trace, does not pin down all r = cols + 1 coefficients."""
     sv = np.linalg.svd(design, compute_uv=False)
-    rank = int((sv > 1e-9 * max(1.0, float(sv[0]))).sum())
+    rank = int((sv > 1e-9 * sv.max(initial=1.0)).sum())
     if rank < design.shape[1]:
         warnings.warn(
             f"measurement map is rank deficient ({rank + 1} < {design.shape[1] + 1}); "
@@ -335,37 +253,6 @@ def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> Estima
     """
     measured, _ = _split_records(records)
     return _estimate(measured, _search_space(None, 2 ** len(measured[0].ops)), config, "maxlik")
-
-
-def _search_space(basis: SymmetricBasis | None, dim: int) -> _Space:
-    """The space an estimator solves over.
-
-    A symmetric basis comes with the blocks it was built from.  One given by
-    its elements alone must be Hermitian, orthonormal and span the identity,
-    to 1e-9, and becomes the full space composed with its elements' unit
-    coordinates.  ``basis=None`` is the full space, the commutant of the
-    trivial group: the matrix units of one d x d identity block, 4^n
-    coefficients, which limits it to six qubits.
-    """
-    if basis is not None:
-        if basis.dim != dim:
-            raise ValueError(f"basis dimension {basis.dim} does not match dim {dim}")
-        if basis.blocks is not None:
-            return _Space(basis.blocks, None)
-        elements = basis.elements
-        coords = _unit_coordinates(elements, (dim,)).T
-        identity = _unit_coordinates(np.eye(dim), (dim,))
-        for fault, deviation in (
-            ("are not Hermitian", np.abs(elements - elements.conj().transpose(0, 2, 1)).max()),
-            ("are not orthonormal", np.abs(coords.T @ coords - np.eye(len(elements))).max()),
-            ("do not span the identity", np.linalg.norm(coords @ (identity @ coords) - identity)),
-        ):
-            if not deviation <= 1e-9:
-                raise ValueError(f"basis elements {fault} (deviation {deviation:.1e} > 1e-9)")
-        return _Space(_one_block(dim), coords)
-    if num_qubits(dim) > 6:
-        raise ValueError("full-space estimation solves for 4^n coefficients; practical up to 6 qubits")
-    return _Space(_one_block(dim), None)
 
 
 def _estimate(records, space: _Space, config: EstimatorConfig, mode: str) -> EstimationResult:
@@ -498,7 +385,8 @@ class _BlockMaps(NamedTuple):
     @classmethod
     def of(cls, space: _Space, base: np.ndarray, tangent: np.ndarray) -> "_BlockMaps":
         def compressed(c):  # the (..., 2 s^2) real views of the copy-0 blocks of sum_i c_i S_i
-            return _copy_blocks(space.units(c), space.blocks).view(float).reshape(c.shape[:-1] + (-1,))
+            x = _copy_blocks(space.units(c), space.blocks)
+            return x.view(float).reshape(c.shape[:-1] + (2 * x.shape[-1] ** 2,))  # no -1: z may be empty
 
         return cls(compressed(base), compressed(tangent.T), _column_mult(space.blocks))
 
@@ -590,6 +478,8 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
 
     z = np.zeros(tangent.shape[1])  # I/d
     spectrum = maps.spectrum(z)
+    if not z.size:  # a one-element space holds one unit-trace state, I/d
+        return base, objective(z, spectrum), 0, True
     # the first stage's gap bound is the objective at the start
     mu = max(1.0, objective(z, spectrum)) / gap_per_mu
     value = centring_value(z, spectrum, mu)

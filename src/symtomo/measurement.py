@@ -12,6 +12,13 @@ exact Born probabilities ("analytic mode", histograms with ``shots=None``
 whose counts hold probabilities).  For permutation-invariant states,
 estimates may be pooled over all permutations of an observable and every
 compatible measured setting.
+
+This module also owns how a product projector meets an operator basis
+(``_Space``): the rows tr(E S_i) of observable projectors E on the basis
+elements S_i, read off the Schur blocks of a built-in basis with no d x d
+element.  The estimators take their records' design rows from it, and
+setting selection its outcome rows: outcome b of a setting is a signed sum
+of the rows of the setting's marginal strings.
 """
 
 from __future__ import annotations
@@ -21,12 +28,14 @@ import json
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .operators import (EIG_FLOOR, HADAMARD, PAULI_I, TRACE_ATOL, _check_number, _tensor_stack,
                         as_matrix, num_qubits)
-from .symmetry import SymmetricBasis
+from .symmetry import (SymmetricBasis, _block_operator, _block_sizes, _column_mult, _one_block,
+                       _unit_coordinates)
 
 RANK_TOL = 1e-9  # singular values below this do not count toward map rank
 COND_TIE_RTOL = 1e-9  # condition numbers this close (relative) are tied
@@ -377,12 +386,153 @@ def unmeasured_records(targets) -> list[ObservableRecord]:
     return [ObservableRecord(ops) for ops in targets]
 
 
+# ---------------------------------------------------------------------------
+# Design rows: how a product projector meets a basis
+# ---------------------------------------------------------------------------
+
+class _Space(NamedTuple):
+    """The space a basis spans: a block algebra, and the basis in its unit coordinates.
+
+    ``blocks`` are the algebra's (d, block, copies) arrays: a built-in
+    basis's own (``SymmetricBasis.blocks``), or the full space's one identity
+    block.  ``coords`` is None when the basis is the blocks' matrix units
+    themselves; a basis given by its elements alone is the full space's
+    units composed with ``coords``, the (d^2, r) unit coordinates of its
+    elements.  Rows and traces are pulled back through ``coords``, and
+    coefficients pushed forward, so no d x d element is formed.
+    """
+
+    blocks: tuple
+    coords: np.ndarray | None
+
+    def rows(self, strings) -> np.ndarray:
+        """The (m, r) rows tr(E S_i) of the observable projectors E of checked ``strings``."""
+        rows = _unit_rows(strings, self.blocks)
+        return rows if self.coords is None else rows @ self.coords
+
+    def traces(self) -> np.ndarray:
+        """tr(S_i): sqrt(copies) on the diagonal units of each block, 0 on the others."""
+        root = np.diag(np.sqrt(_column_mult(self.blocks)))
+        traces = _unit_coordinates(root, _block_sizes(self.blocks))
+        return traces if self.coords is None else traces @ self.coords
+
+    def units(self, c: np.ndarray) -> np.ndarray:
+        """The unit coordinates of (..., r) basis coefficients."""
+        return c if self.coords is None else c @ self.coords.T
+
+    def state(self, c: np.ndarray) -> np.ndarray:
+        """The Hermitian d x d matrix sum_i c_i S_i, assembled block by block."""
+        rho = _block_operator(self.units(c), self.blocks)
+        return 0.5 * (rho + rho.conj().T)
+
+
+def _search_space(basis: SymmetricBasis | None, dim: int) -> _Space:
+    """The space a basis spans, or the full space.
+
+    A symmetric basis comes with the blocks it was built from.  One given by
+    its elements alone must be Hermitian, orthonormal and span the identity,
+    to 1e-9, and becomes the full space composed with its elements' unit
+    coordinates.  ``basis=None`` is the full space, the commutant of the
+    trivial group: the matrix units of one d x d identity block, 4^n
+    coefficients, which limits it to six qubits.
+    """
+    if basis is not None:
+        if basis.dim != dim:
+            raise ValueError(f"basis dimension {basis.dim} does not match dim {dim}")
+        if basis.blocks is not None:
+            return _Space(basis.blocks, None)
+        elements = basis.elements
+        coords = _unit_coordinates(elements, (dim,)).T
+        identity = _unit_coordinates(np.eye(dim), (dim,))
+        for fault, deviation in (
+            ("are not Hermitian", np.abs(elements - elements.conj().transpose(0, 2, 1)).max()),
+            ("are not orthonormal", np.abs(coords.T @ coords - np.eye(len(elements))).max()),
+            ("do not span the identity", np.linalg.norm(coords @ (identity @ coords) - identity)),
+        ):
+            if not deviation <= 1e-9:
+                raise ValueError(f"basis elements {fault} (deviation {deviation:.1e} > 1e-9)")
+        return _Space(_one_block(dim), coords)
+    if num_qubits(dim) > 6:
+        raise ValueError("full-space estimation solves for 4^n coefficients; practical up to 6 qubits")
+    return _Space(_one_block(dim), None)
+
+
+# +1 eigenvectors by letter index in "IXYZ"; row 0, for I, is never read
+_PLUS_TABLE = np.array([np.zeros(2), _PLUS_STATES["X"], _PLUS_STATES["Y"], _PLUS_STATES["Z"]])
+
+
+def _unit_rows(strings, blocks) -> np.ndarray:
+    """Rows tr(E S_k) = tr(W_b h_k) of the observable projectors E of checked ``strings`` on the units of ``blocks``.
+
+    E = A A^dag, with A the +1 eigenvectors on the slots of the string that
+    are not ``I`` and the identity on its ``I`` slots, so
+    W_b = sum_c Y_c^dag Y_c / sqrt(copies_b) with Y_c = A^dag V_c.  Strings
+    are grouped by their ``I`` slots: for each group, those qubits' axes of
+    the block columns (real, the Schur transform) go to the back, one real
+    product with the eigenvector tensors gives every string's Y, and W_b is
+    one batched Gram matrix per block.  The full space, one identity block,
+    has W = E: its rows are E's own entries, gathered from the projectors.
+    """
+    d = blocks[0].shape[0]
+    sizes = _block_sizes(blocks)
+    if sizes == (d,) and np.array_equal(blocks[0][:, :, 0], np.eye(d)):  # one copy of one identity block
+        return _unit_coordinates(_observable_projectors(strings), sizes)
+    n = num_qubits(d)
+    letters = np.array([[_OBS_LETTERS.index(c) for c in ops] for ops in strings], dtype=np.intp)
+    traced = letters == 0
+    group_of = traced @ (1 << np.arange(n))
+    columns = np.hstack([cols.reshape(d, -1) for cols in blocks]).reshape((2,) * n + (d,))
+    w = np.zeros((len(strings), sum(sizes), sum(sizes)), dtype=complex)
+    for group in sorted(set(group_of.tolist())):
+        rows = np.flatnonzero(group_of == group)
+        kept, free = np.flatnonzero(~traced[rows[0]]), np.flatnonzero(traced[rows[0]])
+        psi = np.ones((len(rows), 1), dtype=complex)
+        for q in kept:
+            psi = (psi[:, :, None] * _PLUS_TABLE[letters[rows, q]][:, None, :]).reshape(len(rows), -1)
+        v = columns.transpose(*kept, *free, n).reshape(psi.shape[1], -1)
+        y = np.vstack([psi.real, -psi.imag]) @ v  # conj(psi) @ v, in real and imaginary parts
+        y = (y[:len(rows)] + 1j * y[len(rows):]).reshape(len(rows), 2 ** len(free), d)
+        offset = column = 0
+        for cols in blocks:
+            _, size, copies = cols.shape
+            part = y[:, :, column:column + size * copies].reshape(len(rows), -1, size, copies)
+            z = part.transpose(0, 2, 1, 3).reshape(len(rows), size, -1)
+            gram = z.conj() @ z.transpose(0, 2, 1)
+            w[rows, offset:offset + size, offset:offset + size] = gram / np.sqrt(copies)
+            offset += size
+            column += size * copies
+    return _unit_coordinates(w, sizes)
+
+
+def _outcome_rows(space: _Space, settings) -> np.ndarray:
+    """(C, 2^n, r) rows tr(P_b S_i) of the outcome projectors P_b of each of C checked settings.
+
+    P_b is the product over qubits of P+ where b_q = 0 and I - P+ where
+    b_q = 1, so its row is a signed sum of the rows of the setting's 2^n
+    marginal strings, each slot the setting's letter or ``I``.  On a
+    (2,) * n grid of those rows, the letter at index 0 and ``I`` at 1, one
+    difference y[1] <- y[1] - y[0] per axis leaves outcome b's row at index
+    b: the inverse of the subset sum in ``_zero_frequencies``.  Each distinct
+    marginal string's row is computed once, for all settings.
+    """
+    n = len(settings[0])
+    index: dict[str, int] = {}
+    where = [index.setdefault("".join(letters), len(index))
+             for setting in settings for letters in itertools.product(*((c, "I") for c in setting))]
+    y = space.rows(list(index))[where].reshape((len(settings),) + (2,) * n + (-1,))
+    for axis in range(1, n + 1):
+        y[(slice(None),) * axis + (1,)] -= y[(slice(None),) * axis + (0,)]
+    return y.reshape(len(settings), 2**n, -1)
+
+
 def _setting_response(basis: SymmetricBasis, setting: str) -> np.ndarray:
     """Linear map rows from basis coefficients to this setting's outcome probabilities."""
-    u = setting_rotation(setting)
-    # only the diagonals of u S_n u^dag: (u S_n u^dag)_ii = sum_l (u S_n)_il conj(u_il)
-    return np.real(((u @ basis.elements) * u.conj()).sum(-1)).T  # (2^n, r)
+    return _outcome_rows(_search_space(basis, basis.dim), [check_setting(setting, basis.n_qubits)])[0]
 
+
+# ---------------------------------------------------------------------------
+# Setting selection
+# ---------------------------------------------------------------------------
 
 def select_settings(basis: SymmetricBasis, candidates, k: int | None = None) -> list[str]:
     """Greedy measurement-design: pick ``k`` settings for a symmetric family.
@@ -397,8 +547,10 @@ def select_settings(basis: SymmetricBasis, candidates, k: int | None = None) -> 
     roundoff cannot break a tie and the choice depends only on the span of
     the basis, not on which orthonormal elements represent it.
 
-    The chosen rows are kept as the R factor of their QR decomposition (at
-    most r x r), which has their singular values, and each round scores every
+    Each candidate's rows come from the rows of its marginal strings, the
+    rows the estimators use for their records (``_outcome_rows``).  The
+    chosen rows are kept as the R factor of their QR decomposition (at most
+    r x r), which has their singular values, and each round scores every
     remaining candidate by one batched SVD of the stacked [R; A_s].
     """
     candidates = sorted({check_setting(s, basis.n_qubits) for s in candidates})
@@ -406,7 +558,7 @@ def select_settings(basis: SymmetricBasis, candidates, k: int | None = None) -> 
         k = min(len(candidates), 2 * basis.size)
     if not 0 < k <= len(candidates):
         raise ValueError(f"cannot pick {k} settings from {len(candidates)} candidates")
-    responses = np.array([_setting_response(basis, s) for s in candidates])  # (C, 2^n, r)
+    responses = _outcome_rows(_search_space(basis, basis.dim), candidates)  # (C, 2^n, r)
     remaining = list(range(len(candidates)))
     chosen: list[str] = []
     reduced = np.zeros((0, basis.size))
@@ -430,7 +582,8 @@ def select_settings(basis: SymmetricBasis, candidates, k: int | None = None) -> 
 
 def response_rank(basis: SymmetricBasis, settings) -> int:
     """Rank of the stacked coefficients-to-probabilities map for given settings."""
-    rows = np.vstack([_setting_response(basis, s) for s in settings])
+    settings = [check_setting(s, basis.n_qubits) for s in _nonempty(settings)]
+    rows = _outcome_rows(_search_space(basis, basis.dim), settings).reshape(-1, basis.size)
     sv = np.linalg.svd(rows, compute_uv=False)
     return int((sv > RANK_TOL).sum())
 

@@ -11,9 +11,19 @@ from .operators import (
     as_matrix,
     assert_density_matrix,
     eig_hermitian,
-    matrix_sqrt_psd,
     tensor,
 )
+
+
+def _support_factor(rho: np.ndarray) -> np.ndarray:
+    """B = V diag(sqrt(lambda)) with rho = B B^dag, over the eigenvalues above size * eps * lambda_max.
+
+    The eigenvalues at or below that cut-off are roundoff: a square root
+    would turn each one at 1e-16 into about 1e-8.
+    """
+    vals, vecs = np.linalg.eigh(rho)
+    keep = vals > vals.size * np.finfo(float).eps * vals[-1]
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def fidelity(rho, sigma, convention: str = "squared") -> float:
@@ -22,6 +32,13 @@ def fidelity(rho, sigma, convention: str = "squared") -> float:
     The default ("squared") convention is F = (tr sqrt(sqrt(rho) sigma
     sqrt(rho)))^2, which equals |<psi|phi>|^2 on pure states; pass
     ``convention="sqrt"`` for the square-root variant used by some authors.
+
+    tr sqrt(sqrt(rho) sigma sqrt(rho)) is the sum of the singular values of
+    B_sigma^dag B_rho for any factors rho = B_rho B_rho^dag and
+    sigma = B_sigma B_sigma^dag.  With the factors taken on each state's
+    support (``_support_factor``), no square root of a roundoff eigenvalue
+    enters the sum, and a small singular value is read as accurately as a
+    large one.
     """
     if convention not in ("squared", "sqrt"):
         raise ValueError(f"unknown fidelity convention {convention!r}")
@@ -29,10 +46,8 @@ def fidelity(rho, sigma, convention: str = "squared") -> float:
     sigma = assert_density_matrix(sigma, name="sigma")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
-    root = matrix_sqrt_psd(rho)
-    inner = root @ sigma @ root
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    total = float(np.sqrt(np.clip(vals, 0.0, None)).sum())
+    overlap = _support_factor(sigma).conj().T @ _support_factor(rho)
+    total = float(np.linalg.svd(overlap, compute_uv=False).sum())
     value = min(total, 1.0) if convention == "sqrt" else min(total * total, 1.0)
     return max(value, 0.0)
 

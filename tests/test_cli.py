@@ -450,6 +450,17 @@ def test_estimate_collective_symmetry(tmp_path):
     assert fidelity(rho_hat, werner_exact(0.51)) > 0.95
 
 
+def test_estimate_on_a_one_element_space(tmp_path):
+    # the collective basis of one qubit is the identity alone: the estimate is I/2
+    state, hists, est = tmp_path / "s.json", tmp_path / "h.json", tmp_path / "est.json"
+    assert run("prepare", "--state", "ghz", "--qubits", 1, "--out", state) == 0
+    assert run("sample", "--state", state, "--shots", 100, "--out", hists) == 0
+    assert run("estimate", "--data", hists, "--symmetry", "collective", "--out", est) == 0
+    payload = json.loads(est.read_text())
+    assert payload["converged"] and payload["iterations"] == 0
+    assert np.abs(matrix_from_json(payload["rho_hat"]) - np.eye(2) / 2).max() <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symtomo.operators import assert_density_matrix, pauli_string, projector
+from symtomo.operators import PAULI_X, PAULI_Z, assert_density_matrix, pauli_string, projector
 from symtomo.statesim import apply_channel, ghz_state, werner_exact
 from symtomo.symmetry import (
     SymmetricBasis,
@@ -28,6 +28,8 @@ from symtomo.symmetry import (
 from symtomo.measurement import (
     ObservableRecord,
     _observable_projectors,
+    _search_space,
+    _unit_rows,
     extract_frequencies,
     full_observables,
     full_settings,
@@ -44,10 +46,8 @@ from symtomo.estimation import (
     _estimate,
     _newton_direction,
     _record_rows,
-    _search_space,
     _trace_frame,
     _trace_one_lstsq,
-    _unit_rows,
     linear_inversion,
     solve_cvqt,
     solve_git,
@@ -138,6 +138,22 @@ def test_full_rank_pooled_data_do_not_warn():
         warnings.simplefilter("error")
         linear_inversion(recs, basis=basis)
         solve_git(recs, basis, ANALYTIC)
+
+
+@pytest.mark.parametrize("spec", [SymmetrySpec.collective(1), SymmetrySpec.custom_unitaries([PAULI_X, PAULI_Z])],
+                         ids=["collective", "custom"])
+def test_a_one_element_space_solves_to_the_maximally_mixed_state(spec):
+    # the identity alone spans the space, so I/2 is its only unit-trace state
+    basis = compute_commutant_basis(spec)
+    assert basis.size == 1
+    recs = extract_frequencies(sample_state(projector(ghz_state(1)), full_settings(1), 100, seed=1), ["X", "Y", "Z"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_git(recs, basis)
+        estimate = linear_inversion(recs, basis)
+    assert result.converged and result.iterations == 0
+    assert np.abs(result.rho_hat - np.eye(2) / 2).max() <= 1e-15
+    assert np.abs(estimate - np.eye(2) / 2).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,11 @@ def test_run_sweep_survives_solver_failure(monkeypatch):
     assert summary.mean_fidelity_vs_target is None
 
 
+def test_a_one_qubit_collective_cell_solves():
+    records = run_sweep(dataclasses.replace(SMALL, n_qubits=1, symmetry="collective", repetitions=1))
+    assert [(r.error, r.converged, r.iterations) for r in records] == [(None, True, 0)]
+
+
 def test_analytic_shots_entry():
     cfg = dataclasses.replace(SMALL, shots=(None,), repetitions=1, levels=(0.0,), channels=("none",))
     records = run_sweep(cfg)

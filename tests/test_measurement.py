@@ -461,10 +461,16 @@ def test_records_are_built_without_operators(monkeypatch):
 # setting selection
 # ---------------------------------------------------------------------------
 
+def rotated_diagonal(basis, setting):
+    """The outcome rows diag(u S_i u^dag), from the dense elements rotated by the setting's u."""
+    u = setting_rotation(setting)
+    return np.real(np.einsum("nii->in", u @ basis.elements @ u.conj().T))
+
+
 def select_by_full_svds(basis, candidates, k):
-    """The greedy rule with one SVD of all stacked rows per candidate per round."""
+    """The greedy rule with one SVD of all stacked rows per candidate per round, on dense responses."""
     candidates = sorted(set(candidates))
-    responses = {s: _setting_response(basis, s) for s in candidates}
+    responses = {s: rotated_diagonal(basis, s) for s in candidates}
     chosen, rows = [], np.zeros((0, basis.size))
     for _ in range(k):
         scores = {}
@@ -516,26 +522,53 @@ def test_select_settings_deterministic_and_prefix_stable():
     assert longer[:4] == a
 
 
+def orthogonal_mix(basis):
+    """A basis built from its elements alone: those of ``basis`` under a seeded random orthogonal mix."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((basis.size, basis.size)))
+    return SymmetricBasis(basis.n_qubits, basis.kind, np.einsum("ij,jab->iab", q, basis.elements))
+
+
 @pytest.mark.parametrize("spec", [SymmetrySpec.collective(3), SymmetrySpec.permutation(3)])
 def test_select_settings_ignores_the_choice_of_orthonormal_basis(spec):
     # the selection may depend only on the span: an orthogonal rotation of
     # the elements leaves every singular value, so every tie, unchanged
     basis = compute_commutant_basis(spec)
-    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((basis.size, basis.size)))
-    rotated = SymmetricBasis(basis.n_qubits, basis.kind, np.einsum("ij,jab->iab", q, basis.elements))
+    rotated = orthogonal_mix(basis)
     settings = pi_settings(spec.n_qubits)
     k = len(settings)
     assert select_settings(rotated, settings, k) == select_settings(basis, settings, k)
 
 
-@pytest.mark.parametrize("kind", ["permutation", "collective"])
+SWAP_01 = np.kron(np.eye(4)[[0, 2, 1, 3]], np.eye(2))  # swaps qubits 0 and 1 of three
+
+
+@pytest.mark.parametrize("kind", ["permutation", "collective", "custom", "hand-built"])
 def test_setting_response_is_the_diagonal_of_the_rotated_elements(kind):
-    basis = compute_commutant_basis(SymmetrySpec(3, kind))
-    for setting in ("XYZ", "ZZX"):
-        u = setting_rotation(setting)
-        rotated = np.einsum("ij,njk,lk->nil", u, basis.elements, u.conj())
-        want = np.real(np.einsum("nii->in", rotated))
-        assert np.abs(_setting_response(basis, setting) - want).max() <= 1e-14
+    if kind == "custom":
+        bases = [compute_commutant_basis(SymmetrySpec.custom_unitaries([SWAP_01]))]
+    elif kind == "hand-built":
+        bases = [orthogonal_mix(compute_commutant_basis(SymmetrySpec.permutation(3)))]
+    else:
+        bases = [compute_commutant_basis(SymmetrySpec(n, kind))
+                 for n in (range(1, 6) if kind == "permutation" else range(2, 6))]
+    for basis in bases:
+        for setting in full_settings(basis.n_qubits):
+            assert np.abs(_setting_response(basis, setting) - rotated_diagonal(basis, setting)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["permutation", "collective"])
+def test_selection_builds_no_dense_element(kind):
+    basis = compute_commutant_basis(SymmetrySpec(4, kind))
+    chosen = select_settings(basis, full_settings(4))
+    assert response_rank(basis, chosen) == basis.size
+    assert "elements" not in vars(basis)
+
+
+def test_selection_refuses_a_basis_that_is_not_orthonormal():
+    scaled = SymmetricBasis(2, "permutation", 2.0 * compute_commutant_basis(SymmetrySpec.permutation(2)).elements)
+    for score in (select_settings, response_rank):
+        with pytest.raises(ValueError, match="basis elements are not orthonormal"):
+            score(scaled, pi_settings(2))
 
 
 def test_pooled_settings_pin_the_six_qubit_permutation_family():

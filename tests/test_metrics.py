@@ -20,6 +20,33 @@ def test_fidelity_pure_states_overlap():
     assert np.isclose(fidelity(psi, phi, convention="sqrt"), np.sqrt(0.5))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_fidelity_with_a_pure_state_is_its_expectation(n):
+    # roundoff eigenvalues of sqrt(rho) sigma sqrt(rho) must not add their square roots
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        psi, phi = rng.standard_normal((2, 2**n)) + 1j * rng.standard_normal((2, 2**n))
+        psi, phi = psi / np.linalg.norm(psi), phi / np.linalg.norm(phi)
+        assert abs(fidelity(projector(psi), projector(phi)) - abs(np.vdot(psi, phi)) ** 2) <= 1e-12
+        assert abs(fidelity(projector(psi), projector(psi)) - 1.0) <= 1e-12
+        mixed = random_density(rng, 2**n)
+        assert abs(fidelity(mixed, projector(psi)) - np.vdot(psi, mixed @ psi).real) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fidelity_keeps_the_small_products_of_commuting_states(n):
+    # rho = U diag(p) U^dag and sigma = U diag(q) U^dag have F = (sum_i sqrt(p_i q_i))^2; with
+    # p_i = 1e-12 against q_i = 1e-4, the products of 1e-16 add 1e-8 each to that sum
+    rng = np.random.default_rng(n)
+    d = 2**n
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    p, q = rng.random(d), rng.random(d)
+    p[:2], q[:2] = 1e-12, 1e-4
+    p, q = p / p.sum(), q / q.sum()
+    rho, sigma = (u * p) @ u.conj().T, (u * q) @ u.conj().T
+    assert abs(fidelity(rho, sigma) - np.sqrt(p * q).sum() ** 2) <= 1e-12
+
+
 def test_fidelity_conventions_relate_by_square():
     rng = np.random.default_rng(5)
     for _ in range(5):
