@@ -22,14 +22,20 @@ Convex Optimization, ch. 11) on its own data term, a convex function of the
 predictions D c on the design rows.  tr(rho) = 1 is eliminated up front: the
 solve runs in the coordinates c = base + P z, base the coefficients of I/d
 and P an orthonormal basis of the trace-keeping directions, so every Newton
-step is unconstrained.  Positivity becomes -mu*log det rho and merges with
-the gamma term; damped Newton steps from z = 0 (I/d) centre the sum for a
-decreasing sequence of mu.  In the relative-error term each a|e| becomes
+step is unconstrained.  Positivity needs only each block X_b of rho (below)
+to be PSD, so it becomes one log det per block, -mu*sum_b log det X_b, whose
+barrier parameter is s, the sum of the block sizes (d for the full space,
+one block of multiplicity one).  Damped Newton steps from z = 0 (I/d)
+centre it with the data and gamma terms for a sequence of mu that shrinks by
+50 per stage.  In the relative-error term each a|e| becomes
 a*t - mu*log(t^2 - e^2), the slack t eliminated in closed form; the
 log-likelihood needs no slack.  At a centred point the duality gap is at
-most mu*(b + d), with d = 2^n and b the data term's barrier parameter (2m
-for m measured records, 0 for the likelihood), so ``converged`` certifies
-that the objective is within ``objective_tolerance`` (relative) of the optimum.
+most mu*(b + s), with b the data term's barrier parameter (2m for m
+measured records, 0 for the likelihood), so ``converged`` certifies that the
+objective is within ``objective_tolerance`` (relative) of the optimum.  The
+line search halves from the full step; when that step leaves the PSD cone,
+the eigenpairs in hand give the length where it does, and halving resumes
+below it.
 
 No solve forms a dense basis element or record projector of a symmetric
 basis.  Both built-in symmetry algebras are block diagonal in the total-spin
@@ -43,9 +49,12 @@ decomposition, and the solve works on the blocks the basis was built from
 * the traces tr(S_i) are sqrt(copies) on the diagonal units, 0 elsewhere;
 * the log-det terms hold rho as one copy of each block (an s x s matrix, s =
   12 instead of d = 32 at five qubits) plus the blocks' multiplicities, and
-  one ``eigh`` of it gives the spectrum, each eigenvalue counted with
-  multiplicity sum_a mult_a |U_ak|^2, and with it log det rho, its gradient
-  and its Hessian;
+  one ``eigh`` of it gives the spectrum.  Every log-det term is a weighted
+  sum sum_b w_b log det X_b: w_b = mult_b gives gamma's log det rho, and the
+  barrier adds mu to every block's weight.  Each eigenvalue carries the
+  weight sum_a w_a |U_ak|^2, and the gradient and Hessian come from the
+  same eigenpairs, the Hessian as one Gram matrix of the blocks of the
+  trace-keeping directions taken into the eigenbasis;
 * the estimate is assembled block by block, rho = sum_b V_b (X_b (x) 1) V_b^dag.
 
 The full space is one identity block of multiplicity one, whose design rows
@@ -62,6 +71,7 @@ guarantee), which tests use as an independent reference.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -74,7 +84,7 @@ from .operators import _check_number, num_qubits
 from .symmetry import SymmetricBasis, _column_mult, _copy_blocks
 
 _CENTRED = 1e-9             # half the squared Newton decrement that ends a centring stage
-_MU_SHRINK = 10.0           # barrier weight divisor between centring stages
+_MU_SHRINK = 50.0           # barrier weight divisor between centring stages
 _ARMIJO = 0.25              # sufficient-decrease fraction of the line search
 _LINESEARCH_MAX_TRIALS = 60
 
@@ -168,9 +178,18 @@ def _record_rows(records, space: _Space):
 
 def _trace_frame(traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(base, P): the unit-trace coefficients are c = base + P z, with base = traces/|traces|^2
-    those of I/d and P's orthonormal columns the r - 1 directions that keep the trace."""
-    _, _, vh = np.linalg.svd(traces.reshape(1, -1))
-    return traces / (traces @ traces), vh[1:].T
+    those of I/d and P's orthonormal columns the r - 1 directions that keep the trace.
+
+    P is the last r - 1 columns of the Householder reflector H = I - 2 u u^T / u.u
+    with u = v + sign(v_0) e_1, v = traces/|traces|.  H v = -sign(v_0) e_1, so
+    the other columns of the orthogonal H are orthogonal to the traces; the
+    sign keeps u.u >= 2.
+    """
+    u = traces / np.linalg.norm(traces)
+    u[0] += np.copysign(1.0, u[0])
+    tangent = np.outer(u, u[1:]) * (-2.0 / (u @ u))
+    tangent[1:] += np.eye(u.size - 1)
+    return traces / (traces @ traces), tangent
 
 
 def _warn_if_rank_deficient(design: np.ndarray) -> None:
@@ -290,7 +309,8 @@ def _estimate(records, space: _Space, config: EstimatorConfig, mode: str) -> Est
 # ``value`` for barrier weight mu (inf outside its domain), and the
 # ``weights`` g and w of its gradient D^T g and Hessian D^T diag(w) D.
 # ``gamma`` adds -gamma log det rho to the objective, and at a centred point
-# the duality gap is at most mu * (``barrier_parameter`` + d).
+# the duality gap is at most mu * (``barrier_parameter`` + s), s the sum of
+# the block sizes.
 
 class _RelativeError(NamedTuple):
     """sum_m a_m |p_m - f_m| + beta tr(U rho), U the sum of the unmeasured projectors.
@@ -376,11 +396,19 @@ class _BlockMaps(NamedTuple):
     real views of the complex arrays, so each application is one real
     matrix-vector product.  ``column_mult`` is the multiplicity (the copy
     count of its block) of each of the s columns.
+
+    The log-det terms of the solve are sums sum_b w_b log det X_b over the
+    blocks, given by a weight per column that is constant on each block:
+    w = ``column_mult`` is log det rho, and the barrier's gamma * mult + mu
+    adds one log det per block to gamma log det rho.  ``work`` holds the two
+    (r - 1) s x s products of ``logdet_hessian``, allocated once per solve:
+    fresh temporaries of that size cost page faults on every Newton step.
     """
 
     offset: np.ndarray
     forward: np.ndarray
     column_mult: np.ndarray
+    work: np.ndarray
 
     @classmethod
     def of(cls, space: _Space, base: np.ndarray, tangent: np.ndarray) -> "_BlockMaps":
@@ -388,7 +416,9 @@ class _BlockMaps(NamedTuple):
             x = _copy_blocks(space.units(c), space.blocks)
             return x.view(float).reshape(c.shape[:-1] + (2 * x.shape[-1] ** 2,))  # no -1: z may be empty
 
-        return cls(compressed(base), compressed(tangent.T), _column_mult(space.blocks))
+        forward = compressed(tangent.T)
+        mult = _column_mult(space.blocks)
+        return cls(compressed(base), forward, mult, np.empty((2, len(forward) * mult.size, mult.size), complex))
 
     def spectrum(self, z):
         """Eigenvalues (ascending), eigenvectors and multiplicities of the state of z.
@@ -400,25 +430,41 @@ class _BlockMaps(NamedTuple):
         vals, vecs = np.linalg.eigh((self.offset + z @ self.forward).view(complex).reshape(s, s))
         return vals, vecs, self.column_mult @ (vecs * vecs.conj()).real
 
-    def coefficients(self, vals, vecs):
-        """z-gradient P^T tr(S_i A) of tr(rho A), A the operator with eigenpairs (vals, vecs);
-        tr(S_i A) = sum_b mult_b tr(S_i,b A_b) is one real dot product with a row of ``forward``."""
-        weighted = self.column_mult[:, None] * ((vecs * vals) @ vecs.conj().T)
+    def coefficients(self, vals, vecs, weight):
+        """z-gradient of sum_b w_b tr(X_b A_b), A the s x s operator with eigenpairs (vals, vecs)
+        and ``weight`` w per column, constant on each block; at w = ``column_mult`` it is tr(rho A).
+        Each entry sum_b w_b tr(F_i,b A_b) is one real dot product with a row of ``forward``."""
+        weighted = weight[:, None] * ((vecs * vals) @ vecs.conj().T)
         return self.forward @ weighted.view(float).reshape(-1)
 
-    def logdet_hessian(self, vals, vecs):
-        """z-Hessian of log det rho at the state with eigenpairs (vals, vecs).
+    def logdet_hessian(self, vals, vecs, weight):
+        """z-Hessian of -sum_b w_b log det X_b at the state with eigenpairs (vals, vecs) = (Lambda, U).
 
-        With X the compressed state, M the column multiplicities (constant on
-        each block, so M commutes with X) and F_a the rows of ``forward``,
-        the entry is sum_b mult_b tr(X_b^-1 F_a,b X_b^-1 F_c,b) = tr(K_a K_c)
-        with K_a = R F_a R and R = M^(1/4) X^(-1/2): one real Gram matrix.
+        ``weight`` w is per column and constant on each block, so W = diag(w)
+        commutes with X; at w = ``column_mult`` this is -log det rho.  With F_a
+        the rows of ``forward``, the entry is sum_b w_b tr(X_b^-1 F_a,b X_b^-1
+        F_c,b) = tr(K_a K_c), K_a = S^dag F_a S in the eigenbasis with S =
+        W^(1/4) U Lambda^(-1/2).  Two plain products over all a, F_a S and then
+        (F_a S)^T conj(S), give the K_a^T, and one real Gram matrix the entries.
         """
-        s = self.column_mult.size
-        root = self.column_mult[:, None] ** 0.25 * ((vecs / np.sqrt(vals)) @ vecs.conj().T)
-        k = root @ self.forward.view(complex).reshape(-1, s, s) @ root
-        flat = k.view(float).reshape(len(k), -1)
+        s = weight.size
+        scale = weight[:, None] ** 0.25 * (vecs / np.sqrt(vals))
+        half, turned = self.work
+        np.matmul(self.forward.view(complex).reshape(-1, s), scale, out=half)
+        turned.reshape(-1, s, s)[...] = half.reshape(-1, s, s).transpose(0, 2, 1)
+        k = np.matmul(turned, scale.conj(), out=half)
+        flat = k.view(float).reshape(len(self.forward), -1)
         return flat @ flat.T
+
+    def step_bound(self, vals, vecs, step):
+        """The length t at which z + t step leaves the PSD cone, z the point with eigenpairs
+        (vals, vecs) = (Lambda, U): X + t dX is singular first at t = -1/lambda_min of
+        Lambda^(-1/2) U^dag dX U Lambda^(-1/2), dX = step @ ``forward``, and never if dX is PSD."""
+        s = vals.size
+        scaled = vecs / np.sqrt(vals)
+        change = (step @ self.forward).view(complex).reshape(s, s)
+        lowest = np.linalg.eigvalsh(scaled.conj().T @ change @ scaled)[0]
+        return -1.0 / lowest if lowest < 0.0 else np.inf
 
 
 def _newton_direction(hess, grad):
@@ -445,16 +491,24 @@ def _newton_direction(hess, grad):
     return vecs[:, keep] @ ((rhs @ vecs[:, keep]) / vals[keep]) * scale
 
 
+def _halvings_below(bound: float) -> int:
+    """The least k >= 1 with 0.5**k < bound, read off bound = mantissa * 2**power exactly."""
+    mantissa, power = math.frexp(bound)  # 0.5 <= mantissa < 1; (inf, 0) for inf
+    return max(1, 1 - power + (mantissa == 0.5))
+
+
 def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
     """Minimize a data term minus gamma log det rho over the states rho = sum_i c_i S_i.
 
     Works in the coordinates c = base + P z of ``frame``, from z = 0 (I/d).
-    Returns c, the objective there, the Newton steps taken and whether the
-    duality gap was certified below the tolerance.
+    Positivity is the barrier -mu sum_b log det X_b, one log det per block,
+    whose parameter is s; with the gamma term each column carries the weight
+    gamma * mult + mu.  Returns c, the objective there, the Newton steps
+    taken and whether the duality gap was certified below the tolerance.
     """
     base, tangent = frame
     offset, design = term.design @ base, term.design @ tangent
-    gap_per_mu = term.barrier_parameter + maps.column_mult.sum()  # the multiplicities sum to d
+    gap_per_mu = term.barrier_parameter + maps.column_mult.size  # b + s
 
     # ``spectrum`` is maps.spectrum(z), computed once per point and shared by all three
     def objective(z, spectrum):
@@ -466,14 +520,15 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
         vals, _, mult = spectrum
         if vals[0] <= 0.0:
             return np.inf
-        return term.value(offset + design @ z, mu) - (term.gamma + mu) * (mult @ np.log(vals))
+        # eigenvector k carries the weight sum_j (gamma mult_j + mu) |U_jk|^2 = gamma mult_k + mu
+        return term.value(offset + design @ z, mu) - (term.gamma * mult + mu) @ np.log(vals)
 
     def centring_derivatives(z, spectrum, mu):
         vals, vecs, _ = spectrum
         g, w = term.weights(offset + design @ z, mu)
-        grad = design.T @ g - (term.gamma + mu) * maps.coefficients(1.0 / vals, vecs)
-        hess = (design.T @ (w[:, None] * design)
-                + (term.gamma + mu) * maps.logdet_hessian(vals, vecs))
+        weight = term.gamma * maps.column_mult + mu
+        grad = design.T @ g - maps.coefficients(1.0 / vals, vecs, weight)
+        hess = design.T @ (w[:, None] * design) + maps.logdet_hessian(vals, vecs, weight)
         return grad, hess
 
     z = np.zeros(tangent.shape[1])  # I/d
@@ -500,15 +555,20 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
         decrease = _ARMIJO * float(grad @ step)
         if decrease >= 0.0:  # roundoff has swamped the Newton direction
             break
-        length = 1.0
-        for _ in range(_LINESEARCH_MAX_TRIALS):
+        halvings = 0
+        while halvings < _LINESEARCH_MAX_TRIALS:
+            length = 0.5 ** halvings
             trial = z + length * step
             trial_spectrum = maps.spectrum(trial)
             trial_value = centring_value(trial, trial_spectrum, mu)
             # strict: next to a large value, length * decrease can round away
             if trial_value < value and trial_value <= value + length * decrease:
                 break
-            length *= 0.5
+            halvings += 1
+            if halvings == 1 and trial_spectrum[0][0] <= 0.0:
+                # the full step leaves the PSD cone: the current eigenpairs bound
+                # the lengths that stay inside, so skip the halvings above the bound
+                halvings = _halvings_below(maps.step_bound(*spectrum[:2], step))
         else:
             break
         z, spectrum, value = trial, trial_spectrum, trial_value

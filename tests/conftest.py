@@ -8,6 +8,10 @@ loaded machine cannot fail an example.  Each test keeps its own
 numpy's ``ComplexWarning``, raised where an imaginary part is silently
 dropped, is an error in every test.  It moved to ``numpy.exceptions`` in
 numpy 1.25, so the filter names the class where the installed numpy has it.
+``RuntimeWarning`` (a division by zero or an invalid value, which would
+otherwise leave a NaN or an infinite Newton step), ``DeprecationWarning`` and
+``FutureWarning`` are errors too, through ``filterwarnings`` in
+``pyproject.toml``; their names do not depend on the numpy version.
 """
 
 import numpy as np

@@ -369,9 +369,9 @@ def assert_logdet_derivatives_match_dense(basis, c):
     gradient = np.real(np.einsum("iaa->i", inv_s))
     hessian = np.real(np.einsum("iab,jba->ij", inv_s, inv_s))
     assert np.isclose(mult @ np.log(vals), np.linalg.slogdet(rho)[1], atol=1e-9)
-    assert np.abs(maps.coefficients(1.0 / vals, vecs) - gradient).max() <= 1e-9 * max(
+    assert np.abs(maps.coefficients(1.0 / vals, vecs, maps.column_mult) - gradient).max() <= 1e-9 * max(
         1.0, np.abs(gradient).max())
-    assert np.abs(maps.logdet_hessian(vals, vecs) - hessian).max() <= 1e-9 * max(
+    assert np.abs(maps.logdet_hessian(vals, vecs, maps.column_mult) - hessian).max() <= 1e-9 * max(
         1.0, np.abs(hessian).max())
 
 
@@ -392,6 +392,99 @@ def test_block_logdet_custom_kind_matches_dense():
     basis = compute_commutant_basis(SymmetrySpec.custom_unitaries([np.eye(4)[[0, 2, 1, 3]]]))
     for c in (np.zeros(basis.size), np.random.default_rng(3).standard_normal(basis.size)):
         assert_logdet_derivatives_match_dense(basis, c)
+
+
+@lru_cache(maxsize=None)
+def coefficient_maps(kind, n):
+    """Block maps acting on the coefficients themselves, and the dense elements they stand for."""
+    basis = None if kind == "full" else cached_basis(n, kind)
+    elements = full_space(n) if basis is None else basis.elements
+    r = len(elements)
+    return _BlockMaps.of(_search_space(basis, 2**n), np.zeros(r), np.eye(r)), elements
+
+
+def positive_member(elements, rng):
+    """exp of a random member of the algebra, its spectrum scaled into [-1, 1]: condition <= e^2."""
+    w, v = np.linalg.eigh(dense_state(rng.standard_normal(len(elements)), elements))
+    return (v * np.exp(w / np.abs(w).max())) @ v.conj().T
+
+
+def coefficients_of(rho, elements):
+    return np.real(np.einsum("iab,ab->i", elements.conj(), rho))
+
+
+def interior_point(elements, rng):
+    """The coefficients of a random full-rank unit-trace state of the algebra."""
+    rho = positive_member(elements, rng)
+    return coefficients_of(rho / np.trace(rho).real, elements)
+
+
+def central_differences(f, c, h):
+    """Gradient and Hessian of f at c by central differences with step h."""
+    e = h * np.eye(c.size)
+    grad = np.array([f(c + ei) - f(c - ei) for ei in e]) / (2.0 * h)
+    hess = np.empty((c.size, c.size))
+    for i, j in itertools.combinations_with_replacement(range(c.size), 2):
+        hess[i, j] = hess[j, i] = (f(c + e[i] + e[j]) - f(c + e[i] - e[j])
+                                   - f(c - e[i] + e[j]) + f(c - e[i] - e[j])) / (4.0 * h * h)
+    return grad, hess
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    kind=st.sampled_from(["permutation", "collective"]),
+    gamma=st.sampled_from([0.0, 1e-3]),
+    mu=st.sampled_from([1.0, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_barrier_weighted_logdet_derivatives_match_finite_differences(n, kind, gamma, mu, seed):
+    # the barrier's weight gamma * mult + mu: one log det per block beside gamma log det rho
+    maps, elements = coefficient_maps(kind, n)
+    c = interior_point(elements, np.random.default_rng(seed))
+    weight = gamma * maps.column_mult + mu
+
+    def weighted_logdet(x):  # sum_k w_k log lambda_k, w_k = sum_j weight_j |U_jk|^2
+        vals, vecs, _ = maps.spectrum(x)
+        return (weight @ (vecs * vecs.conj()).real) @ np.log(vals)
+
+    vals, vecs, _ = maps.spectrum(c)
+    # Richardson's combination of steps h and 2h cancels the h^2 error of both
+    h = 1e-3 * vals[0]
+    (g1, h1), (g2, h2) = (central_differences(weighted_logdet, c, step) for step in (h, 2 * h))
+    gradient, hessian = (4.0 * g1 - g2) / 3.0, (4.0 * h1 - h2) / 3.0
+    got = maps.coefficients(1.0 / vals, vecs, weight)
+    assert np.abs(got - gradient).max() <= 1e-6 * np.abs(gradient).max()
+    # logdet_hessian is the Hessian of minus the sum, the barrier's sign
+    got = maps.logdet_hessian(vals, vecs, weight)
+    assert np.abs(got + hessian).max() <= 1e-6 * np.abs(hessian).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    kind=st.sampled_from(["permutation", "collective", "full"]),
+    positive=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_bound_is_where_the_dense_line_leaves_the_cone(n, kind, positive, seed):
+    maps, elements = coefficient_maps(kind, n)
+    rng = np.random.default_rng(seed)
+    c = interior_point(elements, rng)
+    step = (coefficients_of(positive_member(elements, rng), elements) if positive
+            else rng.standard_normal(len(elements)))
+    bound = maps.step_bound(*maps.spectrum(c)[:2], step)
+    rho, change = dense_state(c, elements), dense_state(step, elements)
+    # det(rho + t change) = 0 at t = -1/m for each eigenvalue m of rho^-1 change
+    lowest = np.linalg.eigvals(np.linalg.solve(rho, change)).real.min()
+    if positive:
+        assert lowest > 0.0
+    if lowest >= 0.0:  # also a random direction in a small algebra, such as collective n = 2
+        assert bound == np.inf
+        return
+    assert abs(bound + 1.0 / lowest) <= 1e-9 * bound
+    assert np.linalg.eigvalsh(rho + (1.0 - 1e-6) * bound * change)[0] > 0.0
+    assert np.linalg.eigvalsh(rho + (1.0 + 1e-6) * bound * change)[0] < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +508,8 @@ def test_trace_frame_spans_the_unit_trace_states(elements):
     base, tangent = _trace_frame(traces)
     r, d = len(elements), elements.shape[1]
     assert tangent.shape == (r, r - 1)
-    assert np.abs(tangent.T @ tangent - np.eye(r - 1)).max() <= 1e-12
-    assert np.abs(traces @ tangent).max() <= 1e-12
+    assert np.abs(tangent.T @ tangent - np.eye(r - 1)).max() <= 1e-14
+    assert np.abs(traces @ tangent).max() <= 1e-14
     assert np.abs(np.einsum("i,iab->ab", base, elements) - np.eye(d) / d).max() <= 1e-12
 
 
@@ -529,6 +622,17 @@ def test_default_solve_converges_on_pooled_data(n, gamma):
     result = solve_git(recs, cached_basis(n, "permutation"), EstimatorConfig(gamma=gamma))
     assert result.converged
     assert result.iterations < EstimatorConfig().max_iterations
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_pooled_git_newton_steps_stay_flat_in_n(n, gamma):
+    # one log det per block: the barrier's parameter is s, the sum of the
+    # block sizes (25 at n = 8), not d = 256, so the steps need not grow with d
+    result = solve_git(git_records(n, "permutation"), cached_basis(n, "permutation"),
+                       EstimatorConfig(gamma=gamma))
+    assert result.converged
+    assert result.iterations <= 100
 
 
 @lru_cache(maxsize=None)
