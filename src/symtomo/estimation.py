@@ -29,13 +29,19 @@ one block of multiplicity one).  Damped Newton steps from z = 0 (I/d)
 centre it with the data and gamma terms for a sequence of mu that shrinks by
 50 per stage.  In the relative-error term each a|e| becomes
 a*t - mu*log(t^2 - e^2), the slack t eliminated in closed form; the
-log-likelihood needs no slack.  At a centred point the duality gap is at
-most mu*(b + s), with b the data term's barrier parameter (2m for m
-measured records, 0 for the likelihood), so ``converged`` certifies that the
-objective is within ``objective_tolerance`` (relative) of the optimum.  The
-line search halves from the full step; when that step leaves the PSD cone,
-the eigenpairs in hand give the length where it does, and halving resumes
-below it.
+log-likelihood needs no slack.  At the centre the duality gap is at most
+mu*(b + s), with b the data term's barrier parameter (2m for m measured
+records, 0 for the likelihood).  Centring is inexact (Boyd & Vandenberghe,
+section 11.3.3): a stage ends once half the squared Newton decrement,
+dz.H.dz / 2, is at most 0.1 mu, inside the region where Newton's method on
+the mu-scaled problem converges quadratically, since the next mu moves the
+centre anyway.  The last stage, the first whose mu*(b + s) meets
+``objective_tolerance`` (relative), must also reach dz.H.dz / 2 <= 1e-9, and
+only then does ``converged`` certify that the objective is within the
+tolerance of the optimum: a test relative to mu is what keeps the gap bound
+of the centre valid at the point.  The line search halves from the full
+step; when that step leaves the PSD cone, the eigenpairs in hand give the
+length where it does, and halving resumes below it.
 
 No solve forms a dense basis element or record projector of a symmetric
 basis.  Both built-in symmetry algebras are block diagonal in the total-spin
@@ -83,7 +89,8 @@ from .measurement import _Space, _search_space, check_observable
 from .operators import _check_number, num_qubits
 from .symmetry import SymmetricBasis, _column_mult, _copy_blocks
 
-_CENTRED = 1e-9             # half the squared Newton decrement that ends a centring stage
+_CENTRED_PER_MU = 0.1       # kappa: a centring stage ends at half the squared Newton decrement <= kappa * mu
+_CENTRED = 1e-9             # the last stage, whose gap bound meets the tolerance, must also reach this
 _MU_SHRINK = 50.0           # barrier weight divisor between centring stages
 _ARMIJO = 0.25              # sufficient-decrease fraction of the line search
 _LINESEARCH_MAX_TRIALS = 60
@@ -343,7 +350,9 @@ class _RelativeError(NamedTuple):
         width = mu / self.slope
         root = np.hypot(width, resid)
         t = width + root
-        return np.append(self.slope * resid / t, self.beta), np.append(mu / (root * t), 0.0)
+        g, w = np.zeros((2, pred.size))
+        g[:-1], g[-1], w[:-1] = self.slope * resid / t, self.beta, mu / (root * t)
+        return g, w
 
 
 class _Likelihood(NamedTuple):
@@ -510,46 +519,49 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
     offset, design = term.design @ base, term.design @ tangent
     gap_per_mu = term.barrier_parameter + maps.column_mult.size  # b + s
 
-    # ``spectrum`` is maps.spectrum(z), computed once per point and shared by all three
-    def objective(z, spectrum):
+    # ``pred`` is offset + design @ z and ``spectrum`` maps.spectrum(z), each
+    # computed once per point and shared by all three
+    def objective(pred, spectrum):
         vals, _, mult = spectrum
-        return term.objective(offset + design @ z) - term.gamma * (mult @ np.log(vals))
+        return term.objective(pred) - term.gamma * (mult @ np.log(vals))
 
-    def centring_value(z, spectrum, mu):
+    def centring_value(pred, spectrum, mu):
         """The barrier objective; inf outside the PSD cone and the data term's domain."""
         vals, _, mult = spectrum
         if vals[0] <= 0.0:
             return np.inf
         # eigenvector k carries the weight sum_j (gamma mult_j + mu) |U_jk|^2 = gamma mult_k + mu
-        return term.value(offset + design @ z, mu) - (term.gamma * mult + mu) @ np.log(vals)
+        return term.value(pred, mu) - (term.gamma * mult + mu) @ np.log(vals)
 
-    def centring_derivatives(z, spectrum, mu):
+    def centring_derivatives(pred, spectrum, mu):
         vals, vecs, _ = spectrum
-        g, w = term.weights(offset + design @ z, mu)
+        g, w = term.weights(pred, mu)
         weight = term.gamma * maps.column_mult + mu
         grad = design.T @ g - maps.coefficients(1.0 / vals, vecs, weight)
         hess = design.T @ (w[:, None] * design) + maps.logdet_hessian(vals, vecs, weight)
         return grad, hess
 
     z = np.zeros(tangent.shape[1])  # I/d
-    spectrum = maps.spectrum(z)
+    pred, spectrum = offset + design @ z, maps.spectrum(z)
     if not z.size:  # a one-element space holds one unit-trace state, I/d
-        return base, objective(z, spectrum), 0, True
+        return base, objective(pred, spectrum), 0, True
     # the first stage's gap bound is the objective at the start
-    mu = max(1.0, objective(z, spectrum)) / gap_per_mu
-    value = centring_value(z, spectrum, mu)
+    mu = max(1.0, objective(pred, spectrum)) / gap_per_mu
+    value = centring_value(pred, spectrum, mu)
     iterations = 0
     converged = False
     while True:
-        grad, hess = centring_derivatives(z, spectrum, mu)
+        grad, hess = centring_derivatives(pred, spectrum, mu)
         step = _newton_direction(hess, grad)
-        if 0.5 * step @ hess @ step <= _CENTRED:
-            if mu * gap_per_mu <= config.objective_tolerance * max(1.0, abs(objective(z, spectrum))):
+        decrement = 0.5 * step @ hess @ step
+        if decrement <= _CENTRED_PER_MU * mu:
+            if mu * gap_per_mu > config.objective_tolerance * max(1.0, abs(objective(pred, spectrum))):
+                mu /= _MU_SHRINK
+                value = centring_value(pred, spectrum, mu)
+                continue
+            if decrement <= _CENTRED:  # the last stage also meets the absolute test
                 converged = True
                 break
-            mu /= _MU_SHRINK
-            value = centring_value(z, spectrum, mu)
-            continue
         if iterations == config.max_iterations:
             break
         decrease = _ARMIJO * float(grad @ step)
@@ -559,8 +571,8 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
         while halvings < _LINESEARCH_MAX_TRIALS:
             length = 0.5 ** halvings
             trial = z + length * step
-            trial_spectrum = maps.spectrum(trial)
-            trial_value = centring_value(trial, trial_spectrum, mu)
+            trial_pred, trial_spectrum = offset + design @ trial, maps.spectrum(trial)
+            trial_value = centring_value(trial_pred, trial_spectrum, mu)
             # strict: next to a large value, length * decrease can round away
             if trial_value < value and trial_value <= value + length * decrease:
                 break
@@ -571,6 +583,6 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
                 halvings = _halvings_below(maps.step_bound(*spectrum[:2], step))
         else:
             break
-        z, spectrum, value = trial, trial_spectrum, trial_value
+        z, pred, spectrum, value = trial, trial_pred, trial_spectrum, trial_value
         iterations += 1
-    return base + tangent @ z, objective(z, spectrum), iterations, converged
+    return base + tangent @ z, objective(pred, spectrum), iterations, converged
