@@ -44,8 +44,12 @@ from symtomo.estimation import (
     EstimationProblem,
     EstimatorConfig,
     _BlockMaps,
+    _Likelihood,
+    _RelativeError,
+    _centring_derivatives,
     _estimate,
     _newton_direction,
+    _path_derivative,
     _record_rows,
     _trace_frame,
     _trace_one_lstsq,
@@ -488,6 +492,51 @@ def test_step_bound_is_where_the_dense_line_leaves_the_cone(n, kind, positive, s
     assert np.linalg.eigvalsh(rho + (1.0 + 1e-6) * bound * change)[0] < 0.0
 
 
+def centring_setup(kind, n, likelihood, gamma):
+    """A data term on sampled noisy GHZ records, its block maps and trace frame, as ``_estimate`` builds them."""
+    basis = None if kind == "full" else cached_basis(n, kind)
+    records = noisy_ghz_records(n, 0.05, 1, False) if kind == "full" else git_records(n, kind)
+    space = _search_space(basis, 2**n)
+    design, freq, unmeasured_row = _record_rows(records, space)
+    traces = space.traces()
+    base, tangent = _trace_frame(traces)
+    if likelihood:
+        term = _Likelihood.of(design, freq, traces)
+    else:
+        slope = 1.0 / np.maximum(np.abs(freq), EstimatorConfig().frequency_floor)
+        term = _RelativeError(np.vstack([design, unmeasured_row]), freq, slope, 1.0, gamma)
+    return term, _BlockMaps.of(space, base, tangent), base, tangent
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    kind=st.sampled_from(["permutation", "collective", "full"]),
+    likelihood=st.booleans(),
+    gamma=st.sampled_from([0.0, 1e-3]),
+    mu=st.sampled_from([1.0, 1e-3, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_predictor_derivative_is_the_mu_derivative_of_the_centring_gradient(n, kind, likelihood, gamma, mu,
+                                                                               seed):
+    # the predictor between barrier stages follows dz/dmu = -H^-1 d/dmu grad
+    term, maps, base, tangent = centring_setup(kind, n, likelihood, gamma)
+    design = term.design @ tangent
+    # c - base keeps the trace, so it is P z for the orthonormal P
+    z = tangent.T @ (interior_point(coefficient_maps(kind, n)[1], np.random.default_rng(seed)) - base)
+    pred, spectrum = term.design @ base + design @ z, maps.spectrum(z)
+
+    def gradient(m):
+        return _centring_derivatives(term, maps, design, pred, spectrum, m)[0]
+
+    # Richardson's combination of steps h and 2h cancels the h^2 error of both
+    h = 1e-3 * mu
+    d1, d2 = ((gradient(mu + step) - gradient(mu - step)) / (2.0 * step) for step in (h, 2 * h))
+    want = (4.0 * d1 - d2) / 3.0
+    got = _path_derivative(term, maps, design, pred, spectrum, mu)
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # the trace-one frame and the Newton step in it
 # ---------------------------------------------------------------------------
@@ -612,6 +661,46 @@ def test_converged_is_honest():
     assert result.iterations == 5
     assert np.isclose(np.trace(result.rho_hat).real, 1.0, atol=1e-12)
     assert np.linalg.eigvalsh(result.rho_hat).min() > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(["git", "cvqt", "maxlik"]),
+    seed=st.integers(0, 4),
+    cap=st.integers(0, 40),
+)
+def test_the_iteration_cap_holds_with_the_predictor_steps(mode, seed, cap):
+    # a predictor step between stages counts as a Newton step
+    full = solve_noisy_ghz(mode, 3, 0.05, seed, ANALYTIC)
+    capped = solve_noisy_ghz(mode, 3, 0.05, seed, EstimatorConfig(gamma=0.0, max_iterations=cap))
+    assert full.converged and capped.iterations <= cap
+    if cap < full.iterations:  # the capped solve retraces the full one until its cap stops it
+        assert (capped.iterations, capped.converged) == (cap, False)
+    else:
+        assert (capped.iterations, capped.converged, capped.objective) == (
+            full.iterations, True, full.objective)
+
+
+@pytest.mark.parametrize("kind", ["permutation", "collective", "full"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_feasibility_residual_is_read_from_the_block_spectrum(n, kind, monkeypatch):
+    # the solve's last block spectrum is rho's, and its traces give tr(rho)
+    returned = []
+    solve = estimation._barrier_newton
+
+    def kept(*args):
+        returned.append(solve(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(estimation, "_barrier_newton", kept)
+    if kind == "full":
+        result = solve_cvqt(noisy_ghz_records(n, 0.05, 1, False), 2**n, EstimatorConfig())
+    else:
+        result = solve_git(git_records(n, kind), cached_basis(n, kind), EstimatorConfig())
+    dense = np.linalg.eigvalsh(result.rho_hat)
+    assert abs(returned[0][-1] - dense[0]) <= 1e-12
+    want = max(abs(np.trace(result.rho_hat).real - 1.0), -dense[0], 0.0)
+    assert abs(result.feasibility_residual - want) <= 1e-12
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-3])
@@ -757,6 +846,14 @@ def test_full_space_solves_take_few_newton_steps(seed):
     steps = sum(solve_noisy_ghz(mode, 3, 0.05, seed, ANALYTIC).iterations
                 for mode in ("git", "cvqt", "maxlik"))
     assert steps <= 110
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_predictor_step_between_stages_saves_newton_steps(seed):
+    # the same data: starting each stage at the last one's centre took 82-101 steps
+    steps = sum(solve_noisy_ghz(mode, 3, 0.05, seed, ANALYTIC).iterations
+                for mode in ("git", "cvqt", "maxlik"))
+    assert steps <= 92
 
 
 # ---------------------------------------------------------------------------
