@@ -40,8 +40,9 @@ centre anyway.  The last stage, the first whose mu*(b + s) meets
 only then does ``converged`` certify that the objective is within the
 tolerance of the optimum: a test relative to mu is what keeps the gap bound
 of the centre valid at the point.  The line search halves from the full
-step; when that step leaves the PSD cone, the eigenpairs in hand give the
-length where it does, and halving resumes below it.  Between stages a
+step until a trial lies in the domain and decreases the value enough; each
+trial's own spectrum is its only PSD test, taken before its predictions are
+formed (Boyd & Vandenberghe, section 9.2).  Between stages a
 predictor step follows the tangent of the central path (the predictor of
 path-following interior-point methods, Boyd & Vandenberghe section 11.3;
 Mehrotra, SIAM J. Optim. 2, 575 (1992)): as mu shrinks to mu', the centre
@@ -84,10 +85,9 @@ guarantee), which tests use as an independent reference.
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -131,19 +131,14 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "objective_tolerance", "feasibility_tolerance",
-                     "frequency_floor"):
-            _check_number(name, getattr(self, name), numbers.Real)
-        for name in ("max_iterations", "restarts", "seed"):
-            _check_number(name, getattr(self, name))
         # the barrier solve needs a convex barrier, an iteration cap, a data
         # term, a gap to reach and finite relative weights
-        for name in ("beta", "gamma"):
-            _check_number(name, getattr(self, name), numbers.Real, low=0)
-        _check_number("max_iterations", self.max_iterations, low=0)
-        for name in ("alpha", "objective_tolerance", "frequency_floor"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"estimator config needs {name} > 0, got {getattr(self, name)!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            _check_number(f.name, value, numbers.Real if f.type == "float" else numbers.Integral,
+                          low=0 if f.name in ("beta", "gamma", "max_iterations") else None)
+            if f.name in ("alpha", "objective_tolerance", "frequency_floor") and not value > 0:
+                raise ValueError(f"estimator config needs {f.name} > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -486,16 +481,6 @@ class _BlockMaps(NamedTuple):
         flat = k.view(float).reshape(len(self.forward), -1)
         return flat @ flat.T
 
-    def step_bound(self, vals, vecs, step):
-        """The length t at which z + t step leaves the PSD cone, z the point with eigenpairs
-        (vals, vecs) = (Lambda, U): X + t dX is singular first at t = -1/lambda_min of
-        Lambda^(-1/2) U^dag dX U Lambda^(-1/2), dX = step @ ``forward``, and never if dX is PSD."""
-        s = vals.size
-        scaled = vecs / np.sqrt(vals)
-        change = (step @ self.forward).view(complex).reshape(s, s)
-        lowest = np.linalg.eigvalsh(scaled.conj().T @ change @ scaled)[0]
-        return -1.0 / lowest if lowest < 0.0 else np.inf
-
 
 def _newton_direction(hess, grad):
     """Newton step: minimize g.dz + dz.H.dz / 2, by Cholesky of the Jacobi-scaled H.
@@ -519,12 +504,6 @@ def _newton_direction(hess, grad):
     vals, vecs = np.linalg.eigh(scaled)
     keep = vals > rhs.size * np.finfo(float).eps * vals[-1]
     return vecs[:, keep] @ ((rhs @ vecs[:, keep]) / vals[keep]) * scale
-
-
-def _halvings_below(bound: float) -> int:
-    """The least k >= 1 with 0.5**k < bound, read off bound = mantissa * 2**power exactly."""
-    mantissa, power = math.frexp(bound)  # 0.5 <= mantissa < 1; (inf, 0) for inf
-    return max(1, 1 - power + (mantissa == 0.5))
 
 
 def _centring_derivatives(term, maps: _BlockMaps, design, pred, spectrum, mu):
@@ -551,7 +530,9 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
     Works in the coordinates c = base + P z of ``frame``, from z = 0 (I/d).
     Positivity is the barrier -mu sum_b log det X_b, one log det per block,
     whose parameter is s; with the gamma term each column carries the weight
-    gamma * mult + mu.  Once a stage is centred and mu shrinks to mu', one
+    gamma * mult + mu.  The line search halves a step from length 1, and a
+    trial whose own spectrum leaves the PSD cone is shortened before its
+    predictions are formed.  Once a stage is centred and mu shrinks to mu', one
     predictor step follows the tangent of the central path, dz = -(mu' - mu)
     H^-1 d/dmu grad, with the stage's last Hessian H; the first of the lengths
     1, 1/2, 1/4, 1/8 that strictly lowers the mu' centring value is taken, as
@@ -571,30 +552,26 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
         return term.objective(pred) - term.gamma * (mult @ np.log(vals))
 
     def centring_value(pred, spectrum, mu):
-        """The barrier objective; inf outside the PSD cone and the data term's domain."""
+        """The barrier objective at a point inside the PSD cone; inf outside the data term's domain."""
         vals, _, mult = spectrum
-        if vals[0] <= 0.0:
-            return np.inf
         # eigenvector k carries the weight sum_j (gamma mult_j + mu) |U_jk|^2 = gamma mult_k + mu
         return term.value(pred, mu) - (term.gamma * mult + mu) @ np.log(vals)
 
-    def line_search(z, spectrum, value, step, decrease, mu, trials):
-        """The first point z + 0.5**k step, k < ``trials``, whose value is below ``value`` and at most
-        value + 0.5**k ``decrease``, with its prediction, spectrum and value; None if no trial is."""
-        halvings = 0
-        while halvings < trials:
+    def line_search(z, value, step, decrease, mu, trials):
+        """The first point z + 0.5**k step, k < ``trials``, inside the PSD cone whose value is below
+        ``value`` and at most value + 0.5**k ``decrease``, with its prediction, spectrum and value;
+        None if no trial is."""
+        for halvings in range(trials):
             length = 0.5 ** halvings
             trial = z + length * step
-            trial_pred, trial_spectrum = offset + design @ trial, maps.spectrum(trial)
+            trial_spectrum = maps.spectrum(trial)
+            if trial_spectrum[0][0] <= 0.0:  # outside the cone: shorten before predicting
+                continue
+            trial_pred = offset + design @ trial
             trial_value = centring_value(trial_pred, trial_spectrum, mu)
             # strict: next to a large value, length * decrease can round away
             if trial_value < value and trial_value <= value + length * decrease:
                 return trial, trial_pred, trial_spectrum, trial_value
-            halvings += 1
-            if halvings == 1 and trial_spectrum[0][0] <= 0.0:
-                # the full step leaves the PSD cone: the current eigenpairs bound
-                # the lengths that stay inside, so skip the halvings above the bound
-                halvings = _halvings_below(maps.step_bound(*spectrum[:2], step))
         return None
 
     z = np.zeros(tangent.shape[1])  # I/d
@@ -618,7 +595,7 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
                 value = centring_value(pred, spectrum, mu)
                 if iterations < config.max_iterations:
                     # the predictor -(mu' - mu) H^-1 d/dmu grad, on a strict decrease alone
-                    predicted = line_search(z, spectrum, value, _newton_direction(hess, change), 0.0, mu,
+                    predicted = line_search(z, value, _newton_direction(hess, change), 0.0, mu,
                                             _PREDICTOR_MAX_TRIALS)
                     if predicted is not None:
                         z, pred, spectrum, value = predicted
@@ -632,7 +609,7 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
         decrease = _ARMIJO * float(grad @ step)
         if decrease >= 0.0:  # roundoff has swamped the Newton direction
             break
-        accepted = line_search(z, spectrum, value, step, decrease, mu, _LINESEARCH_MAX_TRIALS)
+        accepted = line_search(z, value, step, decrease, mu, _LINESEARCH_MAX_TRIALS)
         if accepted is None:
             break
         z, pred, spectrum, value = accepted

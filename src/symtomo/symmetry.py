@@ -43,6 +43,7 @@ from .operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _assert_finite,
     _check_number,
     _on_qubits,
     as_matrix,
@@ -129,7 +130,12 @@ class SymmetricBasis:
     ``elements`` has shape (r, d, d); every element commutes with all group
     generators and ``<S_i, S_j> = delta_ij`` under the Hilbert-Schmidt inner
     product.  ``SymmetricBasis(n_qubits, kind, elements)`` makes a basis from
-    its elements alone.
+    its elements alone.  It refuses, naming the fault, elements that are not
+    an (r, 2^n, 2^n) array with r >= 1, that are not finite, or that are not
+    Hermitian and orthonormal to 1e-9.  It keeps a read-only copy of them and
+    of their unit coordinates on the full space's matrix units
+    (``_unit_coordinates``), through which the estimators and setting
+    selection read the basis.
 
     ``blocks`` is set only by ``compute_commutant_basis`` for the built-in
     kinds: the read-only (d, block, copies) arrays of the algebra's total-spin
@@ -145,10 +151,26 @@ class SymmetricBasis:
     blocks: tuple | None = field(default=None, repr=False)
 
     def __init__(self, n_qubits: int, kind: str, elements: np.ndarray):
+        _check_number("n_qubits", n_qubits, low=1)
+        d = 2**n_qubits
+        elements = np.array(elements, dtype=complex)
+        if elements.ndim != 3 or elements.shape[1:] != (d, d) or not len(elements):
+            raise ValueError(f"basis elements of shape {elements.shape} are not (r, {d}, {d}) with r >= 1")
+        _assert_finite(elements, "a basis element")
+        coords = _unit_coordinates(elements, (d,))
+        for fault, deviation in (
+            ("are not Hermitian", np.abs(elements - elements.conj().transpose(0, 2, 1)).max()),
+            ("are not orthonormal", np.abs(coords @ coords.T - np.eye(len(elements))).max()),
+        ):
+            if not deviation <= 1e-9:
+                raise ValueError(f"basis elements {fault} (deviation {deviation:.1e} > 1e-9)")
+        elements.setflags(write=False)
+        coords.setflags(write=False)
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "blocks", None)
         self.__dict__["elements"] = elements
+        self.__dict__["_coords"] = coords  # (r, d^2)
 
     @classmethod
     def _of_blocks(cls, n_qubits: int, kind: str, blocks: tuple) -> "SymmetricBasis":

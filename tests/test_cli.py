@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +543,31 @@ def test_sweep_jobs_apply_to_count_studies(tmp_path, monkeypatch):
     for name in ("records.csv", "summary.csv", "manifest.json"):
         assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
     assert json.loads((tmp_path / "jobs1" / "manifest.json").read_text())["n_records"] == 6
+
+
+@pytest.mark.parametrize("cfg", [
+    {"family": "werner_exact", "n_qubits": 2, "p": 0.51, "symmetry": "collective", "modes": ["git", "cvqt"],
+     "channels": ["depolarizing"], "levels": [0.1], "shots": [256], "repetitions": 2,
+     "settings_plan": "selected", "selected_count": 4, "estimator": {"gamma": 0.0}},
+    {"family": "ghz", "n_qubits": 3, "channels": ["depolarizing"], "levels": [0.1], "shots": [None, 256],
+     "repetitions": 2, "observable_counts": [2, 9], "estimator": {"gamma": 0.0}},
+], ids=["selected-collective", "count-study"])
+def test_sweep_output_does_not_depend_on_the_hash_seed(tmp_path, cfg):
+    # string hashes, and so the order of a set of strings, change with PYTHONHASHSEED
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "symtomo.cli", "sweep", "--config", str(cfg_path),
+                               "--out-dir", str(tmp_path / seed), "--format", "both"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert {"records.csv", "records.json", "summary.csv", "summary.json", "manifest.json"} <= set(names)
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

@@ -565,10 +565,10 @@ def test_selection_builds_no_dense_element(kind):
 
 
 def test_selection_refuses_a_basis_that_is_not_orthonormal():
-    scaled = SymmetricBasis(2, "permutation", 2.0 * compute_commutant_basis(SymmetrySpec.permutation(2)).elements)
+    scaled = 2.0 * compute_commutant_basis(SymmetrySpec.permutation(2)).elements
     for score in (select_settings, response_rank):
         with pytest.raises(ValueError, match="basis elements are not orthonormal"):
-            score(scaled, pi_settings(2))
+            score(SymmetricBasis(2, "permutation", scaled), pi_settings(2))
 
 
 def test_pooled_settings_pin_the_six_qubit_permutation_family():
@@ -685,8 +685,9 @@ def test_sampling_accepts_roundoff_within_the_density_matrix_tolerances():
 @pytest.mark.parametrize(
     "plan",
     [covered_observables, lambda s: measurement.record_plan("git", "permutation", s),
-     lambda s: measurement.record_plan("cvqt", "permutation", s)],
-    ids=["covered", "git-plan", "cvqt-plan"],
+     lambda s: measurement.record_plan("cvqt", "permutation", s),
+     lambda s: sample_state(np.eye(4) / 4, s, 100), lambda s: sample_state(np.eye(4) / 4, s, None)],
+    ids=["covered", "git-plan", "cvqt-plan", "sampled", "exact"],
 )
 def test_empty_settings_are_refused(plan):
     with pytest.raises(ValueError, match="no measurement settings were given"):

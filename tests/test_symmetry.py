@@ -293,6 +293,40 @@ def test_custom_and_hand_built_bases_carry_no_blocks():
     assert SymmetricBasis(2, "permutation", built.elements).blocks is None
 
 
+PERMUTATION_2 = compute_commutant_basis(SymmetrySpec.permutation(2)).elements
+ZZ = pauli_string("ZZ")
+
+
+@pytest.mark.parametrize("n, elements, fault", [
+    # symmetrize onto it returned exactly 4x the projection
+    (2, 2.0 * PERMUTATION_2, r"basis elements are not orthonormal \(deviation 3\.0e\+00 > 1e-9\)"),
+    # unit norms, but symmetrize was not idempotent
+    (2, [ZZ / 2, (ZZ + np.eye(4)) / np.sqrt(8)], r"basis elements are not orthonormal \(deviation 7\.1e-01 > 1e-9\)"),
+    (2, [ZZ / 2, 1j * ZZ / 2], r"basis elements are not Hermitian \(deviation 1\.0e\+00 > 1e-9\)"),
+    # symmetrize returned NaN
+    (2, np.where(np.eye(4) > 0, np.nan, PERMUTATION_2), "a basis element has a non-finite entry"),
+    (2, [np.full((4, 4), np.inf)], "a basis element has a non-finite entry"),
+    # reconstruct gave a 4 x 4 matrix for a basis of dim 8, and a solve an IndexError
+    (3, PERMUTATION_2, r"basis elements of shape \(10, 4, 4\) are not \(r, 8, 8\) with r >= 1"),
+    (2, np.zeros((0, 4, 4)), r"basis elements of shape \(0, 4, 4\) are not \(r, 4, 4\)"),
+    (2, ZZ / 2, r"basis elements of shape \(4, 4\) are not \(r, 4, 4\)"),
+], ids=["scaled", "not-orthogonal", "not-hermitian", "nan", "inf", "mislabelled", "empty", "one-matrix"])
+def test_a_basis_given_by_its_elements_is_refused_where_it_is_made(n, elements, fault):
+    with pytest.raises(ValueError, match=fault):
+        SymmetricBasis(n, "permutation", elements)
+
+
+def test_a_basis_given_by_its_elements_keeps_a_read_only_copy():
+    built = compute_commutant_basis(SymmetrySpec.permutation(2))
+    elements = np.array(built.elements)
+    basis = SymmetricBasis(2, "permutation", list(elements))  # a list of arrays, as for SymmetrySpec
+    elements[0] = 0.0  # the caller's array is not the basis's
+    rho = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    assert np.allclose(symmetrize(rho, basis), symmetrize(rho, built), atol=1e-12)
+    with pytest.raises(ValueError):
+        basis.elements[0, 0, 0] = 1.0
+
+
 def test_spin_blocks_are_read_only():
     for kind in ("permutation", "collective"):
         for cols in compute_commutant_basis(SymmetrySpec(3, kind)).blocks:
