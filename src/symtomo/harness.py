@@ -151,6 +151,9 @@ class SweepConfig:
             _check_number("selected_count", self.selected_count, low=1, high=3**self.n_qubits)
         for k in self.observable_counts or ():
             _check_number("observable_counts entry", k, low=1)
+        # a repeated count would write its cell's row twice, and the summary would count it twice
+        if self.observable_counts is not None and len(set(self.observable_counts)) != len(self.observable_counts):
+            raise ValueError(f"observable_counts must not repeat, got {list(self.observable_counts)}")
         if self.observable_counts is not None and self.modes != ("git",):
             raise ValueError(f"an observable-count study runs git only; modes must be ['git'], "
                              f"got {list(self.modes)}")

@@ -8,20 +8,20 @@ import numpy as np
 
 from .operators import (
     PAULI_Y,
+    _state_spectrum,
     as_matrix,
     assert_density_matrix,
-    eig_hermitian,
     tensor,
 )
 
 
-def _support_factor(rho: np.ndarray) -> np.ndarray:
+def _support_factor(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """B = V diag(sqrt(lambda)) with rho = B B^dag, over the eigenvalues above size * eps * lambda_max.
 
-    The eigenvalues at or below that cut-off are roundoff: a square root
-    would turn each one at 1e-16 into about 1e-8.
+    ``vals`` and ``vecs`` are rho's ``eigh``.  The eigenvalues at or below
+    that cut-off are roundoff: a square root would turn each one at 1e-16
+    into about 1e-8.
     """
-    vals, vecs = np.linalg.eigh(rho)
     keep = vals > vals.size * np.finfo(float).eps * vals[-1]
     return vecs[:, keep] * np.sqrt(vals[keep])
 
@@ -36,17 +36,17 @@ def fidelity(rho, sigma, convention: str = "squared") -> float:
     tr sqrt(sqrt(rho) sigma sqrt(rho)) is the sum of the singular values of
     B_sigma^dag B_rho for any factors rho = B_rho B_rho^dag and
     sigma = B_sigma B_sigma^dag.  With the factors taken on each state's
-    support (``_support_factor``), no square root of a roundoff eigenvalue
-    enters the sum, and a small singular value is read as accurately as a
-    large one.
+    support (``_support_factor``, read off the one ``eigh`` that also checks
+    each state), no square root of a roundoff eigenvalue enters the sum, and a
+    small singular value is read as accurately as a large one.
     """
     if convention not in ("squared", "sqrt"):
         raise ValueError(f"unknown fidelity convention {convention!r}")
-    rho = assert_density_matrix(rho, name="rho")
-    sigma = assert_density_matrix(sigma, name="sigma")
+    rho, *rho_eigh = _state_spectrum(rho, "rho", vectors=True)
+    sigma, *sigma_eigh = _state_spectrum(sigma, "sigma", vectors=True)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
-    overlap = _support_factor(sigma).conj().T @ _support_factor(rho)
+    overlap = _support_factor(*sigma_eigh).conj().T @ _support_factor(*rho_eigh)
     total = float(np.linalg.svd(overlap, compute_uv=False).sum())
     value = min(total, 1.0) if convention == "sqrt" else min(total * total, 1.0)
     return max(value, 0.0)
@@ -64,8 +64,7 @@ def trace_distance(rho, sigma) -> float:
     sigma = assert_density_matrix(sigma, name="sigma")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
-    vals, _ = eig_hermitian(rho - sigma)
-    return float(0.5 * np.abs(vals).sum())
+    return float(0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
 
 
 def concurrence(rho) -> float:

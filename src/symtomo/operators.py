@@ -96,14 +96,23 @@ def assert_unitary(u, atol: float = UNITARITY_ATOL, name: str = "operator") -> n
 def assert_density_matrix(rho, name: str = "state") -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity (small negative
     eigenvalues down to ``EIG_FLOOR`` are tolerated as numerical zeros)."""
+    return _state_spectrum(rho, name, vectors=False)[0]
+
+
+def _state_spectrum(rho, name: str, vectors: bool):
+    """``(rho, ascending eigenvalues, eigenvectors)`` of a state checked as ``assert_density_matrix`` does.
+
+    One decomposition serves the positivity check and the caller: ``eigh``
+    with ``vectors``, else ``eigvalsh`` and None for the eigenvectors.
+    """
     rho = assert_hermitian(rho, name=name)
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"{name} has trace {tr!r}, expected 1 within {TRACE_ATOL:.1e}")
-    lo = np.linalg.eigvalsh(rho)[0]
-    if lo < EIG_FLOOR:
-        raise ValueError(f"{name} has negative eigenvalue {lo:.3e} below {EIG_FLOOR:.1e}")
-    return rho
+    vals, vecs = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho), None)
+    if vals[0] < EIG_FLOOR:
+        raise ValueError(f"{name} has negative eigenvalue {vals[0]:.3e} below {EIG_FLOOR:.1e}")
+    return rho, vals, vecs
 
 
 def assert_pure_state(vec, name: str = "state vector") -> np.ndarray:

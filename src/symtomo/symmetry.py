@@ -13,9 +13,12 @@ Two construction routes are used:
   in the total-spin basis |J, M, alpha> of the register.  The permutation
   algebra is the direct sum of M_{2J+1} (x) 1_{m_J}, the collective algebra
   that of 1_{2J+1} (x) M_{m_J}, where m_J counts the spin-J irreps.  One
-  cached change of basis, built by lowering highest-weight vectors with J_-,
-  yields the matrix units of every block and so an orthonormal basis of
-  either algebra, with no cost that grows as d^4.
+  cached change of basis yields the matrix units of every block and so an
+  orthonormal basis of either algebra.  It is built in the weight spaces of
+  the computational states with w ones (M = n/2 - w), where J_- from weight
+  w to w + 1 is a 0/1 matrix of C(n, w + 1) x C(n, w): an SVD of one such
+  map gives the highest weights of each J, and products with the next maps
+  lower them, so no d x d operator is formed.
 * SVD route, for custom kinds: stack the vectorized commutation constraints
   for every generator and extract the joint null space by singular value
   decomposition; the Hermitian parts of the null vectors are orthonormalized
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -204,7 +208,6 @@ class SymmetricCoefficients:
 
 
 _SWAP = np.eye(4)[[0, 2, 1, 3]]
-_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # |0> (spin up) -> |1>
 
 
 def _collective(op: np.ndarray, n: int) -> np.ndarray:
@@ -274,43 +277,39 @@ def compute_commutant_basis(spec: SymmetrySpec) -> SymmetricBasis:
     return SymmetricBasis._of_blocks(spec.n_qubits, spec.kind, _schur_blocks(spec.n_qubits, spec.kind))
 
 
-def _highest_weights(n: int, lowering: np.ndarray, j2: int) -> np.ndarray:
-    """Orthonormal basis (d x m_J) of the spin-J highest-weight space, J = j2 / 2.
-
-    It is the kernel of J_+ = J_-^T on the computational states carrying
-    (n - j2) / 2 ones, found by an SVD of that column slice of J_+.
-    """
-    d = 2**n
-    ones = (n - j2) // 2
-    idx = np.arange(d)
-    cols = idx[np.array([bin(i).count("1") for i in idx]) == ones]
-    raising = lowering.T[:, cols]
-    _, svals, vh = np.linalg.svd(raising)
-    rank = int((svals > SINGULAR_VALUE_TOL).sum())
-    kernel = vh[rank:].T
-    out = np.zeros((d, kernel.shape[1]))
-    out[cols] = kernel
-    return out
-
-
 @lru_cache(maxsize=16)
 def _schur_transform(n_qubits: int) -> tuple:
     """The total-spin basis |J, M, alpha>, one (d, 2J+1, m_J) array per J.
 
-    J runs from n/2 down.  Axis 1 is M from J down, axis 2 the copy alpha:
-    copy alpha is lowered by J_- from the alpha-th orthonormal highest-weight
-    vector, so the copies are aligned and the map |M> (x) |alpha> -> column
-    is an isometry carrying M_{2J+1} (x) 1 onto the permutation algebra and
-    1 (x) M_{m_J} onto the collective one.  Cached per n; read-only.
+    J runs from n/2 down.  Axis 1 is M from J down, axis 2 the copy alpha.
+    The computational states of w ones, M = n/2 - w, span a weight space,
+    and J_- maps weight w into weight w + 1 as a 0/1 matrix: 1 where the
+    column's ones are a subset of the row's.  The spin-J highest weights are
+    the kernel of its transpose J_+ on weight (n - 2J)/2, found by one SVD of
+    that C(n, w - 1) x C(n, w) block; copy alpha is lowered from the
+    alpha-th of them by one product with each next map, so the copies are
+    aligned and the map |M> (x) |alpha> -> column is an isometry carrying
+    M_{2J+1} (x) 1 onto the permutation algebra and 1 (x) M_{m_J} onto the
+    collective one.  Beside the returned columns, the largest arrays are the
+    maps, of C(n, w + 1) x C(n, w).  Cached per n; read-only.
     """
-    lowering = _collective(_SIGMA_MINUS, n_qubits)  # J_-, real
+    n, d = n_qubits, 2**n_qubits
+    # the computational states of each weight w, and J_- from weight w into w + 1
+    states = [np.array([sum(1 << q for q in ones) for ones in combinations(range(n), w)])
+              for w in range(n + 1)]
+    lowering = [((low & ~high[:, None]) == 0).astype(float) for low, high in zip(states, states[1:])]
     out = []
-    for j2 in range(n_qubits, -1, -2):
-        levels = [_highest_weights(n_qubits, lowering, j2)]
-        for _ in range(j2):
-            vecs = lowering @ levels[-1]
-            levels.append(vecs / np.linalg.norm(vecs, axis=0))
-        cols = np.stack(levels, axis=1)
+    for j2 in range(n, -1, -2):
+        w = (n - j2) // 2
+        # J_+ on weight w; weight 0 has no weight above it
+        _, svals, vh = np.linalg.svd(lowering[w - 1].T if w else np.zeros((0, 1)))
+        vecs = vh[int((svals > SINGULAR_VALUE_TOL).sum()):].T
+        cols = np.zeros((d, j2 + 1, vecs.shape[1]))
+        cols[states[w], 0] = vecs
+        for m in range(1, j2 + 1):
+            vecs = lowering[w + m - 1] @ vecs
+            vecs /= np.linalg.norm(vecs, axis=0)
+            cols[states[w + m], m] = vecs
         cols.setflags(write=False)
         out.append(cols)
     return tuple(out)

@@ -119,6 +119,12 @@ def test_config_rejects_bad_fields(kwargs):
         SweepConfig(**kwargs)
 
 
+def test_config_refuses_repeated_observable_counts():
+    # a repeated count was solved once per cell but written twice, which doubled its summary count
+    with pytest.raises(ValueError, match=r"^observable_counts must not repeat, got \[3, 1, 3\]$"):
+        SweepConfig(observable_counts=(3, 1, 3))
+
+
 @pytest.mark.parametrize("name", ["channels", "levels", "shots", "observable_counts"])
 def test_config_rejects_an_empty_grid(name):
     # an empty grid would run no cell and write empty files

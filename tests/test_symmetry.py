@@ -22,7 +22,6 @@ from symtomo.symmetry import (
     SymmetricBasis,
     SymmetricCoefficients,
     SymmetrySpec,
-    _SIGMA_MINUS,
     _block_matrix_units,
     _collective,
     _schur_transform,
@@ -114,8 +113,33 @@ def test_lowering_operator_equals_the_bit_built_one(n):
         bit = 1 << (n - 1 - q)
         src = idx[(idx & bit) == 0]
         want[src | bit, src] = 1.0
-    got = _collective(_SIGMA_MINUS, n)
+    sigma_minus = np.array([[0.0, 0.0], [1.0, 0.0]])  # |0> (spin up) -> |1>
+    got = _collective(sigma_minus, n)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_schur_columns_are_the_total_spin_states(n):
+    # |J, M, alpha> is an eigenvector of J_z (eigenvalue M) and of J^2 (J(J+1)), the columns are
+    # orthonormal, and J_- = J_x - i J_y maps (M, alpha) to sqrt(J(J+1) - M(M-1)) (M-1, alpha)
+    jx, jy, jz = group_generators(SymmetrySpec.collective(n))
+    total = jx @ jx + jy @ jy + jz @ jz
+    lowering = jx - 1j * jy
+    arrays = _schur_transform(n)
+    assert [cols.shape[1] for cols in arrays] == list(range(n + 1, 0, -2))
+    for cols in arrays:
+        size = cols.shape[1]
+        j = (size - 1) / 2
+        for k in range(size):
+            m = j - k
+            col = cols[:, k, :]
+            below = cols[:, k + 1, :] if k + 1 < size else np.zeros_like(col)
+            assert np.abs(jz @ col - m * col).max() <= 1e-12
+            assert np.abs(total @ col - j * (j + 1) * col).max() <= 1e-11
+            assert np.abs(lowering @ col - np.sqrt(j * (j + 1) - m * (m - 1)) * below).max() <= 1e-11
+    flat = np.concatenate([cols.reshape(2**n, -1) for cols in arrays], axis=1)
+    assert flat.shape == (2**n, 2**n)
+    assert np.abs(flat.T @ flat - np.eye(2**n)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["permutation", "collective"])
@@ -366,6 +390,19 @@ def test_a_ten_qubit_basis_builds_without_its_dense_elements():
     finally:
         tracemalloc.stop()
     assert size == 286
+    assert peak < 64e6
+
+
+def test_an_eleven_qubit_basis_builds_in_its_weight_spaces():
+    # the returned Schur columns take 32 MiB, and so would each 2048 x 2048 operator
+    _schur_transform.cache_clear()
+    tracemalloc.start()
+    try:
+        size = compute_commutant_basis(SymmetrySpec.permutation(11)).size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 364
     assert peak < 64e6
 
 
