@@ -7,11 +7,12 @@ families used throughout the package -- phase-tagged GHZ states, their
 Hadamard-transformed ("twisted") relatives, and circuit or closed-form
 mixtures of a singlet with white noise (Werner states).
 
-Every gate and Kraus operator acts on its own qubits: rho is conjugated by
-the gate's own 2 x 2 or 4 x 4 matrix, or by each single-qubit Kraus operator,
-through one tensor contraction on those qubits (``operators._on_qubits``), so
-no 2^n x 2^n operator is formed to apply it.  ``gate_unitary`` builds the
-full unitary only for callers that ask for it.
+Every gate and every channel acts on rho the same way: its superoperator
+S = sum_k K_k (x) conj(K_k), with the set {U} for a gate, is contracted once
+with the row and column axes of its qubits, rho being viewed as a 4^n-vector
+(``operators._on_qubits``), so no 2^n x 2^n operator and no per-Kraus term
+is formed to apply it.  ``gate_unitary`` builds the full unitary only for
+callers that ask for it.
 
 Each preparation rule is written once, here: ``_check_channel`` refuses an
 unknown channel or an out-of-range level for ``NoiseModel`` and for every
@@ -106,8 +107,15 @@ class Gate:
     control: int | None = None
 
     def __post_init__(self):
+        if self.kind not in ("h", "ry", "rz", "cnot"):
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        _check_number("qubit", self.qubit, low=0)
         if self.kind in ("ry", "rz"):
             _check_number("theta", self.theta, numbers.Real)
+        if self.kind == "cnot":
+            _check_number("control", self.control, low=0)
+            if self.control == self.qubit:
+                raise ValueError("cnot control and target must differ")
 
     @classmethod
     def h(cls, qubit: int) -> "Gate":
@@ -123,8 +131,6 @@ class Gate:
 
     @classmethod
     def cnot(cls, control: int, target: int) -> "Gate":
-        if control == target:
-            raise ValueError("cnot control and target must differ")
         return cls("cnot", target, control=control)
 
     @property
@@ -175,9 +181,7 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     if gate.kind == "rz":
         half = gate.theta / 2.0
         return np.array([[np.exp(-1j * half), 0.0], [0.0, np.exp(1j * half)]], dtype=complex)
-    if gate.kind == "cnot":
-        return _CNOT
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return _CNOT
 
 
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
@@ -185,10 +189,18 @@ def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
     return _on_qubits(np.eye(2**n_qubits, dtype=complex), _gate_matrix(gate), gate.qubits)
 
 
-def _conjugate(rho: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
-    """op rho op^dag with ``op`` acting on ``qubits``: op rho, then (conj(op) (op rho)^T)^T."""
-    left = _on_qubits(rho, op, qubits)
-    return _on_qubits(left.T, op.conj(), qubits).T
+def _superoperator(ops) -> np.ndarray:
+    """sum_k K_k (x) conj(K_k): K rho K^dag summed over ``ops``, acting on rho's row-major vector."""
+    return sum(np.kron(k, k.conj()) for k in ops)
+
+
+def _evolve(rho: np.ndarray, superop: np.ndarray, qubits) -> np.ndarray:
+    """``superop`` applied to ``qubits`` of rho: one contraction with its row axes q and column axes n + q."""
+    n = num_qubits(rho.shape[0])
+    for q in qubits:  # checked against n here: _on_qubits would name the 2n axes of rho's vector view
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n} qubits")
+    return _on_qubits(rho.reshape(-1), superop, [*qubits, *(n + q for q in qubits)]).reshape(rho.shape)
 
 
 def kraus_operators(channel: str, level: float) -> list[np.ndarray]:
@@ -221,37 +233,37 @@ def kraus_operators(channel: str, level: float) -> list[np.ndarray]:
 
 
 def apply_channel(rho, channel: str, level: float, qubit: int) -> np.ndarray:
-    """Apply a single-qubit channel to one qubit of a register state."""
-    rho = as_matrix(rho)
-    out = np.zeros_like(rho)
-    for k in kraus_operators(channel, level):
-        out += _conjugate(rho, k, (qubit,))
-    return out
+    """Apply a single-qubit channel to one qubit of a register state.
+
+    The channel's 4 x 4 superoperator sum_k K_k (x) conj(K_k) is contracted
+    once with the qubit's row and column axes of rho.
+    """
+    return _evolve(as_matrix(rho), _superoperator(kraus_operators(channel, level)), (qubit,))
 
 
 def apply_channel_to_all(rho, channel: str, level: float) -> np.ndarray:
     """Apply a single-qubit channel to every qubit of a register state, qubit 0 first.
 
-    The identity channel (``none``, or level 0) returns ``rho`` untouched.
+    The channel's superoperator is built once.  The identity channel
+    (``none``, or level 0) returns ``rho`` untouched.
     """
-    _check_channel(channel, level)
+    superop = _superoperator(kraus_operators(channel, level))
     rho = as_matrix(rho)
-    if channel == CHANNEL_NONE or level == 0.0:
-        return rho
-    for q in range(num_qubits(rho.shape[0])):
-        rho = apply_channel(rho, channel, level, q)
+    if channel != CHANNEL_NONE and level != 0.0:
+        for q in range(num_qubits(rho.shape[0])):
+            rho = _evolve(rho, superop, (q,))
     return rho
 
 
 def run_circuit(circuit: Circuit, noise: NoiseModel = NoiseModel.none()) -> np.ndarray:
     """Evolve |0...0><0...0| through the circuit under the noise model."""
-    n = circuit.n_qubits
-    rho = projector(basis_ket("0" * n))
+    rho = projector(basis_ket("0" * circuit.n_qubits))
+    channel = _superoperator(kraus_operators(noise.channel, noise.level))
     for gate in circuit.gates:
-        rho = _conjugate(rho, _gate_matrix(gate), gate.qubits)
+        rho = _evolve(rho, _superoperator([_gate_matrix(gate)]), gate.qubits)
         if noise.policy == POLICY_PER_GATE and noise.channel != CHANNEL_NONE:
             for q in gate.qubits:
-                rho = apply_channel(rho, noise.channel, noise.level, q)
+                rho = _evolve(rho, channel, (q,))
     if noise.policy == POLICY_POST:
         rho = apply_channel_to_all(rho, noise.channel, noise.level)
     return 0.5 * (rho + rho.conj().T)
@@ -315,15 +327,15 @@ def werner_exact(p: float, n_pairs: int = 1, p2: float | None = None) -> np.ndar
     With ``n_pairs=2`` the result is the tensor product of two such states,
     the second at level ``p2`` (defaults to ``p``).
     """
+    _check_number("werner parameter", p, numbers.Real)
     if not -1.0 / 3.0 <= p <= 1.0:
         raise ValueError(f"werner parameter {p} outside [-1/3, 1]")
     one = (1.0 - p) / 4.0 * np.eye(4, dtype=complex) + p * projector(singlet_state())
-    if n_pairs == 1:
+    if n_pairs == 1 and p2 is None:
         return one
     if n_pairs == 2:
-        q = p if p2 is None else p2
-        return np.kron(one, werner_exact(q))
-    raise ValueError("n_pairs must be 1 or 2")
+        return np.kron(one, werner_exact(p if p2 is None else p2))
+    raise ValueError("n_pairs must be 1 or 2, and p2 (the second pair's level) needs n_pairs=2")
 
 
 def build_werner_pair(theta_a: float, theta_b: float) -> Circuit:
@@ -348,9 +360,7 @@ def build_werner_pair(theta_a: float, theta_b: float) -> Circuit:
 
 def run_werner_pair(theta_a: float, theta_b: float, noise: NoiseModel = NoiseModel.none()) -> np.ndarray:
     """Run the Werner-pair circuit and trace out the two ancilla qubits."""
-    rho = run_circuit(build_werner_pair(theta_a, theta_b), noise)
-    reduced = partial_trace(rho, (0, 1))
-    return 0.5 * (reduced + reduced.conj().T)
+    return partial_trace(run_circuit(build_werner_pair(theta_a, theta_b), noise), (0, 1))
 
 
 def werner_weight(rho_pair) -> float:

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -59,16 +60,43 @@ def test_gate_validation():
         NoiseModel(channel="bit_flip", level=1.5)
     with pytest.raises(ValueError):
         NoiseModel(channel="depolarizing_pauli", level=0.8)  # cap at 3/4
+    # each of these failed late: a TypeError in Circuit or run_circuit, or numpy's duplicate-axes error
+    for gate, message in [
+        (lambda: Gate("cnot", 0), "control must be an integer, got None"),
+        (lambda: Gate("cnot", 1, control=1), "cnot control and target must differ"),
+        (lambda: Gate("cnot", 1, control=-1), "control must be >= 0, got -1"),
+        (lambda: Gate("cnot", 1, control=0.0), "control must be an integer, got 0.0"),
+        (lambda: Gate("h", 1.5), "qubit must be an integer, got 1.5"),
+        (lambda: Gate("h", -1), "qubit must be >= 0, got -1"),
+        (lambda: Gate.ry(0.3, True), "qubit must be an integer, got True"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            gate()
 
 
 def test_apply_channel_rejects_a_qubit_outside_the_register():
-    with pytest.raises(ValueError, match="qubit 2 out of range for 2 qubits"):
-        apply_channel(np.eye(4) / 4, "bit_flip", 0.1, 2)
+    # the qubit as given and the register's own count, not those of rho's 2n-axis vector view
+    for n, qubit in [(2, 2), (3, -1), (3, 3)]:
+        with pytest.raises(ValueError, match=f"^qubit {qubit} out of range for {n} qubits$"):
+            apply_channel(np.eye(2**n) / 2**n, "bit_flip", 0.1, qubit)
 
 
 def test_run_circuit_rejects_an_unknown_gate_kind():
+    # refused where the gate is built, so no circuit can hold it
     with pytest.raises(ValueError, match="unknown gate kind 'swap'"):
-        run_circuit(Circuit(1, (Gate("swap", 0),)))
+        Gate("swap", 0)
+
+
+def test_a_channel_on_every_qubit_keeps_no_accumulator():
+    # one contraction holds rho, tensordot's reordered copy of it and the result: 3 d x d arrays, no accumulator
+    rho = projector(ghz_state(9, 0.3))
+    tracemalloc.start()
+    try:
+        apply_channel_to_all(rho, "depolarizing", 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rho.nbytes
 
 
 @pytest.mark.parametrize("channel", [c for c in CHANNELS if c != "none"])
@@ -237,6 +265,19 @@ def test_werner_exact_properties():
         werner_exact(-0.5)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0.5, 1, 0.1), r"p2 \(the second pair's level\) needs n_pairs=2"),
+    ((0.5, 3), "n_pairs must be 1 or 2"),
+    (("0.5",), "werner parameter must be a number, got '0.5'"),
+    ((float("nan"),), "werner parameter must be finite, got nan"),
+    ((0.5, 2, "0.1"), "werner parameter must be a number, got '0.1'"),
+], ids=["p2-on-one-pair", "three-pairs", "string-p", "nan-p", "string-p2"])
+def test_werner_exact_refuses_what_it_cannot_prepare(args, message):
+    # a p2 on one pair was ignored, and a string level raised TypeError
+    with pytest.raises(ValueError, match=message):
+        werner_exact(*args)
+
+
 def test_werner_exact_two_pairs():
     w = werner_exact(0.76, n_pairs=2, p2=0.63)
     assert w.shape == (16, 16)
@@ -263,6 +304,18 @@ def test_werner_circuit_reproduces_tabulated_weights(p, theta_a, theta_b):
     assert abs(p_hat - p) <= 0.02
     # the reduced state is Werner-form up to the two-decimal angle rounding
     assert np.abs(rho - werner_exact(p_hat)).max() <= 0.01
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(policy="pergate"), NoiseModel("depolarizing", 0.05),
+                                   NoiseModel("amplitude_damping", 0.1), NoiseModel("depolarizing", 0.05, "pergate"),
+                                   NoiseModel("amplitude_damping", 0.1, "pergate")],
+                         ids=lambda m: f"{m.channel}-{m.policy}")
+def test_the_werner_pair_is_exactly_hermitian(noise):
+    # run_circuit's Hermitian part stays exactly Hermitian through partial_trace, so no second symmetrization
+    for theta_a in np.linspace(0.0, np.pi, 7):
+        for theta_b in np.linspace(0.0, np.pi, 7):
+            rho = run_werner_pair(theta_a, theta_b, noise)
+            assert np.array_equal(rho, rho.conj().T)
 
 
 def test_build_werner_pair_uses_four_qubits():
