@@ -9,9 +9,12 @@ of reading all-+1 outcomes on those slots.
 
 Frequencies can come from multinomial sampling at finite shot count or from
 exact Born probabilities ("analytic mode", histograms with ``shots=None``
-whose counts hold probabilities).  For permutation-invariant states,
-estimates may be pooled over all permutations of an observable and every
-compatible measured setting.
+whose counts hold probabilities).  Born probabilities come from the state's
+Pauli expectations tr(P rho), computed once per state for all 4^n strings;
+each setting's outcome distribution is a Walsh-Hadamard transform of the 2^n
+expectations its marginal strings pick out, so no setting costs a d x d
+product.  For permutation-invariant states, estimates may be pooled over all
+permutations of an observable and every compatible measured setting.
 
 This module also owns how a product projector meets an operator basis
 (``_Space``): the rows tr(E S_i) of observable projectors E on the basis
@@ -27,12 +30,13 @@ import itertools
 import json
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .operators import (EIG_FLOOR, HADAMARD, PAULI_I, TRACE_ATOL, _check_number, _tensor_stack,
+from .operators import (EIG_FLOOR, HADAMARD, PAULI_I, PAULIS, TRACE_ATOL, _check_number, _tensor_stack,
                         as_matrix, num_qubits)
 from .symmetry import (SymmetricBasis, _block_operator, _block_sizes, _column_mult, _one_block,
                        _unit_coordinates)
@@ -105,7 +109,7 @@ class OutcomeHistogram:
         n = len(self.setting)
         total = 0.0
         for outcome, count in self.counts.items():
-            if len(outcome) != n or any(b not in "01" for b in outcome):
+            if len(outcome) != n or outcome.strip("01"):
                 raise ValueError(f"invalid outcome {outcome!r} for setting {self.setting!r}")
             if not count >= 0:  # NaN-safe
                 raise ValueError(f"count {count!r} for outcome {outcome!r} is not a non-negative number")
@@ -273,6 +277,66 @@ def _observable_projectors(strings) -> np.ndarray:
     return _tensor_stack(_PLUS_PROJECTORS, strings)
 
 
+# Readout of one qubit's (row, column) pair of rho: entry (a, 2 r + c) is P_a[c, r], letters in "IXYZ"
+_PAULI_READOUT = np.array([PAULIS[c].T.ravel() for c in _OBS_LETTERS])
+
+
+def _pauli_expectations(rho: np.ndarray) -> np.ndarray:
+    """tr(P rho) of every n-qubit Pauli string P, the entry of base-4 index P's letters in ``"IXYZ"``.
+
+    rho is viewed with each qubit's row and column axes paired into one axis
+    of 4.  One product with ``_PAULI_READOUT`` reads out the leading axis and
+    appends the qubit's letter as the last, so n products, O(n 4^n), leave
+    the letters back in qubit order.  The real part is returned: for a
+    Hermitian rho every expectation is real.
+    """
+    n = num_qubits(rho.shape[0])
+    t = rho.reshape((2,) * 2 * n).transpose([axis for q in range(n) for axis in (q, n + q)])
+    for _ in range(n):
+        t = t.reshape(4, -1).T @ _PAULI_READOUT.T
+    return t.real.ravel()
+
+
+def _bit_table(n_qubits: int) -> np.ndarray:
+    """(2^n, n) 0/1 table: entry (b, q) is bit n-1-q of b, qubit q's bit of big-endian index b."""
+    return (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
+
+
+def _letter_indices(strings) -> np.ndarray:
+    """(m, n) index of each letter of m equal-length strings in ``"IXYZ"``."""
+    return np.array([[_OBS_LETTERS.index(c) for c in s] for s in strings], dtype=np.intp)
+
+
+def _born_table(rho, settings) -> np.ndarray:
+    """(C, 2^n) outcome probabilities of each of C settings, each row checked, clipped and renormalized.
+
+    Outcome b's projector is the product over qubits of (I + (-1)^b_q P_q) / 2,
+    so its probability is 2^-n sum_k (-1)^(b.k) g_k, where g_k is the
+    expectation of the marginal string with the setting's letter P_q where
+    k_q = 1 and ``I`` where k_q = 0.  One gather picks every setting's g from
+    ``_pauli_expectations`` and one butterfly (g_0 + g_1, g_0 - g_1) per axis
+    turns it into the probabilities: a Walsh-Hadamard transform, O(n 2^n)
+    per setting.  A row no state gives raises ``ValueError`` naming its
+    setting, as ``born_probabilities`` documents.
+    """
+    rho = as_matrix(rho)
+    n = num_qubits(rho.shape[0])
+    settings = [check_setting(s, n) for s in settings]
+    picks = _bit_table(n) @ _string_weights(_letter_indices(settings), pooled=False).T  # (2^n, C)
+    g = _pauli_expectations(rho)[picks.T].reshape((len(settings),) + (2,) * n)
+    for axis in range(1, n + 1):
+        lo, hi = g[(slice(None),) * axis + (0,)], g[(slice(None),) * axis + (1,)]
+        g = np.stack([lo + hi, lo - hi], axis)
+    table = g.reshape(len(settings), -1) / 2**n
+    for setting, probs in zip(settings, table):
+        if not (probs.min() >= EIG_FLOOR and abs(probs.sum() - 1.0) <= TRACE_ATOL):
+            raise ValueError(f"setting {setting}: outcome probabilities of a non-state "
+                             f"(lowest {probs.min():.3e}, total {probs.sum():.12g})")
+        np.clip(probs, 0.0, None, out=probs)
+        probs /= probs.sum()
+    return table
+
+
 def born_probabilities(rho, setting: str) -> np.ndarray:
     """Outcome distribution of measuring ``rho`` in the given product basis.
 
@@ -281,23 +345,20 @@ def born_probabilities(rho, setting: str) -> np.ndarray:
     ``EIG_FLOOR`` or a total off 1 by more than ``TRACE_ATOL``, the
     tolerances of ``assert_density_matrix`` -- raises ``ValueError`` naming
     the setting; tiny negative values from roundoff are clipped and the
-    vector is renormalized.  With u the setting's rotation, entry b is
-    (u rho u^dag)_bb = sum_k (u rho)_bk conj(u_bk): one matrix product and a
-    row sum.
+    vector is renormalized.  The entries are a Walsh-Hadamard transform of
+    the Pauli expectations of the setting's 2^n marginal strings
+    (``_born_table``), so no d x d product is formed.
     """
-    rho = as_matrix(rho)
-    check_setting(setting, num_qubits(rho.shape[0]))
-    u = setting_rotation(setting)
-    probs = np.real(((u @ rho) * u.conj()).sum(-1))
-    if not (probs.min() >= EIG_FLOOR and abs(probs.sum() - 1.0) <= TRACE_ATOL):
-        raise ValueError(f"setting {setting}: outcome probabilities of a non-state "
-                         f"(lowest {probs.min():.3e}, total {probs.sum():.12g})")
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return _born_table(rho, [setting])[0]
+
+
+@lru_cache(maxsize=None)
+def _bit_label_tuple(n_qubits: int) -> tuple[str, ...]:
+    return tuple(format(i, f"0{n_qubits}b") for i in range(2**n_qubits))
 
 
 def bit_labels(n_qubits: int) -> list[str]:
-    return [format(i, f"0{n_qubits}b") for i in range(2**n_qubits)]
+    return list(_bit_label_tuple(n_qubits))
 
 
 def sample_histogram(probs, shots: int, seed, setting: str) -> OutcomeHistogram:
@@ -312,38 +373,58 @@ def sample_histogram(probs, shots: int, seed, setting: str) -> OutcomeHistogram:
         raise ValueError("probs must be a nonnegative vector summing to 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     draws = rng.multinomial(shots, np.clip(probs, 0.0, None) / probs.sum())
-    labels = bit_labels(len(setting))
-    counts = {lab: int(c) for lab, c in zip(labels, draws) if c > 0}
-    return OutcomeHistogram(setting=setting, counts=counts, shots=int(shots))
+    return OutcomeHistogram(setting=setting, counts=_nonzero_counts(setting, draws), shots=int(shots))
+
+
+def _nonzero_counts(setting: str, values: np.ndarray) -> dict:
+    """The nonzero entries of ``values`` as Python numbers, keyed by outcome label in ascending order."""
+    labels = _bit_label_tuple(len(setting))
+    where = np.flatnonzero(values > 0)
+    return dict(zip([labels[b] for b in where.tolist()], values[where].tolist()))
 
 
 def exact_histogram(rho, setting: str) -> OutcomeHistogram:
     """Analytic-mode histogram: counts hold exact Born probabilities."""
-    probs = born_probabilities(rho, setting)
-    labels = bit_labels(len(setting))
-    counts = {lab: float(p) for lab, p in zip(labels, probs) if p > 0.0}
-    return OutcomeHistogram(setting=setting, counts=counts, shots=None)
+    return OutcomeHistogram(setting, _nonzero_counts(setting, born_probabilities(rho, setting)), None)
 
 
 def sample_state(rho, settings, shots: int | None, seed=0) -> list[OutcomeHistogram]:
-    """Measure a state in several settings; ``shots=None`` gives analytic records."""
+    """Measure a state in several settings; ``shots=None`` gives analytic records.
+
+    Every setting's probabilities come from one ``_born_table`` of the state;
+    sampled histograms draw one multinomial per setting, in order, from one
+    generator.
+    """
     settings = _nonempty(settings)
+    table = _born_table(rho, settings)
     if shots is None:
-        return [exact_histogram(rho, s) for s in settings]
+        return [OutcomeHistogram(s, _nonzero_counts(s, probs), None) for s, probs in zip(settings, table)]
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return [
-        sample_histogram(born_probabilities(rho, s), shots, rng, s) for s in settings
-    ]
+    return [sample_histogram(probs, shots, rng, s) for s, probs in zip(settings, table)]
 
 
 def _zero_frequencies(hist: OutcomeHistogram) -> np.ndarray:
     """Entry M: share of outcomes reading 0 on every slot of mask M (bit n-1-i: qubit i)."""
-    table = np.zeros((2,) * hist.n_qubits)
-    for outcome, count in hist.counts.items():
-        table.flat[int(outcome, 2)] = count
+    table = np.zeros(2**hist.n_qubits)
+    table[[int(outcome, 2) for outcome in hist.counts]] = list(hist.counts.values())
+    table = table.reshape((2,) * hist.n_qubits)
     for axis in range(table.ndim):  # index B: counts of outcomes reading 0 wherever B is 0
         table = table.cumsum(axis)
     return table.ravel()[::-1] / (hist.shots or 1.0)  # entry M sits at B = complement of M
+
+
+def _string_weights(letters: np.ndarray, pooled: bool) -> np.ndarray:
+    """Per-slot weights of (..., n) letter indices in ``"IXYZ"``, whose sum over a string is its integer key.
+
+    The key is the string's base-4 number, its index in
+    ``_pauli_expectations``; pooled, it is the string's count of each
+    letter in base n + 1, so it names the multiset ``_pooled_key`` spells.
+    ``I`` weighs 0.
+    """
+    n = letters.shape[-1]
+    if pooled:
+        return np.array([0, (n + 1) ** 2, n + 1, 1])[letters]
+    return letters * 4 ** np.arange(n - 1, -1, -1)
 
 
 def extract_frequencies(histograms, targets, pi_mode: bool = False) -> list[ObservableRecord]:
@@ -357,28 +438,31 @@ def extract_frequencies(histograms, targets, pi_mode: bool = False) -> list[Obse
     Counted, not enumerated: one O(n 2^n) subset-sum pass per histogram gives
     the estimate of every mask of non-identity slots, filed under its one
     compatible string (the setting's letters on it; canonical in ``pi_mode``).
-    Each record holds the target string and its frequency; no operator is
-    built here, so extraction costs no d x d matrices.
+    A string is filed by an integer key (``_string_weights``), so one integer
+    product of the masks' bit table with the settings' letter weights keys
+    every mask, and one stable sort groups each key's estimates in the order
+    they were counted.  Each record holds the target string and its
+    frequency; no operator is built here, so extraction costs no d x d
+    matrices.
     """
     histograms = list(histograms)
     if not histograms:
         raise ValueError("no histograms supplied")
     n = histograms[0].n_qubits
-    filed: dict[str, list[float]] = {}
-    for hist in histograms:
-        check_setting(hist.setting, n)
-        # ascending M, so each key's estimates come in lexicographic string order
-        masked = itertools.product(*(("I", c) for c in hist.setting))
-        for letters, est in zip(masked, _zero_frequencies(hist).tolist()):
-            key = _pooled_key(letters) if pi_mode else "".join(letters)
-            filed.setdefault(key, []).append(est)
+    letters = _letter_indices([check_setting(hist.setting, n) for hist in histograms])
+    # (H, 2^n) key of each histogram's masks, ascending M: each key's estimates come in lexicographic string order
+    keys = (_bit_table(n) @ _string_weights(letters, pi_mode).T).T.ravel()
+    order = np.argsort(keys, kind="stable")
+    estimates = np.concatenate([_zero_frequencies(hist) for hist in histograms])[order]
+    filed, start = np.unique(keys[order], return_index=True)  # estimates[start[i]:start[i + 1]] share filed[i]
+    filed = dict(zip(filed.tolist(), zip(start.tolist(), np.append(start[1:], len(order)).tolist())))
     records = []
     for ops in targets:
         check_observable(ops, n)
-        estimates = filed.get(_pooled_key(ops) if pi_mode else ops)
-        if not estimates:
+        start, stop = filed.get(int(_string_weights(_letter_indices([ops]), pi_mode).sum()), (0, 0))
+        if start == stop:
             raise ValueError(f"no measured setting can estimate observable {ops!r}")
-        records.append(ObservableRecord(ops, float(np.mean(estimates))))
+        records.append(ObservableRecord(ops, float(np.mean(estimates[start:stop]))))
     return records
 
 

@@ -7,12 +7,13 @@ families used throughout the package -- phase-tagged GHZ states, their
 Hadamard-transformed ("twisted") relatives, and circuit or closed-form
 mixtures of a singlet with white noise (Werner states).
 
-Every gate and every channel acts on rho the same way: its superoperator
-S = sum_k K_k (x) conj(K_k), with the set {U} for a gate, is contracted once
-with the row and column axes of its qubits, rho being viewed as a 4^n-vector
-(``operators._on_qubits``), so no 2^n x 2^n operator and no per-Kraus term
-is formed to apply it.  ``gate_unitary`` builds the full unitary only for
-callers that ask for it.
+Every one-qubit gate and every channel acts on rho the same way: its
+superoperator S = sum_k K_k (x) conj(K_k), with the set {U} for a gate, is
+contracted once with the row and column axes of its qubits, rho being viewed
+as a 4^n-vector (``operators._on_qubits``), so no 2^n x 2^n operator and no
+per-Kraus term is formed to apply it.  A CNOT permutes basis states, so it
+moves rho's entries and does no arithmetic (``_apply_cnot``).
+``gate_unitary`` builds the full unitary only for callers that ask for it.
 
 Each preparation rule is written once, here: ``_check_channel`` refuses an
 unknown channel or an out-of-range level for ``NoiseModel`` and for every
@@ -203,6 +204,22 @@ def _evolve(rho: np.ndarray, superop: np.ndarray, qubits) -> np.ndarray:
     return _on_qubits(rho.reshape(-1), superop, [*qubits, *(n + q for q in qubits)]).reshape(rho.shape)
 
 
+def _apply_cnot(rho: np.ndarray, control: int, target: int) -> np.ndarray:
+    """U rho U^dag for the basis permutation U a CNOT is, written over ``rho``, an array the caller owns.
+
+    U = U^dag flips the target bit of a basis state whose control bit is 1,
+    so (U rho U^dag)[x, y] = rho[U x, U y].  On the (2,) * 2n view of rho
+    that reverses the target axis where the control axis reads 1: once on
+    the row axes and once on the column axes n + q.
+    """
+    n = num_qubits(rho.shape[0])
+    view = rho.reshape((2,) * 2 * n)
+    for c, t in ((control, target), (n + control, n + target)):
+        ones = (slice(None),) * c + (1,)
+        view[ones] = np.flip(view[ones], t - (t > c))  # numpy copies the overlapping source first
+    return view.reshape(rho.shape)
+
+
 def kraus_operators(channel: str, level: float) -> list[np.ndarray]:
     """Single-qubit Kraus set for a named channel at the given level.
 
@@ -260,7 +277,10 @@ def run_circuit(circuit: Circuit, noise: NoiseModel = NoiseModel.none()) -> np.n
     rho = projector(basis_ket("0" * circuit.n_qubits))
     channel = _superoperator(kraus_operators(noise.channel, noise.level))
     for gate in circuit.gates:
-        rho = _evolve(rho, _superoperator([_gate_matrix(gate)]), gate.qubits)
+        if gate.kind == "cnot":
+            rho = _apply_cnot(rho, gate.control, gate.qubit)
+        else:
+            rho = _evolve(rho, _superoperator([_gate_matrix(gate)]), gate.qubits)
         if noise.policy == POLICY_PER_GATE and noise.channel != CHANNEL_NONE:
             for q in gate.qubits:
                 rho = _evolve(rho, channel, (q,))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtomo.operators import pauli_string, projector
-from symtomo.statesim import ghz_state, werner_exact
+from symtomo.statesim import ghz_state, twisted_state, werner_exact
 from symtomo.symmetry import SymmetricBasis, SymmetrySpec, compute_commutant_basis
 from symtomo.measurement import (
     ObservableRecord,
@@ -171,6 +171,67 @@ def test_born_probabilities_are_the_traces_of_the_product_projectors(n, data):
     assert probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= 1e-14
 
 
+def rotated_probabilities(rho, setting):
+    """The oracle the Pauli transform replaced: diag(u rho u^dag) with u the setting's rotation."""
+    u = setting_rotation(setting)
+    return np.real(np.diag(u @ rho @ u.conj().T))
+
+
+def oracle_cases():
+    rng = np.random.default_rng(97)
+    for n in range(1, 9):
+        settings_ = pi_settings(n) if n <= 5 else ["Y" * n, ("XY" * n)[:n], "".join(rng.choice(list("XYZ"), n))]
+        for theta in (0.0, 0.3):
+            yield f"ghz-{n}-{theta}", projector(ghz_state(n, theta)), settings_
+            yield f"twisted-{n}-{theta}", projector(twisted_state(n, theta)), settings_
+    for n in (2, 4, 6):
+        yield f"mixed-{n}", random_density(rng, 2**n), ["".join(rng.choice(list("XYZ"), n)) for _ in range(6)]
+
+
+@pytest.mark.parametrize("rho, settings_", [case[1:] for case in oracle_cases()],
+                         ids=[case[0] for case in oracle_cases()])
+def test_pauli_transform_probabilities_equal_the_rotated_diagonal(rho, settings_):
+    assert any("Y" in s for s in settings_)
+    table = measurement._born_table(rho, settings_)
+    for setting, row in zip(settings_, table):
+        want = rotated_probabilities(rho, setting)
+        assert np.abs(row - want).max() <= 1e-14
+        assert np.array_equal(born_probabilities(rho, setting), row)
+
+
+def test_analytic_sampling_is_the_exact_histogram_of_each_setting():
+    rng = np.random.default_rng(101)
+    for rho in (random_density(rng, 16), projector(twisted_state(4, 0.3))):
+        for settings_ in (pi_settings(4), ["YZXY", "ZZZZ", "YZXY"]):
+            got = sample_state(rho, settings_, None)
+            want = [exact_histogram(rho, s) for s in settings_]
+            assert [(h.setting, h.shots, h.counts) for h in got] == [(h.setting, h.shots, h.counts) for h in want]
+
+
+def test_sampling_forms_no_rotation_product(monkeypatch):
+    def refuse(setting):
+        raise AssertionError(f"built the rotation of {setting!r}")
+
+    rho = random_density(np.random.default_rng(103), 16)
+    want = sample_state(rho, pi_settings(4), 512, seed=3)
+    monkeypatch.setattr(measurement, "setting_rotation", refuse)
+    got = sample_state(rho, pi_settings(4), 512, seed=3)
+    assert [h.counts for h in got] == [h.counts for h in want]
+    assert len(sample_state(rho, pi_settings(4), None)) == 15
+    assert born_probabilities(rho, "XYZY").shape == (16,)
+
+
+def test_born_probabilities_refuse_a_non_state_naming_the_setting():
+    rho = np.kron(np.diag([1.5, -0.5]), np.eye(2) / 2)  # trace 1, eigenvalue -0.25
+    assert np.allclose(born_probabilities(rho, "XZ"), 0.25)  # this setting cannot see the fault
+    with pytest.raises(ValueError, match=re.escape("setting ZX: outcome probabilities of a non-state "
+                                                   "(lowest -2.500e-01, total 1)")):
+        born_probabilities(rho, "ZX")
+    for shots in (100, None):
+        with pytest.raises(ValueError, match=re.escape("setting ZY: ")):
+            sample_state(rho, ["XZ", "YY", "ZY", "ZZ"], shots, seed=1)
+
+
 def test_analytic_frequencies_equal_traces():
     """Infinite statistics: extracted f must match tr(E rho) for every target."""
     rng = np.random.default_rng(79)
@@ -242,6 +303,12 @@ def test_histogram_validation():
     # well-formed ones construct fine
     OutcomeHistogram("Z", {"0": 0.7, "1": 0.3}, None)
     OutcomeHistogram("Z", {"0": 3, "1": 7}, 10)
+
+
+@pytest.mark.parametrize("outcome", ["0a1", "0 1", "012", "1-0", "01\n"])
+def test_histogram_refuses_a_bad_character_in_an_outcome(outcome):
+    with pytest.raises(ValueError, match=re.escape(f"invalid outcome {outcome!r} for setting 'ZZZ'")):
+        OutcomeHistogram("ZZZ", {"000": 4, outcome: 1}, 5)
 
 
 @pytest.mark.parametrize("shots, counts", [
@@ -354,6 +421,59 @@ def test_counting_matches_the_per_variant_loop(n, pi_mode, shots, data):
         assert got == list(want)  # every estimate and partial sum is exact in binary
     else:
         assert np.abs(np.subtract(got, want)).max() <= 1e-15
+
+
+def filed_per_mask(histograms, targets, pi_mode):
+    """Extraction as it filed each mask by string: a subset-sum table per histogram, ``_pooled_key`` per mask.
+
+    A target no histogram can estimate maps to None.
+    """
+    filed = {}
+    for hist in histograms:
+        table = np.zeros((2,) * hist.n_qubits)
+        for outcome, count in hist.counts.items():
+            table.flat[int(outcome, 2)] = count
+        for axis in range(table.ndim):
+            table = table.cumsum(axis)
+        masked = itertools.product(*(("I", c) for c in hist.setting))
+        for letters, est in zip(masked, (table.ravel()[::-1] / (hist.shots or 1.0)).tolist()):
+            filed.setdefault(measurement._pooled_key(letters) if pi_mode else "".join(letters), []).append(est)
+    keys = [measurement._pooled_key(ops) if pi_mode else ops for ops in targets]
+    return [float(np.mean(filed[key])) if key in filed else None for key in keys]
+
+
+@st.composite
+def random_histograms(draw):
+    """1-8 histograms on random settings of n <= 5 qubits, sampled counts or exact probabilities."""
+    n = draw(st.integers(1, 5))
+    exact = draw(st.booleans())
+    hists = []
+    for _ in range(draw(st.integers(1, 8))):
+        setting = draw(st.text("XYZ", min_size=n, max_size=n))
+        outcomes = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=2**n, unique=True))
+        weights = draw(st.lists(st.integers(1, 5000), min_size=len(outcomes), max_size=len(outcomes)))
+        labels = [format(b, f"0{n}b") for b in outcomes]
+        if exact:
+            total = float(sum(weights))
+            hists.append(OutcomeHistogram(setting, {lab: w / total for lab, w in zip(labels, weights)}, None))
+        else:
+            hists.append(OutcomeHistogram(setting, dict(zip(labels, weights)), sum(weights)))
+    return hists
+
+
+@settings(max_examples=80, deadline=None)
+@given(hists=random_histograms(), pi_mode=st.booleans(), data=st.data())
+def test_keyed_filing_equals_filing_each_mask_by_string(hists, pi_mode, data):
+    n = hists[0].n_qubits
+    targets = full_observables(n) if n <= 3 else data.draw(st.lists(st.sampled_from(full_observables(n)),
+                                                                     min_size=1, max_size=40))
+    want = filed_per_mask(hists, targets, pi_mode)
+    for ops in (t for t, f in zip(targets, want) if f is None):
+        with pytest.raises(ValueError, match=f"no measured setting can estimate observable {ops!r}"):
+            extract_frequencies(hists, [ops], pi_mode=pi_mode)
+    known = [(t, f) for t, f in zip(targets, want) if f is not None]
+    got = extract_frequencies(hists, [t for t, _ in known], pi_mode=pi_mode)
+    assert [(r.ops, r.frequency) for r in got] == known  # bit for bit
 
 
 def test_pooled_targets_in_any_spelling_share_one_estimate():
@@ -680,6 +800,9 @@ def test_sampling_refuses_a_matrix_that_is_not_a_state(rho, fault):
 def test_sampling_accepts_roundoff_within_the_density_matrix_tolerances():
     rho = np.diag([1.0 + 5e-10, -5e-10, 0.0, 0.0])
     assert sample_state(rho, ["ZZ"], 100, seed=1)[0].counts == {"00": 100}
+    for probs in (born_probabilities(rho, "ZZ"), measurement._born_table(rho, ["ZZ", "XZ"])[0]):
+        assert probs[1] == 0.0 and probs.sum() == 1.0  # clipped, then renormalized
+    assert exact_histogram(rho, "ZZ").counts == {"00": 1.0}
 
 
 @pytest.mark.parametrize(

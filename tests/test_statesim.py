@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtomo.operators import PAULI_I, PAULI_X, basis_ket, embed_one_qubit, partial_trace, pauli_string, projector
+from symtomo import statesim
 from symtomo.statesim import (
     CHANNELS,
     KRAUS_COMPLETENESS_ATOL,
@@ -434,6 +435,35 @@ def test_local_operators_match_the_dense_reference(circuit, noise, seed):
     assert np.abs(embed_one_qubit(op, qubit, n) - dense_one(op, qubit, n)).max() <= 1e-12
     got = apply_channel(rho, noise.channel, noise.level, qubit)
     assert np.abs(got - dense_channel(rho, noise.channel, noise.level, qubit)).max() <= 1e-12
+
+
+def test_a_cnot_permutes_entries_as_its_superoperator_does():
+    rng = np.random.default_rng(61)
+    for n in range(2, 6):
+        a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        for control in range(n):
+            for target in (q for q in range(n) if q != control):
+                gate = Gate.cnot(control, target)
+                want = statesim._evolve(a, statesim._superoperator([statesim._gate_matrix(gate)]), gate.qubits)
+                u = dense_gate(gate, n)
+                got = statesim._apply_cnot(a.copy(), control, target)
+                assert np.array_equal(got, want)
+                assert np.array_equal(got, u @ a @ u.T)  # U is a real permutation
+                assert np.array_equal(np.sort_complex(got.ravel()), np.sort_complex(a.ravel()))
+
+
+def test_circuits_apply_no_cnot_superoperator(monkeypatch):
+    noises = [NoiseModel("depolarizing", 0.05, policy) for policy in ("post", "pergate")]
+    want = [run_circuit(build_twisted(5, 0.3), noise) for noise in noises]
+    evolve = statesim._evolve
+
+    def refuse_two_qubit(rho, superop, qubits):
+        assert len(qubits) == 1, f"contracted a superoperator on qubits {qubits}"
+        return evolve(rho, superop, qubits)
+
+    monkeypatch.setattr(statesim, "_evolve", refuse_two_qubit)
+    got = [run_circuit(build_twisted(5, 0.3), noise) for noise in noises]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("family", [ghz_state, twisted_state])
