@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -106,16 +107,7 @@ class OutcomeHistogram:
 
     def __post_init__(self):
         check_setting(self.setting)
-        n = len(self.setting)
-        total = 0.0
-        for outcome, count in self.counts.items():
-            if len(outcome) != n or outcome.strip("01"):
-                raise ValueError(f"invalid outcome {outcome!r} for setting {self.setting!r}")
-            if not count >= 0:  # NaN-safe
-                raise ValueError(f"count {count!r} for outcome {outcome!r} is not a non-negative number")
-            if isinstance(count, bool) or (self.shots is not None and count % 1):
-                raise ValueError(f"count {count!r} for outcome {outcome!r} is not a whole number")
-            total += count
+        total = self._checked_total()
         if self.shots is None:
             if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"exact histogram probabilities sum to {total!r}, not 1")
@@ -123,6 +115,35 @@ class OutcomeHistogram:
             _check_shots(self.shots)
             if total != self.shots:
                 raise ValueError(f"counts sum {total!r} does not match shots {self.shots}")
+
+    def _checked_total(self) -> float:
+        """The counts' running total, once every outcome and count keeps its rule.
+
+        Python ints and floats, the counts that sampling, analytic mode and
+        JSON give, are checked by one builtin pass over all of them per rule.
+        Any other histogram, and one that breaks a rule, is walked count by
+        count, to name the first outcome at fault.
+        """
+        n, whole = len(self.setting), self.shots is not None
+        counts = self.counts.values()
+        kinds = set(map(type, counts))  # a bool is no count, and its type is not int
+        if kinds <= {int, float} and set(map(type, self.counts)) <= {str}:
+            total = sum(counts, 0.0)  # NaN if a count is
+            outcomes = "".join(self.counts)
+            if (set(map(len, self.counts)) <= {n} and outcomes.count("0") + outcomes.count("1") == len(outcomes)
+                    and min(counts, default=0) >= 0 and not math.isnan(total)
+                    and not (whole and float in kinds and not all(map(float.is_integer, map(float, counts))))):
+                return total
+        total = 0.0
+        for outcome, count in self.counts.items():
+            if len(outcome) != n or outcome.strip("01"):
+                raise ValueError(f"invalid outcome {outcome!r} for setting {self.setting!r}")
+            if not count >= 0:  # NaN-safe
+                raise ValueError(f"count {count!r} for outcome {outcome!r} is not a non-negative number")
+            if isinstance(count, bool) or (whole and count % 1):
+                raise ValueError(f"count {count!r} for outcome {outcome!r} is not a whole number")
+            total += count
+        return total
 
     @property
     def n_qubits(self) -> int:
@@ -630,34 +651,67 @@ def select_settings(basis: SymmetricBasis, candidates, k: int | None = None) -> 
     Each candidate's rows come from the rows of its marginal strings, the
     rows the estimators use for their records (``_outcome_rows``).  The
     chosen rows are kept as the R factor of their QR decomposition (at most
-    r x r), which has their singular values, and each round scores every
-    remaining candidate by one batched SVD of the stacked [R; A_s].
+    r x r), which has their singular values, and each round scores
+    candidates by one batched SVD of the stacked [R; A_s].
+
+    The singular values of [R; A_s] depend on A_s only through its Gram
+    matrix A_s^T A_s, since [R; A_s]^T [R; A_s] = R^T R + A_s^T A_s, and so
+    does the R factor after a pick.  Candidates whose Grams agree to
+    roundoff (``_gram_classes``: for a symmetric basis, the settings a
+    symmetry maps onto each other) therefore score alike in every round, and
+    only each class's first remaining candidate is scored; the others take
+    its rank and condition number.  The first remaining candidate of the
+    first tied class is the lexicographically first tied candidate, so the
+    picks are those of scoring every candidate.
     """
     candidates = sorted({check_setting(s, basis.n_qubits) for s in candidates})
     if k is None:
         k = min(len(candidates), 2 * basis.size)
+    _check_number("k", k)
     if not 0 < k <= len(candidates):
         raise ValueError(f"cannot pick {k} settings from {len(candidates)} candidates")
     responses = _outcome_rows(_search_space(basis, basis.dim), candidates)  # (C, 2^n, r)
-    remaining = list(range(len(candidates)))
+    classes = _gram_classes(responses)
+    remaining = np.arange(len(candidates))
     chosen: list[str] = []
     reduced = np.zeros((0, basis.size))
     for _ in range(k):
+        # remaining is in sorted order, so each class's first index is its first remaining candidate
+        scored = remaining[np.sort(np.unique(classes[remaining], return_index=True)[1])]
         stacked = np.concatenate(
-            [np.broadcast_to(reduced, (len(remaining),) + reduced.shape), responses[remaining]], axis=1
+            [np.broadcast_to(reduced, (len(scored),) + reduced.shape), responses[scored]], axis=1
         )
-        sv = np.linalg.svd(stacked, compute_uv=False)  # (remaining, min(rows, r)), descending
+        sv = np.linalg.svd(stacked, compute_uv=False)  # (classes, min(rows, r)), descending
         rank = (sv > RANK_TOL).sum(axis=1)
         top = rank == rank.max()
-        cond = np.full(len(remaining), np.inf)
+        cond = np.full(len(scored), np.inf)
         if rank.max():
             cond[top] = sv[top, 0] / sv[top, rank.max() - 1]
         least = cond[top].min()
-        # remaining is in sorted order, so the first tied candidate is the lexicographic pick
-        best = remaining.pop(int(np.flatnonzero(top & (cond <= least * (1.0 + COND_TIE_RTOL)))[0]))
+        best = scored[np.flatnonzero(top & (cond <= least * (1.0 + COND_TIE_RTOL)))[0]]
+        remaining = remaining[remaining != best]
         chosen.append(candidates[best])
         reduced = np.linalg.qr(np.vstack([reduced, responses[best]]), mode="r")
     return chosen
+
+
+def _gram_classes(responses: np.ndarray) -> np.ndarray:
+    """For each of C response matrices (C, m, r), the index of the first one with the same Gram matrix.
+
+    Grams are grouped by their entries rounded to 1e-8 of the largest, then
+    each is checked against its group's first member to 1e-12 of the
+    largest: a Gram that fails stays a class of its own, so a rounding edge
+    can split a class but no two Grams that differ beyond roundoff share one.
+    """
+    grams = (responses.transpose(0, 2, 1) @ responses).reshape(len(responses), -1)
+    scale = max(grams.max(), -grams.min())
+    first: dict[bytes, int] = {}
+    head = np.array([first.setdefault(key.tobytes(), i)
+                     for i, key in enumerate(np.rint(grams / (1e-8 * scale)).astype(np.int64))])
+    gap = grams[head]
+    gap -= grams
+    same = np.abs(gap, out=gap).max(axis=1) <= 1e-12 * scale
+    return np.where(same, head, np.arange(len(grams)))
 
 
 def response_rank(basis: SymmetricBasis, settings) -> int:

@@ -322,6 +322,23 @@ def test_histogram_refuses_a_non_finite_count(shots, counts):
         OutcomeHistogram("Z", counts, shots)
 
 
+@pytest.mark.parametrize("shots, counts, fault", [
+    (5, {"00": 2, "01": True, "10": 2}, "count True for outcome '01' is not a whole number"),
+    (None, {"00": 0.5, "01": float("nan"), "10": 0.5}, "count nan for outcome '01' is not a non-negative number"),
+    (5, {"00": 3, "01": -1, "10": 3}, "count -1 for outcome '01' is not a non-negative number"),
+    (5, {"00": 2, "01": 2.5, "10": 0.5}, "count 2.5 for outcome '01' is not a whole number"),
+    (5, {"00": 2, "01": 2}, "counts sum 4.0 does not match shots 5"),
+    (None, {"00": 0.5, "01": 0.25}, "exact histogram probabilities sum to 0.75, not 1"),
+    (5, {"00": 1, "01": -1, "1x": 1, "11": 2.5}, "count -1 for outcome '01' is not a non-negative number"),
+    (5, {"00": 1, "0x": 1, "01": -1}, "invalid outcome '0x' for setting 'ZZ'"),
+    (5, {"00": 1, "011": 1, "0": 3}, "invalid outcome '011' for setting 'ZZ'"),
+], ids=["bool", "nan", "negative", "fraction-with-shots", "sampled-sum", "exact-sum",
+        "first-of-two-counts", "outcome-before-count", "lengths-that-add-up"])
+def test_histogram_names_the_first_outcome_at_fault(shots, counts, fault):
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        OutcomeHistogram("ZZ", counts, shots)
+
+
 def test_bit_labels_are_big_endian():
     assert bit_labels(2) == ["00", "01", "10", "11"]
 
@@ -608,6 +625,29 @@ def select_by_full_svds(basis, candidates, k):
     return chosen
 
 
+def select_by_batched_svds(basis, candidates, k=None):
+    """The greedy rule scoring every remaining candidate each round, in one batched SVD of the stacked [R; A_s]."""
+    candidates = sorted(set(candidates))
+    k = min(len(candidates), 2 * basis.size) if k is None else k
+    responses = measurement._outcome_rows(measurement._search_space(basis, basis.dim), candidates)
+    remaining, chosen, reduced = list(range(len(candidates))), [], np.zeros((0, basis.size))
+    for _ in range(k):
+        stacked = np.concatenate(
+            [np.broadcast_to(reduced, (len(remaining),) + reduced.shape), responses[remaining]], axis=1
+        )
+        sv = np.linalg.svd(stacked, compute_uv=False)
+        rank = (sv > RANK_TOL).sum(axis=1)
+        top = rank == rank.max()
+        cond = np.full(len(remaining), np.inf)
+        if rank.max():
+            cond[top] = sv[top, 0] / sv[top, rank.max() - 1]
+        least = cond[top].min()
+        best = remaining.pop(int(np.flatnonzero(top & (cond <= least * (1.0 + COND_TIE_RTOL)))[0]))
+        chosen.append(candidates[best])
+        reduced = np.linalg.qr(np.vstack([reduced, responses[best]]), mode="r")
+    return chosen
+
+
 @pytest.mark.parametrize("kind", ["collective", "permutation"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("family", [full_settings, pi_settings])
@@ -660,6 +700,96 @@ def test_select_settings_ignores_the_choice_of_orthonormal_basis(spec):
 
 
 SWAP_01 = np.kron(np.eye(4)[[0, 2, 1, 3]], np.eye(2))  # swaps qubits 0 and 1 of three
+
+
+SELECTION_CASES = {
+    "collective-5": lambda: compute_commutant_basis(SymmetrySpec.collective(5)),
+    "permutation-5": lambda: compute_commutant_basis(SymmetrySpec.permutation(5)),
+    "swap-3": lambda: compute_commutant_basis(SymmetrySpec.custom_unitaries([SWAP_01])),
+    "mixed-collective-3": lambda: orthogonal_mix(compute_commutant_basis(SymmetrySpec.collective(3))),
+    "mixed-permutation-3": lambda: orthogonal_mix(compute_commutant_basis(SymmetrySpec.permutation(3))),
+}
+
+
+@pytest.mark.parametrize("case", SELECTION_CASES)
+def test_select_settings_picks_as_scoring_every_candidate_does(case):
+    basis = SELECTION_CASES[case]()
+    candidates = full_settings(basis.n_qubits)
+    assert select_settings(basis, candidates) == select_by_batched_svds(basis, candidates)
+
+
+def test_selection_scores_one_candidate_per_class_of_equal_grams(monkeypatch):
+    # the 81 settings of four qubits fall into 14 classes under the collective
+    # symmetry, the 6 relabellings of X, Y and Z; scoring every candidate takes 81
+    basis = compute_commutant_basis(SymmetrySpec.collective(4))
+    batches, svd = [], np.linalg.svd
+    def recording(a, *args, **kwargs):
+        batches.append(len(a) if np.ndim(a) == 3 else 1)
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(measurement.np.linalg, "svd", recording)
+    chosen = select_settings(basis, full_settings(4))
+    monkeypatch.undo()
+    assert len(batches) == len(chosen) == 28  # one batched SVD per round
+    assert max(batches) <= 14
+    assert chosen == select_by_batched_svds(basis, full_settings(4))
+
+
+def relabelling_orbit(setting):
+    return min(setting.translate(str.maketrans("XYZ", "".join(p))) for p in itertools.permutations("XYZ"))
+
+
+@pytest.mark.parametrize("kind, orbit", [("collective", relabelling_orbit), ("permutation", sorted)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_gram_classes_are_the_orbits_of_the_symmetry(kind, orbit, n):
+    basis = compute_commutant_basis(SymmetrySpec(n, kind))
+    settings_ = full_settings(n)
+    classes = measurement._gram_classes(measurement._outcome_rows(measurement._search_space(basis, basis.dim),
+                                                                  settings_))
+    assert [settings_[c] for c in classes] == [next(t for t in settings_ if orbit(t) == orbit(s))
+                                               for s in settings_]
+
+
+def test_gram_classes_never_join_grams_beyond_roundoff():
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((3, 8, 4))
+    rows[1] = np.linalg.qr(rng.standard_normal((8, 8)))[0] @ rows[0]  # the same Gram up to roundoff
+    rows[2] = rows[0] * (1.0 + 1e-10)  # rounds to the same key, but differs beyond roundoff
+    assert measurement._gram_classes(rows).tolist() == [0, 0, 2]
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["collective", "permutation"]), n=st.integers(1, 3), data=st.data())
+def test_selection_is_a_function_of_the_candidate_set_and_prefix_stable(kind, n, data):
+    basis = compute_commutant_basis(SymmetrySpec(n, kind))
+    pool = data.draw(st.lists(st.sampled_from(full_settings(n)), min_size=1, unique=True), label="pool")
+    k = data.draw(st.integers(1, len(pool)), label="k")
+    chosen = select_settings(basis, pool, k)
+    assert len(set(chosen)) == k and set(chosen) <= set(pool)
+    repeated = data.draw(st.permutations(pool + data.draw(st.lists(st.sampled_from(pool)), label="repeats")))
+    assert select_settings(basis, repeated, k) == chosen
+    j = data.draw(st.integers(1, k), label="j")
+    assert select_settings(basis, pool, j) == chosen[:j]
+
+
+@pytest.mark.parametrize("k, fault", [
+    (2.5, "k must be an integer, got 2.5"),
+    ("3", "k must be an integer, got '3'"),
+    (True, "k must be an integer, got True"),
+    (0, "cannot pick 0 settings from 4 candidates"),
+    (5, "cannot pick 5 settings from 4 candidates"),
+], ids=["fraction", "string", "bool", "zero", "too-many"])
+def test_select_settings_refuses_a_k_that_is_no_count_of_candidates(monkeypatch, k, fault):
+    basis = compute_commutant_basis(SymmetrySpec.collective(2))
+    def refuse(*args):
+        raise AssertionError("rows were built before k was checked")
+    monkeypatch.setattr(measurement, "_outcome_rows", refuse)
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        select_settings(basis, ["XX", "YY", "ZZ", "XY"], k)
+
+
+def test_select_settings_takes_a_numpy_integer_k():
+    basis = compute_commutant_basis(SymmetrySpec.collective(2))
+    assert select_settings(basis, pi_settings(2), np.int64(3)) == select_settings(basis, pi_settings(2), 3)
 
 
 @pytest.mark.parametrize("kind", ["permutation", "collective", "custom", "hand-built"])
