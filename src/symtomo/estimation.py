@@ -58,9 +58,10 @@ decomposition, and the solve works on the blocks the basis was built from
 (``symmetry._unit_coordinates``):
 
 * a record's design row is tr(E S_i), read off the blocks by
-  ``measurement._Space.rows``, the row builder that also gives setting
+  ``measurement._basis_rows``, the row builder that also gives setting
   selection its outcome rows;
-* the traces tr(S_i) are sqrt(copies) on the diagonal units, 0 elsewhere;
+* the traces tr(S_i) are sqrt(copies) on the diagonal units, 0 elsewhere
+  (``SymmetricBasis._traces``);
 * the log-det terms hold rho as one copy of each block (an s x s matrix, s =
   12 instead of d = 32 at five qubits) plus the blocks' multiplicities, and
   one ``eigh`` of it gives the spectrum.  Every log-det term is a weighted
@@ -69,12 +70,15 @@ decomposition, and the solve works on the blocks the basis was built from
   weight sum_a w_a |U_ak|^2, and the gradient and Hessian come from the
   same eigenpairs, the Hessian as one Gram matrix of the blocks of the
   trace-keeping directions taken into the eigenbasis;
-* the estimate is assembled block by block, rho = sum_b V_b (X_b (x) 1) V_b^dag.
+* the estimate is assembled block by block, rho = sum_b V_b (X_b (x) 1) V_b^dag
+  (``symmetry.reconstruct``).
 
-The full space is one identity block of multiplicity one, whose design rows
-are the record projectors' own entries.  A basis given by its elements alone,
-such as a custom symmetry's, is the full space composed with the unit
-coordinates of its elements (``measurement._search_space``), so every
+Every estimator solves over a ``SymmetricBasis``, picked by
+``measurement._search_space``.  The full space is the basis of one identity
+block of multiplicity one, whose design rows are the record projectors' own
+entries.  A basis given by its elements alone, such as a custom symmetry's,
+carries that block and its elements' unit coordinates on it, through which
+rows and traces are pulled back and coefficients pushed forward, so every
 estimator runs through the same code.  A space of one element, the identity
 alone, holds one unit-trace state, I/d: the solve returns it with no
 Newton step, and linear inversion returns it.
@@ -92,9 +96,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measurement import _Space, _search_space, check_observable
-from .operators import _check_number, num_qubits
-from .symmetry import SymmetricBasis, _column_mult, _copy_blocks
+from .measurement import _basis_rows, _search_space, check_observable
+from .operators import _check_number
+from .symmetry import SymmetricBasis, SymmetricCoefficients, _column_mult, _copy_blocks, reconstruct
 
 _CENTRED_PER_MU = 0.1       # kappa: a centring stage ends at half the squared Newton decrement <= kappa * mu
 _CENTRED = 1e-9             # the last stage, whose gap bound meets the tolerance, must also reach this
@@ -173,13 +177,18 @@ def _split_records(records):
     return measured, unmeasured
 
 
-def _record_rows(records, space: _Space):
+def _record_rows(records, basis: SymmetricBasis):
     """Design rows and frequencies of the measured records, and the summed row of the unmeasured ones."""
     measured, unmeasured = _split_records(records)
-    n = num_qubits(space.blocks[0].shape[0])
-    rows = space.rows([check_observable(r.ops, n) for r in measured + unmeasured])
+    rows = _basis_rows(basis, [check_observable(r.ops, basis.n_qubits) for r in measured + unmeasured])
     freq = np.array([r.frequency for r in measured], dtype=float)
     return rows[:len(measured)], freq, rows[len(measured):].sum(axis=0)
+
+
+def _state(basis: SymmetricBasis, c: np.ndarray) -> np.ndarray:
+    """The Hermitian d x d matrix sum_i c_i S_i, assembled block by block."""
+    rho = reconstruct(SymmetricCoefficients(basis, c))
+    return 0.5 * (rho + rho.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +248,9 @@ def linear_inversion(records, basis: SymmetricBasis | None = None, dim: int | No
     yields the minimum-norm solution.
     """
     measured, _ = _split_records(records)
-    space = _search_space(basis, 2 ** len(measured[0].ops) if dim is None else dim)
-    design, freq, _ = _record_rows(measured, space)
-    return space.state(_trace_one_lstsq(design, freq, space.traces()))
+    basis = _search_space(basis, 2 ** len(measured[0].ops) if dim is None else dim)
+    design, freq, _ = _record_rows(measured, basis)
+    return _state(basis, _trace_one_lstsq(design, freq, basis._traces()))
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +293,10 @@ def solve_maxlik(records, config: EstimatorConfig = EstimatorConfig()) -> Estima
     return _estimate(measured, _search_space(None, 2 ** len(measured[0].ops)), config, "maxlik")
 
 
-def _estimate(records, space: _Space, config: EstimatorConfig, mode: str) -> EstimationResult:
-    """Solve ``mode``'s program over the real coefficients of the basis of ``space``."""
-    design, freq, unmeasured_row = _record_rows(records, space)
-    traces = space.traces()
+def _estimate(records, basis: SymmetricBasis, config: EstimatorConfig, mode: str) -> EstimationResult:
+    """Solve ``mode``'s program over the real coefficients of ``basis``."""
+    design, freq, unmeasured_row = _record_rows(records, basis)
+    traces = basis._traces()
     frame = _trace_frame(traces)
     _warn_if_rank_deficient(design @ frame[1])
     weight = 1.0 / np.maximum(np.abs(freq), config.frequency_floor)
@@ -296,10 +305,10 @@ def _estimate(records, space: _Space, config: EstimatorConfig, mode: str) -> Est
     else:
         term = _RelativeError(np.vstack([design, unmeasured_row]), freq, config.alpha * weight,
                               config.beta, config.gamma)
-    c, objective, iterations, converged, lowest = _barrier_newton(term, _BlockMaps.of(space, *frame), frame,
+    c, objective, iterations, converged, lowest = _barrier_newton(term, _BlockMaps.of(basis, *frame), frame,
                                                                   config)
     return EstimationResult(
-        rho_hat=space.state(c),
+        rho_hat=_state(basis, c),
         objective=float(objective),
         delta=np.abs(design @ c - freq) * weight,
         # the block spectrum is rho's, without the multiplicities
@@ -413,11 +422,14 @@ class _Likelihood(NamedTuple):
 class _BlockMaps(NamedTuple):
     """Maps between trace-one coordinates z and the block compression of a basis's algebra.
 
-    V stacks copy 0 of each of the space's blocks (``_Space``), so a member
-    X of the algebra satisfies tr f(X) = sum_b copies_b tr f(V_b^dag X V_b).
-    With c = base + P z (``_trace_frame``), ``offset + z @ forward`` is the
-    s x s matrix V^dag (sum_i c_i S_i) V masked to its diagonal blocks; both
-    are scattered from unit coordinates, with no d x d element.  Both are
+    V stacks copy 0 of each of the basis's blocks (``SymmetricBasis.blocks``),
+    so a member X of the algebra satisfies
+    tr f(X) = sum_b copies_b tr f(V_b^dag X V_b).  With c = base + P z
+    (``_trace_frame``), ``offset + z @ forward`` is the s x s matrix
+    V^dag (sum_i c_i S_i) V masked to its diagonal blocks; both are scattered
+    from the unit coordinates of c (``SymmetricBasis._units``), with no d x d
+    element, for a built-in basis, the full space and a basis given by its
+    elements alike.  Both are
     real views of the complex arrays, so each application is one real
     matrix-vector product.  ``column_mult`` is the multiplicity (the copy
     count of its block) of each of the s columns.
@@ -436,13 +448,13 @@ class _BlockMaps(NamedTuple):
     work: np.ndarray
 
     @classmethod
-    def of(cls, space: _Space, base: np.ndarray, tangent: np.ndarray) -> "_BlockMaps":
+    def of(cls, basis: SymmetricBasis, base: np.ndarray, tangent: np.ndarray) -> "_BlockMaps":
         def compressed(c):  # the (..., 2 s^2) real views of the copy-0 blocks of sum_i c_i S_i
-            x = _copy_blocks(space.units(c), space.blocks)
+            x = _copy_blocks(basis._units(c), basis.blocks)
             return x.view(float).reshape(c.shape[:-1] + (2 * x.shape[-1] ** 2,))  # no -1: z may be empty
 
         forward = compressed(tangent.T)
-        mult = _column_mult(space.blocks)
+        mult = _column_mult(basis.blocks)
         return cls(compressed(base), forward, mult, np.empty((2, len(forward) * mult.size, mult.size), complex))
 
     def spectrum(self, z):

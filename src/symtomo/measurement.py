@@ -17,11 +17,14 @@ product.  For permutation-invariant states, estimates may be pooled over all
 permutations of an observable and every compatible measured setting.
 
 This module also owns how a product projector meets an operator basis
-(``_Space``): the rows tr(E S_i) of observable projectors E on the basis
-elements S_i, read off the Schur blocks of a built-in basis with no d x d
-element.  The estimators take their records' design rows from it, and
-setting selection its outcome rows: outcome b of a setting is a signed sum
-of the rows of the setting's marginal strings.
+(``_basis_rows``): the rows tr(E S_i) of observable projectors E on the
+elements S_i of a ``SymmetricBasis``, read off its blocks with no d x d
+element and pulled back through its unit coordinates when it was given by
+its elements.  ``_search_space`` picks the basis: the given one, or the full
+space as the basis of one identity block.  The estimators take their
+records' design rows from it, and setting selection its outcome rows:
+outcome b of a setting is a signed sum of the rows of the setting's
+marginal strings.
 """
 
 from __future__ import annotations
@@ -33,14 +36,12 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .operators import (EIG_FLOOR, HADAMARD, PAULI_I, PAULIS, TRACE_ATOL, _check_number, _tensor_stack,
                         as_matrix, num_qubits)
-from .symmetry import (SymmetricBasis, _block_operator, _block_sizes, _column_mult, _one_block,
-                       _unit_coordinates)
+from .symmetry import SymmetricBasis, _block_sizes, _one_block, _unit_coordinates
 
 RANK_TOL = 1e-9  # singular values below this do not count toward map rank
 COND_TIE_RTOL = 1e-9  # condition numbers this close (relative) are tied
@@ -374,24 +375,32 @@ def born_probabilities(rho, setting: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _bit_label_tuple(n_qubits: int) -> tuple[str, ...]:
-    return tuple(format(i, f"0{n_qubits}b") for i in range(2**n_qubits))
+def _outcome_labels(n_qubits: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The 2^n outcome labels in ascending order, and the index of each label; read-only by convention."""
+    labels = tuple(format(i, f"0{n_qubits}b") for i in range(2**n_qubits))
+    return labels, dict(zip(labels, range(len(labels))))
 
 
 def bit_labels(n_qubits: int) -> list[str]:
-    return list(_bit_label_tuple(n_qubits))
+    return list(_outcome_labels(n_qubits)[0])
 
 
 def sample_histogram(probs, shots: int, seed, setting: str) -> OutcomeHistogram:
     """Multinomial sample of an outcome distribution.
 
-    ``seed`` may be an integer or a ``numpy.random.Generator`` (passed by
-    value in the sense that an integer always reproduces the same draw).
+    ``probs`` needs one entry per outcome of ``setting``, 2^len(setting) of
+    them; a vector of another length, or an invalid setting, raises
+    ``ValueError`` before anything is drawn.  ``seed`` may be an integer or
+    a ``numpy.random.Generator`` (passed by value in the sense that an
+    integer always reproduces the same draw).
     """
     _check_shots(shots)
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or abs(probs.sum() - 1.0) > 1e-9 or probs.min() < -1e-12:
         raise ValueError("probs must be a nonnegative vector summing to 1")
+    outcomes = 2 ** len(check_setting(setting))
+    if probs.size != outcomes:
+        raise ValueError(f"setting {setting!r} has {outcomes} outcomes, but {probs.size} probabilities were given")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     draws = rng.multinomial(shots, np.clip(probs, 0.0, None) / probs.sum())
     return OutcomeHistogram(setting=setting, counts=_nonzero_counts(setting, draws), shots=int(shots))
@@ -399,7 +408,7 @@ def sample_histogram(probs, shots: int, seed, setting: str) -> OutcomeHistogram:
 
 def _nonzero_counts(setting: str, values: np.ndarray) -> dict:
     """The nonzero entries of ``values`` as Python numbers, keyed by outcome label in ascending order."""
-    labels = _bit_label_tuple(len(setting))
+    labels = _outcome_labels(len(setting))[0]
     where = np.flatnonzero(values > 0)
     return dict(zip([labels[b] for b in where.tolist()], values[where].tolist()))
 
@@ -425,9 +434,14 @@ def sample_state(rho, settings, shots: int | None, seed=0) -> list[OutcomeHistog
 
 
 def _zero_frequencies(hist: OutcomeHistogram) -> np.ndarray:
-    """Entry M: share of outcomes reading 0 on every slot of mask M (bit n-1-i: qubit i)."""
+    """Entry M: share of outcomes reading 0 on every slot of mask M (bit n-1-i: qubit i).
+
+    Each outcome is looked up in the labels' index, not parsed: the
+    histogram checked every outcome to be an n-character 0/1 string.
+    """
+    index = _outcome_labels(hist.n_qubits)[1]
     table = np.zeros(2**hist.n_qubits)
-    table[[int(outcome, 2) for outcome in hist.counts]] = list(hist.counts.values())
+    table[list(map(index.__getitem__, hist.counts))] = list(hist.counts.values())
     table = table.reshape((2,) * hist.n_qubits)
     for axis in range(table.ndim):  # index B: counts of outcomes reading 0 wherever B is 0
         table = table.cumsum(axis)
@@ -496,66 +510,30 @@ def unmeasured_records(targets) -> list[ObservableRecord]:
 # Design rows: how a product projector meets a basis
 # ---------------------------------------------------------------------------
 
-class _Space(NamedTuple):
-    """The space a basis spans: a block algebra, and the basis in its unit coordinates.
+def _search_space(basis: SymmetricBasis | None, dim: int) -> SymmetricBasis:
+    """The basis an estimator or setting selection solves over: the given one, or the full space.
 
-    ``blocks`` are the algebra's (d, block, copies) arrays: a built-in
-    basis's own (``SymmetricBasis.blocks``), or the full space's one identity
-    block.  ``coords`` is None when the basis is the blocks' matrix units
-    themselves; a basis given by its elements alone is the full space's
-    units composed with ``coords``, the (d^2, r) unit coordinates of its
-    elements.  Rows and traces are pulled back through ``coords``, and
-    coefficients pushed forward, so no d x d element is formed.
-    """
-
-    blocks: tuple
-    coords: np.ndarray | None
-
-    def rows(self, strings) -> np.ndarray:
-        """The (m, r) rows tr(E S_i) of the observable projectors E of checked ``strings``."""
-        rows = _unit_rows(strings, self.blocks)
-        return rows if self.coords is None else rows @ self.coords
-
-    def traces(self) -> np.ndarray:
-        """tr(S_i): sqrt(copies) on the diagonal units of each block, 0 on the others."""
-        root = np.diag(np.sqrt(_column_mult(self.blocks)))
-        traces = _unit_coordinates(root, _block_sizes(self.blocks))
-        return traces if self.coords is None else traces @ self.coords
-
-    def units(self, c: np.ndarray) -> np.ndarray:
-        """The unit coordinates of (..., r) basis coefficients."""
-        return c if self.coords is None else c @ self.coords.T
-
-    def state(self, c: np.ndarray) -> np.ndarray:
-        """The Hermitian d x d matrix sum_i c_i S_i, assembled block by block."""
-        rho = _block_operator(self.units(c), self.blocks)
-        return 0.5 * (rho + rho.conj().T)
-
-
-def _search_space(basis: SymmetricBasis | None, dim: int) -> _Space:
-    """The space a basis spans, or the full space.
-
-    A symmetric basis comes with the blocks it was built from.  One given by
-    its elements alone, checked Hermitian and orthonormal where it was made,
-    must also span the identity, to 1e-9, and becomes the full space
-    composed with its elements' unit coordinates.  ``basis=None`` is the full
-    space, the commutant of the trivial group: the matrix units of one d x d
-    identity block, 4^n coefficients, which limits it to six qubits.
+    A symmetric basis is its own search space.  One given by its elements
+    alone, checked Hermitian and orthonormal where it was made, must also
+    span the identity, to 1e-9.  ``basis=None`` is the full space, the
+    commutant of the trivial group: the matrix units of one d x d identity
+    block, 4^n coefficients, which limits it to six qubits.  It is built on
+    each call and not kept, since its dense elements, if ever read, would
+    take d^4 complex numbers.
     """
     if basis is not None:
         if basis.dim != dim:
             raise ValueError(f"basis dimension {basis.dim} does not match dim {dim}")
-        if basis.blocks is not None:
-            return _Space(basis.blocks, None)
-        coords = basis._coords.T
-        identity = _unit_coordinates(np.eye(dim), (dim,))
-        deviation = np.linalg.norm(coords @ (identity @ coords) - identity)
-        if not deviation <= 1e-9:
-            raise ValueError(f"basis elements do not span the identity (deviation {deviation:.1e} > 1e-9)")
-        return _Space(_one_block(dim), coords)
+        if basis._coords is not None:
+            coords = basis._coords.T
+            identity = _unit_coordinates(np.eye(dim), (dim,))
+            deviation = np.linalg.norm(coords @ (identity @ coords) - identity)
+            if not deviation <= 1e-9:
+                raise ValueError(f"basis elements do not span the identity (deviation {deviation:.1e} > 1e-9)")
+        return basis
     if num_qubits(dim) > 6:
         raise ValueError("full-space estimation solves for 4^n coefficients; practical up to 6 qubits")
-    return _Space(_one_block(dim), None)
+    return SymmetricBasis._of_blocks(num_qubits(dim), "full", _one_block(dim))
 
 
 # +1 eigenvectors by letter index in "IXYZ"; row 0, for I, is never read
@@ -579,7 +557,7 @@ def _unit_rows(strings, blocks) -> np.ndarray:
     if sizes == (d,) and np.array_equal(blocks[0][:, :, 0], np.eye(d)):  # one copy of one identity block
         return _unit_coordinates(_observable_projectors(strings), sizes)
     n = num_qubits(d)
-    letters = np.array([[_OBS_LETTERS.index(c) for c in ops] for ops in strings], dtype=np.intp)
+    letters = _letter_indices(strings)
     traced = letters == 0
     group_of = traced @ (1 << np.arange(n))
     columns = np.hstack([cols.reshape(d, -1) for cols in blocks]).reshape((2,) * n + (d,))
@@ -605,7 +583,12 @@ def _unit_rows(strings, blocks) -> np.ndarray:
     return _unit_coordinates(w, sizes)
 
 
-def _outcome_rows(space: _Space, settings) -> np.ndarray:
+def _basis_rows(basis: SymmetricBasis, strings) -> np.ndarray:
+    """The (m, r) rows tr(E S_i) of the observable projectors E of checked ``strings`` on the elements S_i."""
+    return basis._pulled(_unit_rows(strings, basis.blocks))
+
+
+def _outcome_rows(basis: SymmetricBasis, settings) -> np.ndarray:
     """(C, 2^n, r) rows tr(P_b S_i) of the outcome projectors P_b of each of C checked settings.
 
     P_b is the product over qubits of P+ where b_q = 0 and I - P+ where
@@ -620,7 +603,7 @@ def _outcome_rows(space: _Space, settings) -> np.ndarray:
     index: dict[str, int] = {}
     where = [index.setdefault("".join(letters), len(index))
              for setting in settings for letters in itertools.product(*((c, "I") for c in setting))]
-    y = space.rows(list(index))[where].reshape((len(settings),) + (2,) * n + (-1,))
+    y = _basis_rows(basis, list(index))[where].reshape((len(settings),) + (2,) * n + (-1,))
     for axis in range(1, n + 1):
         y[(slice(None),) * axis + (1,)] -= y[(slice(None),) * axis + (0,)]
     return y.reshape(len(settings), 2**n, -1)

@@ -33,6 +33,11 @@ coordinates of its matrix units (``_unit_coordinates``): the coefficients of
 an operator (``project_onto_basis``), the operator of coefficients
 (``reconstruct``), and the estimators' design rows, traces and states are
 read off s x s blocks, s the sum of the block sizes, with no d x d element.
+A basis given by its elements alone, as a custom kind's is, takes the same
+path: it carries the full space's one identity block and its elements'
+unit coordinates on that block's matrix units, through which coefficients
+and components are mapped.  The full space itself, the commutant of the
+trivial group, is the basis of that block's matrix units.
 """
 
 from __future__ import annotations
@@ -136,23 +141,26 @@ class SymmetricBasis:
     product.  ``SymmetricBasis(n_qubits, kind, elements)`` makes a basis from
     its elements alone.  It refuses, naming the fault, elements that are not
     an (r, 2^n, 2^n) array with r >= 1, that are not finite, or that are not
-    Hermitian and orthonormal to 1e-9.  It keeps a read-only copy of them and
-    of their unit coordinates on the full space's matrix units
-    (``_unit_coordinates``), through which the estimators and setting
-    selection read the basis.
+    Hermitian and orthonormal to 1e-9.  It keeps a read-only copy of them.
 
-    ``blocks`` is set only by ``compute_commutant_basis`` for the built-in
-    kinds: the read-only (d, block, copies) arrays of the algebra's total-spin
-    blocks, whose matrix units are exactly the elements
-    (``_block_matrix_units(blocks)``).  Such a basis builds its dense
-    elements on first read, and ``size`` is the sum of the squared block
-    sizes.  ``blocks`` is None for custom kinds and for a basis built from
-    its elements alone, whatever its ``kind`` label says.
+    Every basis is read through ``blocks``, the read-only (d, block, copies)
+    arrays of a block algebra, and the matrix units of those blocks
+    (``_block_matrix_units(blocks)``).  ``compute_commutant_basis`` gives a
+    built-in kind the algebra's total-spin blocks, whose matrix units are
+    exactly the elements: such a basis builds its dense elements on first
+    read, and ``size`` is the sum of the squared block sizes.  A basis given
+    by its elements alone -- a custom kind, or one built by hand, whatever
+    its ``kind`` label says -- carries the full space's one identity block
+    (``_one_block``) and its elements' (r, d^2) unit coordinates on it
+    (``_coords``).  Coefficients are pushed forward to unit coordinates
+    (``_units``) and unit coordinates pulled back (``_pulled``) through
+    ``_coords``, so projection, reconstruction and the estimators' rows,
+    traces and states run the same block code for every basis.
     """
 
     n_qubits: int
     kind: str
-    blocks: tuple | None = field(default=None, repr=False)
+    blocks: tuple = field(repr=False)
 
     def __init__(self, n_qubits: int, kind: str, elements: np.ndarray):
         _check_number("n_qubits", n_qubits, low=1)
@@ -170,18 +178,14 @@ class SymmetricBasis:
                 raise ValueError(f"basis elements {fault} (deviation {deviation:.1e} > 1e-9)")
         elements.setflags(write=False)
         coords.setflags(write=False)
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "blocks", None)
-        self.__dict__["elements"] = elements
-        self.__dict__["_coords"] = coords  # (r, d^2)
+        # frozen: the fields are written into the instance dict
+        vars(self).update(n_qubits=n_qubits, kind=kind, blocks=_one_block(d), _coords=coords, elements=elements)
 
     @classmethod
     def _of_blocks(cls, n_qubits: int, kind: str, blocks: tuple) -> "SymmetricBasis":
+        """The basis of the matrix units of ``blocks`` themselves."""
         basis = cls.__new__(cls)
-        object.__setattr__(basis, "n_qubits", n_qubits)
-        object.__setattr__(basis, "kind", kind)
-        object.__setattr__(basis, "blocks", blocks)
+        vars(basis).update(n_qubits=n_qubits, kind=kind, blocks=blocks, _coords=None)
         return basis
 
     @cached_property
@@ -190,13 +194,26 @@ class SymmetricBasis:
 
     @property
     def size(self) -> int:
-        if self.blocks is not None:
+        if self._coords is None:
             return sum(cols.shape[1] ** 2 for cols in self.blocks)
-        return self.elements.shape[0]
+        return len(self._coords)
 
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
+
+    def _units(self, c: np.ndarray) -> np.ndarray:
+        """The unit coordinates on ``blocks`` of (..., r) basis coefficients."""
+        return c if self._coords is None else c @ self._coords
+
+    def _pulled(self, u: np.ndarray) -> np.ndarray:
+        """The (..., r) basis components of (..., R) unit coordinates: tr(A S_i) from the tr(A h_k)."""
+        return u if self._coords is None else u @ self._coords.T
+
+    def _traces(self) -> np.ndarray:
+        """tr(S_i), pulled back from the units' traces: sqrt(copies) on each block's diagonal units, 0 on the others."""
+        root = np.diag(np.sqrt(_column_mult(self.blocks)))
+        return self._pulled(_unit_coordinates(root, _block_sizes(self.blocks)))
 
 
 @dataclass(frozen=True)
@@ -353,13 +370,15 @@ def _block_matrix_units(blocks) -> np.ndarray:
     return out
 
 
-def _one_block(d: int) -> list[np.ndarray]:
-    """The full operator space M_d as a block algebra: the identity, one block of d with one copy.
+def _one_block(d: int) -> tuple:
+    """The full operator space M_d as a block algebra: the identity, one read-only block of d with one copy.
 
     It is the commutant of the trivial group; its matrix units
     (``_block_matrix_units``) are an orthonormal basis of all d x d operators.
     """
-    return [np.eye(d)[:, :, None]]
+    cols = np.eye(d)[:, :, None]
+    cols.setflags(write=False)
+    return (cols,)
 
 
 # ---------------------------------------------------------------------------
@@ -478,30 +497,22 @@ def _block_operator(u: np.ndarray, blocks) -> np.ndarray:
 
 
 def project_onto_basis(rho, basis: SymmetricBasis) -> SymmetricCoefficients:
-    """Expansion coefficients alpha_i = Re <S_i, rho> (real for Hermitian rho).
-
-    A basis with blocks reads them off its blocks, with no dense element.
-    """
+    """Expansion coefficients alpha_i = Re <S_i, rho> (real for Hermitian rho), read off the basis's blocks."""
     rho = as_matrix(rho)
     d = basis.dim
     if rho.shape != (d, d):
         raise ValueError(f"operator shape {rho.shape} does not match basis dim {d}")
-    if basis.blocks is not None:
-        return SymmetricCoefficients(basis, _block_coordinates(rho, basis.blocks))
-    alpha = np.einsum("iab,ab->i", basis.elements.conj(), rho).real
-    return SymmetricCoefficients(basis, alpha)
+    return SymmetricCoefficients(basis, basis._pulled(_block_coordinates(rho, basis.blocks)))
 
 
 def reconstruct(coeffs: SymmetricCoefficients) -> np.ndarray:
-    """Assemble sum_i alpha_i S_i (Hermitian since alpha is real), from the blocks when the basis has them."""
+    """Assemble sum_i alpha_i S_i (Hermitian since alpha is real) block by block."""
     alpha = np.asarray(coeffs.alpha, dtype=float)
     if alpha.shape != (coeffs.basis.size,):
         raise ValueError(
             f"coefficient length {alpha.shape} does not match basis size {coeffs.basis.size}"
         )
-    if coeffs.basis.blocks is not None:
-        return _block_operator(alpha, coeffs.basis.blocks)
-    return np.einsum("i,iab->ab", alpha, coeffs.basis.elements)
+    return _block_operator(coeffs.basis._units(alpha), coeffs.basis.blocks)
 
 
 def symmetrize(rho, basis: SymmetricBasis) -> np.ndarray:

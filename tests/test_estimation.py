@@ -29,6 +29,7 @@ from symtomo.symmetry import (
 from symtomo.measurement import (
     ObservableRecord,
     _observable_projectors,
+    _basis_rows,
     _search_space,
     _unit_rows,
     extract_frequencies,
@@ -51,6 +52,7 @@ from symtomo.estimation import (
     _newton_direction,
     _path_derivative,
     _record_rows,
+    _state,
     _trace_frame,
     _trace_one_lstsq,
     linear_inversion,
@@ -286,7 +288,7 @@ def test_design_matrix_is_the_real_part_of_the_complex_product(n, kind):
     strings = pi_observables(n) if kind else full_observables(n)
     proj = _observable_projectors(strings)
     want = np.real(np.conj(proj.reshape(len(proj), -1)) @ elements.reshape(len(elements), -1).T)
-    assert np.abs(_search_space(basis, 2**n).rows(strings) - want).max() <= 1e-13
+    assert np.abs(_basis_rows(_search_space(basis, 2**n), strings) - want).max() <= 1e-13
 
 
 ROW_QUBITS = {"permutation": (1, 5), "collective": (2, 5), "full": (1, 3)}
@@ -325,7 +327,7 @@ def test_the_state_assembled_from_the_blocks_is_the_dense_sum(kind, n, seed):
         elements = basis.elements
     c = np.random.default_rng(seed).standard_normal(len(elements))
     want = np.einsum("i,iab->ab", c, elements)
-    got = _search_space(basis, 2**n).state(c)
+    got = _state(_search_space(basis, 2**n), c)
     assert np.abs(got - 0.5 * (want + want.conj().T)).max() <= 1e-12
 
 
@@ -471,7 +473,7 @@ def centring_setup(kind, n, likelihood, gamma):
     records = noisy_ghz_records(n, 0.05, 1, False) if kind == "full" else git_records(n, kind)
     space = _search_space(basis, 2**n)
     design, freq, unmeasured_row = _record_rows(records, space)
-    traces = space.traces()
+    traces = space._traces()
     base, tangent = _trace_frame(traces)
     if likelihood:
         term = _Likelihood.of(design, freq, traces)

@@ -282,6 +282,21 @@ def test_uniform_concentration():
     assert abs(np.mean(freqs) - 0.5) < 0.01
 
 
+@pytest.mark.parametrize("probs, setting, fault", [
+    # was a two-outcome histogram labelled as a two-qubit setting
+    ([0.5, 0.5], "XY", "setting 'XY' has 4 outcomes, but 2 probabilities were given"),
+    # was a bare IndexError
+    ([1 / 8] * 8, "XY", "setting 'XY' has 4 outcomes, but 8 probabilities were given"),
+    ([0.5, 0.5], "Q", "invalid measurement setting 'Q'"),
+], ids=["short", "long", "bad-setting"])
+def test_sampling_refuses_probabilities_that_do_not_fit_the_setting_before_drawing(probs, setting, fault):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        sample_histogram(probs, 100, rng, setting)
+    assert rng.bit_generator.state == state
+
+
 def test_exact_histogram_is_analytic():
     rho = projector(ghz_state(2))
     hist = exact_histogram(rho, "ZZ")
@@ -790,6 +805,17 @@ def test_select_settings_refuses_a_k_that_is_no_count_of_candidates(monkeypatch,
 def test_select_settings_takes_a_numpy_integer_k():
     basis = compute_commutant_basis(SymmetrySpec.collective(2))
     assert select_settings(basis, pi_settings(2), np.int64(3)) == select_settings(basis, pi_settings(2), 3)
+
+
+def test_a_basis_with_blocks_is_its_own_search_space_and_forms_no_identity_coordinates(monkeypatch):
+    # the identity-span check reads the d^2 unit coordinates of I: only a basis given by its elements needs it
+    basis = compute_commutant_basis(SymmetrySpec.permutation(3))
+    def refuse(*args):
+        raise AssertionError("unit coordinates were formed")
+    monkeypatch.setattr(measurement, "_unit_coordinates", refuse)
+    assert measurement._search_space(basis, 8) is basis
+    full = measurement._search_space(None, 8)  # the matrix units of one 8 x 8 identity block
+    assert full._coords is None and full.size == 64 and len(full.blocks) == 1
 
 
 @pytest.mark.parametrize("kind", ["permutation", "collective", "custom", "hand-built"])

@@ -24,6 +24,7 @@ from symtomo.symmetry import (
     SymmetrySpec,
     _block_matrix_units,
     _collective,
+    _from_unit_coordinates,
     _schur_transform,
     compute_commutant_basis,
     group_generators,
@@ -309,12 +310,47 @@ def test_spin_blocks_reproduce_the_spectrum_of_algebra_members(spec):
     assert np.allclose(np.sort(want), np.linalg.eigvalsh(member), atol=1e-10)
 
 
-def test_custom_and_hand_built_bases_carry_no_blocks():
+def test_custom_and_hand_built_bases_carry_the_full_space_block():
+    # a basis given by its elements is the full space's matrix units composed
+    # with the elements' unit coordinates; a built basis is its blocks' units
     swap = group_generators(SymmetrySpec.permutation(2))[0]
-    assert compute_commutant_basis(SymmetrySpec.custom_unitaries([swap])).blocks is None
     built = compute_commutant_basis(SymmetrySpec.permutation(2))
+    assert built._coords is None
     # the label does not make a basis block-structured: only its builder does
-    assert SymmetricBasis(2, "permutation", built.elements).blocks is None
+    for basis in (compute_commutant_basis(SymmetrySpec.custom_unitaries([swap])),
+                  SymmetricBasis(2, "permutation", built.elements)):
+        (cols,) = basis.blocks
+        assert np.array_equal(cols, np.eye(4)[:, :, None])
+        assert basis._coords.shape == (basis.size, 16)
+        assert np.abs(_from_unit_coordinates(basis._coords, (4,)) - basis.elements).max() <= 1e-15
+
+
+# bases given by their elements, whose projection and reconstruction run
+# through the full space's block and their unit coordinates
+ELEMENT_BASES = {
+    "swap-2": lambda: compute_commutant_basis(
+        SymmetrySpec.custom_unitaries(group_generators(SymmetrySpec.permutation(2)))),
+    "swap-3": lambda: compute_commutant_basis(
+        SymmetrySpec.custom_unitaries(group_generators(SymmetrySpec.permutation(3)))),
+    "collective-as-lie-3": lambda: compute_commutant_basis(
+        SymmetrySpec.custom_lie(group_generators(SymmetrySpec.collective(3)))),
+    "hand-built-permutation-3": lambda: SymmetricBasis(
+        3, "permutation", compute_commutant_basis(SymmetrySpec.permutation(3)).elements),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(ELEMENT_BASES))
+def test_element_bases_project_and_reconstruct_as_their_dense_elements(name, seed):
+    basis = ELEMENT_BASES[name]()
+    rng = np.random.default_rng(seed)
+    d = basis.dim
+    op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))  # Re tr(S op) needs no Hermitian op
+    want = np.einsum("iab,ab->i", basis.elements.conj(), op).real
+    assert np.abs(project_onto_basis(op, basis).alpha - want).max() <= 1e-12
+    alpha = rng.standard_normal(basis.size)
+    want = np.einsum("i,iab->ab", alpha, basis.elements)
+    assert np.abs(reconstruct(SymmetricCoefficients(basis, alpha)) - want).max() <= 1e-12
 
 
 PERMUTATION_2 = compute_commutant_basis(SymmetrySpec.permutation(2)).elements

@@ -1,5 +1,6 @@
 """The code-line counter in ``tools/``: which lines count as code."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -36,3 +37,34 @@ def test_only_lines_with_code_outside_docstrings_count(tmp_path, capsys):
     assert code_lines.code_lines(path) == 8
     code_lines.main([str(tmp_path), str(path)])
     assert capsys.readouterr().out.splitlines()[-1].split() == ["8", "total"]  # counted once
+
+
+SRC = ROOT / "src" / "symtomo"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; ``from __future__`` imports are not names."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_import_of_the_package_is_used():
+    # __init__.py imports to re-export, so it is the one module exempt
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 8
+    assert [fault for path in modules for fault in unused_imports(path)] == []
+
+
+def test_the_import_guard_sees_an_unused_import(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from __future__ import annotations\nimport os\nimport numpy as np\n"
+                    "from typing import NamedTuple, Optional\nx: Optional[int] = np.pi\n")
+    assert unused_imports(path) == ["sample.py:2: os", "sample.py:4: NamedTuple"]
