@@ -41,8 +41,11 @@ only then does ``converged`` certify that the objective is within the
 tolerance of the optimum: a test relative to mu is what keeps the gap bound
 of the centre valid at the point.  The line search halves from the full
 step until a trial lies in the domain and decreases the value enough; each
-trial's own spectrum is its only PSD test, taken before its predictions are
-formed (Boyd & Vandenberghe, section 9.2).  Between stages a
+trial's Cholesky factorization is its only PSD test, since it succeeds
+exactly inside the cone, and it runs before the trial's predictions are
+formed (Boyd & Vandenberghe, section 9.2).  No state is diagonalized in the
+loop: the estimate's least eigenvalue is read once, at the end, for
+``feasibility_residual``.  Between stages a
 predictor step follows the tangent of the central path (the predictor of
 path-following interior-point methods, Boyd & Vandenberghe section 11.3;
 Mehrotra, SIAM J. Optim. 2, 575 (1992)): as mu shrinks to mu', the centre
@@ -64,12 +67,14 @@ decomposition, and the solve works on the blocks the basis was built from
   (``SymmetricBasis._traces``);
 * the log-det terms hold rho as one copy of each block (an s x s matrix, s =
   12 instead of d = 32 at five qubits) plus the blocks' multiplicities, and
-  one ``eigh`` of it gives the spectrum.  Every log-det term is a weighted
-  sum sum_b w_b log det X_b: w_b = mult_b gives gamma's log det rho, and the
-  barrier adds mu to every block's weight.  Each eigenvalue carries the
-  weight sum_a w_a |U_ak|^2, and the gradient and Hessian come from the
-  same eigenpairs, the Hessian as one Gram matrix of the blocks of the
-  trace-keeping directions taken into the eigenbasis;
+  read it through its Cholesky factor L, block diagonal like it.  Every
+  log-det term is a weighted sum sum_b w_b log det X_b: w_b = mult_b gives
+  gamma's log det rho, and the barrier adds mu to every block's weight.  Its
+  value is 2 sum_i w_i log L_ii, with each column's block weight, and its
+  gradient and Hessian come from L^-1, the Hessian as one Gram matrix of
+  the trace-keeping directions taken between each block's inverse factors,
+  over each block's own entries (sum_b b^2 of the s^2: 56 of 144 at five
+  qubits);
 * the estimate is assembled block by block, rho = sum_b V_b (X_b (x) 1) V_b^dag
   (``symmetry.reconstruct``).
 
@@ -98,7 +103,8 @@ import numpy as np
 
 from .measurement import _basis_rows, _search_space, check_observable
 from .operators import _check_number
-from .symmetry import SymmetricBasis, SymmetricCoefficients, _column_mult, _copy_blocks, reconstruct
+from .symmetry import (SymmetricBasis, SymmetricCoefficients, _block_sizes, _column_mult, _copy_blocks,
+                       reconstruct)
 
 _CENTRED_PER_MU = 0.1       # kappa: a centring stage ends at half the squared Newton decrement <= kappa * mu
 _CENTRED = 1e-9             # the last stage, whose gap bound meets the tolerance, must also reach this
@@ -211,13 +217,13 @@ def _trace_frame(traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return traces / (traces @ traces), tangent
 
 
-def _warn_if_rank_deficient(design: np.ndarray) -> None:
-    """Warn when the design D P, with the trace, does not pin down all r = cols + 1 coefficients."""
-    sv = np.linalg.svd(design, compute_uv=False)
+def _warn_if_rank_deficient(sv: np.ndarray, cols: int) -> None:
+    """Warn when a design D P of ``cols`` columns and singular values ``sv``, with the trace, does not
+    pin down all r = cols + 1 coefficients."""
     rank = int((sv > 1e-9 * sv.max(initial=1.0)).sum())
-    if rank < design.shape[1]:
+    if rank < cols:
         warnings.warn(
-            f"measurement map is rank deficient ({rank + 1} < {design.shape[1] + 1}); "
+            f"measurement map is rank deficient ({rank + 1} < {cols + 1}); "
             "the data do not determine every coefficient, so the estimate may be non-unique",
             # the caller of the public estimator, which calls _estimate or
             # _trace_one_lstsq itself, never another public estimator
@@ -229,12 +235,13 @@ def _trace_one_lstsq(design: np.ndarray, target: np.ndarray, traces: np.ndarray)
     """Least squares min ||D c - f|| subject to tr(sum_i c_i S_i) = 1.
 
     Solved as min ||D P z - (f - D base)|| in trace-one coordinates.  Returns
-    the minimum-norm solution, with a warning when the data do not pin it down.
+    the minimum-norm solution, with a warning, read off the singular values
+    the solve returns, when the data do not pin it down.
     """
     base, tangent = _trace_frame(traces)
     reduced = design @ tangent
-    z, *_ = np.linalg.lstsq(reduced, target - design @ base, rcond=None)
-    _warn_if_rank_deficient(reduced)
+    z, _, _, sv = np.linalg.lstsq(reduced, target - design @ base, rcond=None)
+    _warn_if_rank_deficient(sv, reduced.shape[1])
     return base + tangent @ z
 
 
@@ -298,21 +305,21 @@ def _estimate(records, basis: SymmetricBasis, config: EstimatorConfig, mode: str
     design, freq, unmeasured_row = _record_rows(records, basis)
     traces = basis._traces()
     frame = _trace_frame(traces)
-    _warn_if_rank_deficient(design @ frame[1])
+    _warn_if_rank_deficient(np.linalg.svd(design @ frame[1], compute_uv=False), frame[1].shape[1])
     weight = 1.0 / np.maximum(np.abs(freq), config.frequency_floor)
     if mode == "maxlik":
         term = _Likelihood.of(design, freq, traces)
     else:
         term = _RelativeError(np.vstack([design, unmeasured_row]), freq, config.alpha * weight,
                               config.beta, config.gamma)
-    c, objective, iterations, converged, lowest = _barrier_newton(term, _BlockMaps.of(basis, *frame), frame,
-                                                                  config)
+    maps = _BlockMaps.of(basis, *frame)
+    z, objective, iterations, converged = _barrier_newton(term, maps, frame, config)
+    c = frame[0] + frame[1] @ z
     return EstimationResult(
         rho_hat=_state(basis, c),
         objective=float(objective),
         delta=np.abs(design @ c - freq) * weight,
-        # the block spectrum is rho's, without the multiplicities
-        feasibility_residual=max(abs(float(traces @ c) - 1.0), -float(lowest), 0.0),
+        feasibility_residual=max(abs(float(traces @ c) - 1.0), -maps.least_eigenvalue(z), 0.0),
         iterations=iterations,
         converged=converged,
         mode=mode,
@@ -434,18 +441,26 @@ class _BlockMaps(NamedTuple):
     matrix-vector product.  ``column_mult`` is the multiplicity (the copy
     count of its block) of each of the s columns.
 
-    The log-det terms of the solve are sums sum_b w_b log det X_b over the
-    blocks, given by a weight per column that is constant on each block:
-    w = ``column_mult`` is log det rho, and the barrier's gamma * mult + mu
-    adds one log det per block to gamma log det rho.  ``work`` holds the two
-    (r - 1) s x s products of ``logdet_hessian``, allocated once per solve:
-    fresh temporaries of that size cost page faults on every Newton step.
+    A state is handled through the Cholesky factor L of its s x s matrix
+    (``factor``), block diagonal like the matrix, and the state is inside the
+    PSD cone exactly when the factorization succeeds.  The log-det terms of
+    the solve are sums sum_b w_b log det X_b over the blocks, given by a
+    weight per column that is constant on each block: w = ``column_mult`` is
+    log det rho, and the barrier's gamma * mult + mu adds one log det per
+    block to gamma log det rho.  Their value is read off the diagonal of L
+    (``logdet``), their derivatives off its inverse.  ``blocks`` holds, per
+    block b, its slice of the s columns, the view of its entries F_a,b in
+    every row a of ``forward``, and the views of one workspace that
+    ``logdet_hessian`` fills for it: the block's own (r - 1) b^2 entries,
+    and a buffer of that size that all blocks share.  The workspace is
+    allocated once per solve, since fresh temporaries cost page faults on
+    every Newton step, and it is at most twice the size of ``forward``.
     """
 
     offset: np.ndarray
     forward: np.ndarray
     column_mult: np.ndarray
-    work: np.ndarray
+    blocks: tuple
 
     @classmethod
     def of(cls, basis: SymmetricBasis, base: np.ndarray, tangent: np.ndarray) -> "_BlockMaps":
@@ -455,43 +470,71 @@ class _BlockMaps(NamedTuple):
 
         forward = compressed(tangent.T)
         mult = _column_mult(basis.blocks)
-        return cls(compressed(base), forward, mult, np.empty((2, len(forward) * mult.size, mult.size), complex))
+        sizes = _block_sizes(basis.blocks)
+        rows, units = len(forward), sum(b * b for b in sizes)
+        work = np.empty(rows * (units + max(sizes) ** 2), complex)
+        shared = work[rows * units:]
+        entries = forward.view(complex).reshape(rows, mult.size, mult.size)
+        blocks, column, used = [], 0, 0
+        for b in sizes:
+            cols = slice(column, column + b)
+            own = work[used:used + rows * b * b].reshape(b, rows, b)
+            blocks.append((cols, entries[:, cols, cols].transpose(1, 0, 2), own,
+                           shared[:rows * b * b].reshape(b * rows, b)))
+            column, used = column + b, used + rows * b * b
+        return cls(compressed(base), forward, mult, tuple(blocks))
 
-    def spectrum(self, z):
-        """Eigenvalues (ascending), eigenvectors and multiplicities of the state of z.
-
-        Multiplicities are per eigenvector, sum_a mult_a |U_ak|^2, so they stay
-        right when eigh mixes degenerate eigenvectors of different blocks.
-        """
+    def state(self, z):
+        """The s x s block matrix of the state of z."""
         s = self.column_mult.size
-        vals, vecs = np.linalg.eigh((self.offset + z @ self.forward).view(complex).reshape(s, s))
-        return vals, vecs, self.column_mult @ (vecs * vecs.conj()).real
+        return (self.offset + z @ self.forward).view(complex).reshape(s, s)
 
-    def coefficients(self, vals, vecs, weight):
-        """z-gradient of sum_b w_b tr(X_b A_b), A the s x s operator with eigenpairs (vals, vecs)
-        and ``weight`` w per column, constant on each block; at w = ``column_mult`` it is tr(rho A).
-        Each entry sum_b w_b tr(F_i,b A_b) is one real dot product with a row of ``forward``."""
-        weighted = weight[:, None] * ((vecs * vals) @ vecs.conj().T)
+    def factor(self, z):
+        """The Cholesky factor of the state of z, or None when the state is not positive definite."""
+        try:
+            return np.linalg.cholesky(self.state(z))
+        except np.linalg.LinAlgError:
+            return None
+
+    def least_eigenvalue(self, z) -> float:
+        """The least eigenvalue of the state of z, which its blocks hold without the multiplicities."""
+        return float(np.linalg.eigvalsh(self.state(z))[0])
+
+    @staticmethod
+    def logdet(factor, weight):
+        """sum_b w_b log det X_b = 2 sum_i w_i log L_ii, for a weight per column constant on each block."""
+        return 2.0 * (weight @ np.log(factor.diagonal().real))
+
+    def gradient(self, inverse, weight):
+        """z-gradient of sum_b w_b log det X_b, from the inverse factor L^-1 and ``weight`` w per column.
+
+        Entry a is sum_b w_b tr(F_a,b X_b^-1) = tr(F_a W X^-1), X^-1 = L^-dag L^-1: one real dot product
+        with a row of ``forward``."""
+        weighted = weight[:, None] * (inverse.conj().T @ inverse)
         return self.forward @ weighted.view(float).reshape(-1)
 
-    def logdet_hessian(self, vals, vecs, weight):
-        """z-Hessian of -sum_b w_b log det X_b at the state with eigenpairs (vals, vecs) = (Lambda, U).
+    def logdet_hessian(self, inverse, weight):
+        """z-Hessian of -sum_b w_b log det X_b, from the inverse factor L^-1 and ``weight`` w per column.
 
-        ``weight`` w is per column and constant on each block, so W = diag(w)
-        commutes with X; at w = ``column_mult`` this is -log det rho.  With F_a
-        the rows of ``forward``, the entry is sum_b w_b tr(X_b^-1 F_a,b X_b^-1
-        F_c,b) = tr(K_a K_c), K_a = S^dag F_a S in the eigenbasis with S =
-        W^(1/4) U Lambda^(-1/2).  Two plain products over all a, F_a S and then
-        (F_a S)^T conj(S), give the K_a^T, and one real Gram matrix the entries.
+        With F_a the rows of ``forward``, the entry is sum_b w_b tr(X_b^-1
+        F_a,b X_b^-1 F_c,b) = sum_b tr(K_a,b K_c,b), K_a,b = S_b^dag F_a,b S_b
+        with S_b = w_b^(1/4) L_b^-dag, since S_b S_b^dag = w_b^(1/2) X_b^-1.
+        Per block, its entries F_a,b gathered in (row, a, column) order make
+        two plain products over all a: F_a,b S_b, and then that, read as an
+        (a, column) x row matrix, times conj(S_b), which gives the K_a,b^T in
+        the block's own entries.  The Hessian is the real Gram matrix of the
+        K_a,b over those entries, summed over the blocks.
         """
-        s = weight.size
-        scale = weight[:, None] ** 0.25 * (vecs / np.sqrt(vals))
-        half, turned = self.work
-        np.matmul(self.forward.view(complex).reshape(-1, s), scale, out=half)
-        turned.reshape(-1, s, s)[...] = half.reshape(-1, s, s).transpose(0, 2, 1)
-        k = np.matmul(turned, scale.conj(), out=half)
-        flat = k.view(float).reshape(len(self.forward), -1)
-        return flat @ flat.T
+        scale = weight[:, None] ** 0.25 * inverse.conj().T
+        hess = None
+        for cols, entries, own, half in self.blocks:
+            b = own.shape[0]
+            np.copyto(own, entries)
+            np.matmul(own.reshape(-1, b), scale[cols, cols], out=half)
+            k = np.matmul(half.reshape(b, -1).T, scale[cols, cols].conj(), out=own.reshape(-1, b))
+            flat = k.view(float).reshape(len(self.forward), -1)
+            hess = flat @ flat.T if hess is None else np.add(hess, flat @ flat.T, out=hess)
+        return hess
 
 
 def _newton_direction(hess, grad):
@@ -518,22 +561,21 @@ def _newton_direction(hess, grad):
     return vecs[:, keep] @ ((rhs @ vecs[:, keep]) / vals[keep]) * scale
 
 
-def _centring_derivatives(term, maps: _BlockMaps, design, pred, spectrum, mu):
+def _centring_derivatives(term, maps: _BlockMaps, design, pred, factor, mu):
     """Gradient and Hessian in z of the centring value for barrier weight mu (``_barrier_newton``)."""
-    vals, vecs, _ = spectrum
+    inverse = np.linalg.inv(factor)
     g, w = term.weights(pred, mu)
     weight = term.gamma * maps.column_mult + mu
-    grad = design.T @ g - maps.coefficients(1.0 / vals, vecs, weight)
-    hess = design.T @ (w[:, None] * design) + maps.logdet_hessian(vals, vecs, weight)
+    grad = design.T @ g - maps.gradient(inverse, weight)
+    hess = design.T @ (w[:, None] * design) + maps.logdet_hessian(inverse, weight)
     return grad, hess
 
 
-def _path_derivative(term, maps: _BlockMaps, design, pred, spectrum, mu):
+def _path_derivative(term, maps: _BlockMaps, design, pred, factor, mu):
     """d/dmu of the centring gradient at fixed z; along the central path, where the gradient is 0,
     dz/dmu = -H^-1 times it.  Each column's weight gamma * mult + mu has mu-derivative 1, and the
     data term's gradient weights change by their ``drift``."""
-    vals, vecs, _ = spectrum
-    return design.T @ term.drift(pred, mu) - maps.coefficients(1.0 / vals, vecs, np.ones(vals.size))
+    return design.T @ term.drift(pred, mu) - maps.gradient(np.linalg.inv(factor), np.ones(maps.column_mult.size))
 
 
 def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
@@ -542,75 +584,73 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
     Works in the coordinates c = base + P z of ``frame``, from z = 0 (I/d).
     Positivity is the barrier -mu sum_b log det X_b, one log det per block,
     whose parameter is s; with the gamma term each column carries the weight
-    gamma * mult + mu.  The line search halves a step from length 1, and a
-    trial whose own spectrum leaves the PSD cone is shortened before its
-    predictions are formed.  Once a stage is centred and mu shrinks to mu', one
+    gamma * mult + mu.  Every point is handled through the Cholesky factor of
+    its blocks (``_BlockMaps.factor``): the line search halves a step from
+    length 1, and a trial whose factorization fails lies outside the PSD cone
+    and is shortened before its predictions are formed.  Once a stage is
+    centred and mu shrinks to mu', one
     predictor step follows the tangent of the central path, dz = -(mu' - mu)
     H^-1 d/dmu grad, with the stage's last Hessian H; the first of the lengths
     1, 1/2, 1/4, 1/8 that strictly lowers the mu' centring value is taken, as
     one Newton step, and if none does the stage starts where the last ended.
-    Returns c, the objective there, the Newton steps taken, whether the
-    duality gap was certified below the tolerance, and the least eigenvalue
-    of the state.
+    Returns z, the objective there, the Newton steps taken and whether the
+    duality gap was certified below the tolerance.
     """
     base, tangent = frame
     offset, design = term.design @ base, term.design @ tangent
     gap_per_mu = term.barrier_parameter + maps.column_mult.size  # b + s
 
-    # ``pred`` is offset + design @ z and ``spectrum`` maps.spectrum(z), each
+    # ``pred`` is offset + design @ z and ``factor`` maps.factor(z), each
     # computed once per point and shared by the value, objective and derivatives
-    def objective(pred, spectrum):
-        vals, _, mult = spectrum
-        return term.objective(pred) - term.gamma * (mult @ np.log(vals))
+    def objective(pred, factor):
+        return term.objective(pred) - term.gamma * maps.logdet(factor, maps.column_mult)
 
-    def centring_value(pred, spectrum, mu):
+    def centring_value(pred, factor, mu):
         """The barrier objective at a point inside the PSD cone; inf outside the data term's domain."""
-        vals, _, mult = spectrum
-        # eigenvector k carries the weight sum_j (gamma mult_j + mu) |U_jk|^2 = gamma mult_k + mu
-        return term.value(pred, mu) - (term.gamma * mult + mu) @ np.log(vals)
+        return term.value(pred, mu) - maps.logdet(factor, term.gamma * maps.column_mult + mu)
 
     def line_search(z, value, step, decrease, mu, trials):
         """The first point z + 0.5**k step, k < ``trials``, inside the PSD cone whose value is below
-        ``value`` and at most value + 0.5**k ``decrease``, with its prediction, spectrum and value;
+        ``value`` and at most value + 0.5**k ``decrease``, with its prediction, factor and value;
         None if no trial is."""
         for halvings in range(trials):
             length = 0.5 ** halvings
             trial = z + length * step
-            trial_spectrum = maps.spectrum(trial)
-            if trial_spectrum[0][0] <= 0.0:  # outside the cone: shorten before predicting
+            trial_factor = maps.factor(trial)
+            if trial_factor is None:  # outside the cone: shorten before predicting
                 continue
             trial_pred = offset + design @ trial
-            trial_value = centring_value(trial_pred, trial_spectrum, mu)
+            trial_value = centring_value(trial_pred, trial_factor, mu)
             # strict: next to a large value, length * decrease can round away
             if trial_value < value and trial_value <= value + length * decrease:
-                return trial, trial_pred, trial_spectrum, trial_value
+                return trial, trial_pred, trial_factor, trial_value
         return None
 
     z = np.zeros(tangent.shape[1])  # I/d
-    pred, spectrum = offset + design @ z, maps.spectrum(z)
+    pred, factor = offset + design @ z, maps.factor(z)
     if not z.size:  # a one-element space holds one unit-trace state, I/d
-        return base, objective(pred, spectrum), 0, True, spectrum[0][0]
+        return z, objective(pred, factor), 0, True
     # the first stage's gap bound is the objective at the start
-    mu = max(1.0, objective(pred, spectrum)) / gap_per_mu
-    value = centring_value(pred, spectrum, mu)
+    mu = max(1.0, objective(pred, factor)) / gap_per_mu
+    value = centring_value(pred, factor, mu)
     iterations = 0
     converged = False
     while True:
-        grad, hess = _centring_derivatives(term, maps, design, pred, spectrum, mu)
+        grad, hess = _centring_derivatives(term, maps, design, pred, factor, mu)
         step = _newton_direction(hess, grad)
         decrement = 0.5 * step @ hess @ step
         if decrement <= _CENTRED_PER_MU * mu:
-            if mu * gap_per_mu > config.objective_tolerance * max(1.0, abs(objective(pred, spectrum))):
+            if mu * gap_per_mu > config.objective_tolerance * max(1.0, abs(objective(pred, factor))):
                 shrunk = mu / _MU_SHRINK
-                change = (shrunk - mu) * _path_derivative(term, maps, design, pred, spectrum, mu)
+                change = (shrunk - mu) * _path_derivative(term, maps, design, pred, factor, mu)
                 mu = shrunk
-                value = centring_value(pred, spectrum, mu)
+                value = centring_value(pred, factor, mu)
                 if iterations < config.max_iterations:
                     # the predictor -(mu' - mu) H^-1 d/dmu grad, on a strict decrease alone
                     predicted = line_search(z, value, _newton_direction(hess, change), 0.0, mu,
                                             _PREDICTOR_MAX_TRIALS)
                     if predicted is not None:
-                        z, pred, spectrum, value = predicted
+                        z, pred, factor, value = predicted
                         iterations += 1
                 continue
             if decrement <= _CENTRED:  # the last stage also meets the absolute test
@@ -624,6 +664,6 @@ def _barrier_newton(term, maps: _BlockMaps, frame, config: EstimatorConfig):
         accepted = line_search(z, value, step, decrease, mu, _LINESEARCH_MAX_TRIALS)
         if accepted is None:
             break
-        z, pred, spectrum, value = accepted
+        z, pred, factor, value = accepted
         iterations += 1
-    return base + tangent @ z, objective(pred, spectrum), iterations, converged, spectrum[0][0]
+    return z, objective(pred, factor), iterations, converged

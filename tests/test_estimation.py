@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symtomo import estimation
@@ -22,7 +22,11 @@ from symtomo.symmetry import (
     SymmetricBasis,
     SymmetrySpec,
     _block_matrix_units,
+    _block_operator,
+    _block_sizes,
+    _column_mult,
     _one_block,
+    _unit_coordinates,
     compute_commutant_basis,
     symmetrize,
 )
@@ -136,6 +140,23 @@ def test_rank_warning_points_at_the_caller(fit):
     rank = [w for w in caught if "rank deficient" in str(w.message)]
     assert rank
     assert all(w.filename == __file__ for w in rank)
+
+
+@pytest.mark.parametrize("kind", [None, "permutation"])
+def test_linear_inversion_reads_its_rank_off_the_least_squares_solve(kind, monkeypatch):
+    # the singular values lstsq returns decide the warning: no second SVD of the same design
+    basis = None if kind is None else cached_basis(2, kind)
+    recs = zz_only_records()
+    with pytest.warns(UserWarning, match="rank deficient"):
+        want = linear_inversion(recs, basis)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    with pytest.warns(UserWarning, match="rank deficient"):
+        got = linear_inversion(recs, basis)
+    assert np.array_equal(got, want)
 
 
 def test_full_rank_pooled_data_do_not_warn():
@@ -362,23 +383,29 @@ def assert_logdet_derivatives_match_dense(basis, c):
     """Block log det, gradient and Hessian at exp(sum_i c_i S_i) against dense ones."""
     maps = block_maps(basis)
     elements = basis.elements
-    # multiplicity-weighted spectral sums are the full-space ones
-    vals, _, mult = maps.spectrum(c)
+    # multiplicity-weighted spectral sums are the full-space ones: tr(W X) and tr(W X^2) on the blocks
+    x, mult = maps.state(c), maps.column_mult
     w, v = np.linalg.eigh(dense_state(c, elements))
-    assert np.isclose(mult @ vals, w.sum(), atol=1e-10)
-    assert np.isclose(mult @ vals**2, (w**2).sum(), atol=1e-10)
+    assert np.isclose(mult @ x.diagonal().real, w.sum(), atol=1e-10)
+    assert np.isclose(mult @ (np.abs(x) ** 2).sum(axis=1), (w**2).sum(), atol=1e-10)
     # a full-rank state of the algebra: exp of the member, normalized (I/d at c = 0)
     rho = (v * np.exp(w)) @ v.conj().T
     rho /= np.trace(rho).real
-    coeff = np.real(np.einsum("iab,ab->i", elements.conj(), rho))
-    vals, vecs, mult = maps.spectrum(coeff)
+    assert_block_derivatives_match_dense(maps, elements, rho)
+
+
+def assert_block_derivatives_match_dense(maps, elements, rho):
+    """log det rho, its gradient and its Hessian in the coefficients, on the Cholesky factor of the blocks
+    of a full-rank member rho of the algebra, against dense ones."""
+    factor = maps.factor(coefficients_of(rho, elements))
+    inverse = np.linalg.inv(factor)
     inv_s = np.linalg.inv(rho) @ elements  # rho^-1 S_i
     gradient = np.real(np.einsum("iaa->i", inv_s))
     hessian = np.real(np.einsum("iab,jba->ij", inv_s, inv_s))
-    assert np.isclose(mult @ np.log(vals), np.linalg.slogdet(rho)[1], atol=1e-9)
-    assert np.abs(maps.coefficients(1.0 / vals, vecs, maps.column_mult) - gradient).max() <= 1e-9 * max(
-        1.0, np.abs(gradient).max())
-    assert np.abs(maps.logdet_hessian(vals, vecs, maps.column_mult) - hessian).max() <= 1e-9 * max(
+    mult = maps.column_mult
+    assert np.isclose(maps.logdet(factor, mult), np.linalg.slogdet(rho)[1], atol=1e-9)
+    assert np.abs(maps.gradient(inverse, mult) - gradient).max() <= 1e-9 * max(1.0, np.abs(gradient).max())
+    assert np.abs(maps.logdet_hessian(inverse, mult) - hessian).max() <= 1e-9 * max(
         1.0, np.abs(hessian).max())
 
 
@@ -395,19 +422,78 @@ def test_block_logdet_derivatives_match_dense(n, kind, seed, scale):
     assert_logdet_derivatives_match_dense(basis, c)
 
 
+def custom_swap_basis():
+    return compute_commutant_basis(SymmetrySpec.custom_unitaries([np.eye(4)[[0, 2, 1, 3]]]))
+
+
 def test_block_logdet_custom_kind_matches_dense():
-    basis = compute_commutant_basis(SymmetrySpec.custom_unitaries([np.eye(4)[[0, 2, 1, 3]]]))
+    basis = custom_swap_basis()
     for c in (np.zeros(basis.size), np.random.default_rng(3).standard_normal(basis.size)):
         assert_logdet_derivatives_match_dense(basis, c)
+
+
+def search_space_of(kind, n):
+    """The search space of a built-in algebra, the two-qubit custom SWAP algebra or the full space."""
+    if kind == "full":
+        return _search_space(None, 2**n)
+    return custom_swap_basis() if kind == "custom" else cached_basis(n, kind)
 
 
 @lru_cache(maxsize=None)
 def coefficient_maps(kind, n):
     """Block maps acting on the coefficients themselves, and the dense elements they stand for."""
-    basis = None if kind == "full" else cached_basis(n, kind)
-    elements = full_space(n) if basis is None else basis.elements
+    space = search_space_of(kind, n)
+    elements = full_space(n) if kind == "full" else space.elements
     r = len(elements)
-    return _BlockMaps.of(_search_space(basis, 2**n), np.zeros(r), np.eye(r)), elements
+    return _BlockMaps.of(space, np.zeros(r), np.eye(r)), elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space=st.sampled_from([("permutation", 3), ("permutation", 4), ("collective", 3), ("collective", 4),
+                           ("full", 2), ("custom", 2)]),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(-1.0, 1.0),
+)
+def test_the_factor_is_refused_exactly_outside_the_positive_definite_cone(space, seed, shift):
+    # the line search's only PSD test: a trial whose Cholesky factorization fails lies outside the cone
+    maps, elements = coefficient_maps(*space)
+    c = np.random.default_rng(seed).standard_normal(len(elements))
+    w = np.linalg.eigvalsh(dense_state(c, elements))
+    # adding t I moves the least eigenvalue to shift * (the spectrum's spread)
+    c = c + (shift * (w[-1] - w[0]) - w[0]) * coefficients_of(np.eye(elements.shape[1]), elements)
+    dense = np.linalg.eigvalsh(dense_state(c, elements))
+    assume(abs(dense[0]) > 1e-12 * np.abs(dense).max())
+    assert (maps.factor(c) is None) == (dense[0] <= 0.0)
+
+
+def member_with_a_shared_eigenvalue(space, rng):
+    """A positive member of the algebra of ``space`` whose blocks all have the eigenvalue 0.7."""
+    sizes = _block_sizes(space.blocks)
+    x = np.zeros((sum(sizes),) * 2, dtype=complex)
+    start = 0
+    for b in sizes:
+        q, _ = np.linalg.qr(rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b)))
+        vals = rng.uniform(0.5, 1.5, b)
+        vals[0] = 0.7
+        x[start:start + b, start:start + b] = (q * vals) @ q.conj().T
+        start += b
+    # the copy-0 blocks hold the unit coordinates over sqrt(copies)
+    units = _unit_coordinates(np.sqrt(_column_mult(space.blocks))[:, None] * x, sizes)
+    return _block_operator(units, space.blocks)
+
+
+@pytest.mark.parametrize("space", [("permutation", 3), ("permutation", 4), ("collective", 3), ("collective", 4),
+                                   ("full", 2)], ids=lambda space: f"{space[0]}-{space[1]}")
+@pytest.mark.parametrize("point", ["maximally-mixed", "shared-eigenvalue"])
+def test_block_derivatives_match_dense_where_blocks_share_eigenvalues(space, point):
+    # an eigh of the whole block matrix mixes the eigenvectors of blocks that share an eigenvalue;
+    # the factor of each block is its own
+    maps, elements = coefficient_maps(*space)
+    d = 2 ** space[1]
+    rho = (np.eye(d) / d if point == "maximally-mixed"
+           else member_with_a_shared_eigenvalue(search_space_of(*space), np.random.default_rng(5)))
+    assert_block_derivatives_match_dense(maps, elements, rho)
 
 
 def positive_member(elements, rng):
@@ -451,19 +537,18 @@ def test_barrier_weighted_logdet_derivatives_match_finite_differences(n, kind, g
     c = interior_point(elements, np.random.default_rng(seed))
     weight = gamma * maps.column_mult + mu
 
-    def weighted_logdet(x):  # sum_k w_k log lambda_k, w_k = sum_j weight_j |U_jk|^2
-        vals, vecs, _ = maps.spectrum(x)
-        return (weight @ (vecs * vecs.conj()).real) @ np.log(vals)
+    def weighted_logdet(x):  # sum_b w_b log det X_b, off the Cholesky factor's diagonal
+        return maps.logdet(maps.factor(x), weight)
 
-    vals, vecs, _ = maps.spectrum(c)
+    inverse = np.linalg.inv(maps.factor(c))
     # Richardson's combination of steps h and 2h cancels the h^2 error of both
-    h = 1e-3 * vals[0]
+    h = 1e-3 * maps.least_eigenvalue(c)
     (g1, h1), (g2, h2) = (central_differences(weighted_logdet, c, step) for step in (h, 2 * h))
     gradient, hessian = (4.0 * g1 - g2) / 3.0, (4.0 * h1 - h2) / 3.0
-    got = maps.coefficients(1.0 / vals, vecs, weight)
+    got = maps.gradient(inverse, weight)
     assert np.abs(got - gradient).max() <= 1e-6 * np.abs(gradient).max()
     # logdet_hessian is the Hessian of minus the sum, the barrier's sign
-    got = maps.logdet_hessian(vals, vecs, weight)
+    got = maps.logdet_hessian(inverse, weight)
     assert np.abs(got + hessian).max() <= 1e-6 * np.abs(hessian).max()
 
 
@@ -499,16 +584,16 @@ def test_the_predictor_derivative_is_the_mu_derivative_of_the_centring_gradient(
     design = term.design @ tangent
     # c - base keeps the trace, so it is P z for the orthonormal P
     z = tangent.T @ (interior_point(coefficient_maps(kind, n)[1], np.random.default_rng(seed)) - base)
-    pred, spectrum = term.design @ base + design @ z, maps.spectrum(z)
+    pred, factor = term.design @ base + design @ z, maps.factor(z)
 
     def gradient(m):
-        return _centring_derivatives(term, maps, design, pred, spectrum, m)[0]
+        return _centring_derivatives(term, maps, design, pred, factor, m)[0]
 
     # Richardson's combination of steps h and 2h cancels the h^2 error of both
     h = 1e-3 * mu
     d1, d2 = ((gradient(mu + step) - gradient(mu - step)) / (2.0 * step) for step in (h, 2 * h))
     want = (4.0 * d1 - d2) / 3.0
-    got = _path_derivative(term, maps, design, pred, spectrum, mu)
+    got = _path_derivative(term, maps, design, pred, factor, mu)
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
@@ -659,23 +744,47 @@ def test_the_iteration_cap_holds_with_the_predictor_steps(mode, seed, cap):
 @pytest.mark.parametrize("kind", ["permutation", "collective", "full"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_feasibility_residual_is_read_from_the_block_spectrum(n, kind, monkeypatch):
-    # the solve's last block spectrum is rho's, and its traces give tr(rho)
+    # the least eigenvalue of the solve's last blocks is rho's, and its traces give tr(rho)
     returned = []
-    solve = estimation._barrier_newton
+    least = estimation._BlockMaps.least_eigenvalue
 
     def kept(*args):
-        returned.append(solve(*args))
+        returned.append(least(*args))
         return returned[-1]
 
-    monkeypatch.setattr(estimation, "_barrier_newton", kept)
+    monkeypatch.setattr(estimation._BlockMaps, "least_eigenvalue", kept)
     if kind == "full":
         result = solve_cvqt(noisy_ghz_records(n, 0.05, 1, False), 2**n, EstimatorConfig())
     else:
         result = solve_git(git_records(n, kind), cached_basis(n, kind), EstimatorConfig())
     dense = np.linalg.eigvalsh(result.rho_hat)
-    assert abs(returned[0][-1] - dense[0]) <= 1e-12
+    assert abs(returned[0] - dense[0]) <= 1e-12
     want = max(abs(np.trace(result.rho_hat).real - 1.0), -dense[0], 0.0)
     assert abs(result.feasibility_residual - want) <= 1e-12
+
+
+@pytest.mark.parametrize("mode, n", [("git", 5), ("cvqt", 3)])
+def test_the_newton_loop_calls_no_eigh(mode, n, monkeypatch):
+    # every trial point is tested by its Cholesky factor; only feasibility_residual reads a spectrum
+    records = git_records(n, "permutation") if mode == "git" else noisy_ghz_records(n, 0.05, 1, False)
+    calls = []
+
+    def counted(name):
+        decompose = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return decompose(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    if mode == "git":
+        result = solve_git(records, cached_basis(n, "permutation"), ANALYTIC)
+    else:
+        result = solve_cvqt(records, 2**n, ANALYTIC)
+    assert result.converged
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-3])

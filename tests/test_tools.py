@@ -1,4 +1,4 @@
-"""The code-line counter in ``tools/``: which lines count as code."""
+"""The scripts in ``tools/``: which lines the code-line counter counts, and what the solver audit reports."""
 
 import ast
 import importlib.util
@@ -8,6 +8,9 @@ ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
 code_lines = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(code_lines)
+_SPEC = importlib.util.spec_from_file_location("solver_audit", ROOT / "tools" / "solver_audit.py")
+solver_audit = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(solver_audit)
 
 SOURCE = '''"""A module docstring,
 over two lines."""
@@ -68,3 +71,22 @@ def test_the_import_guard_sees_an_unused_import(tmp_path):
     path.write_text("from __future__ import annotations\nimport os\nimport numpy as np\n"
                     "from typing import NamedTuple, Optional\nx: Optional[int] = np.pi\n")
     assert unused_imports(path) == ["sample.py:2: os", "sample.py:4: NamedTuple"]
+
+
+def test_the_solver_audit_solves_each_data_set_five_ways():
+    audit = solver_audit.solves(ns=(2,), seeds=(1000,))
+    assert sorted(audit) == [f"n=2 seed=1000 {name}" for name in
+                             ("cvqt gamma=0", "cvqt gamma=0.001", "git gamma=0", "git gamma=0.001", "maxlik")]
+    assert all(set(s) == {"objective", "converged", "iterations", "least_eigenvalue"} for s in audit.values())
+    assert any(line.startswith("total ") for line in solver_audit.report(audit))
+
+
+def test_the_solver_audit_counts_converged_solves_above_the_lower_objective():
+    def solve(objective, converged=True):
+        return {"objective": objective, "converged": converged, "iterations": 1, "least_eigenvalue": 0.0}
+
+    mine = {"a": solve(1.0 + 2e-8), "b": solve(-30.0 + 1e-7), "c": solve(5.0, False), "d": solve(2.0)}
+    other = {"a": solve(1.0), "b": solve(-30.0), "c": solve(1.0), "d": solve(2.0 + 1e-6)}
+    # b lies 1e-7 above -30, which is under 1e-8 * 30; c did not converge
+    assert solver_audit.above_lower(mine, other) == ["a"]
+    assert solver_audit.above_lower(other, mine) == ["d"]
